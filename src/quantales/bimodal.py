@@ -20,7 +20,7 @@ from .errors import (
     NotJoinPreserving,
 )
 from .lattice import FiniteSupLattice
-from .quantale import SupportLocale, supports_locale
+from .quantale import MODAL_SYSTEMS, SupportLocale, supports_locale
 
 
 def join_preservation_witness(L: FiniteSupLattice, table: Sequence[int]):
@@ -136,7 +136,17 @@ class ModalClassCheck:
         return self.ok
 
 
-_CLASSES = ("T", "K4", "S4", "S5")
+# Each frame condition of MODAL_SYSTEMS as named laws on a diamond pair,
+# checked at every element x.
+_PAIR_LAWS = {
+    "reflexive": (("T-dia", lambda L, dia, bdia, x: L.leq(x, dia[x])),
+                  ("T-bdia", lambda L, dia, bdia, x: L.leq(x, bdia[x]))),
+    "transitive": (
+        ("K4-dia", lambda L, dia, bdia, x: L.leq(dia[dia[x]], dia[x])),
+        ("K4-bdia", lambda L, dia, bdia, x: L.leq(bdia[bdia[x]], bdia[x]))),
+    "symmetric": (
+        ("S5-selfconjugate", lambda L, dia, bdia, x: dia[x] == bdia[x]),),
+}
 
 
 def check_modal_class(L: FiniteSupLattice, dia: Sequence[int],
@@ -146,24 +156,13 @@ def check_modal_class(L: FiniteSupLattice, dia: Sequence[int],
     T: x <= dia x and x <= bdia x.  K4: dia dia x <= dia x and likewise
     for bdia.  S4 is both; S5 is S4 with the two diamonds equal.
     """
-    if cls not in _CLASSES:
+    if cls not in MODAL_SYSTEMS:
         raise ValueError(f"unknown modal class {cls!r}")
-    if cls in ("T", "S4", "S5"):
+    for condition in MODAL_SYSTEMS[cls]:
         for x in range(L.n):
-            if not L.leq(x, dia[x]):
-                return ModalClassCheck(False, "T-dia", (x,))
-            if not L.leq(x, bdia[x]):
-                return ModalClassCheck(False, "T-bdia", (x,))
-    if cls in ("K4", "S4", "S5"):
-        for x in range(L.n):
-            if not L.leq(dia[dia[x]], dia[x]):
-                return ModalClassCheck(False, "K4-dia", (x,))
-            if not L.leq(bdia[bdia[x]], bdia[x]):
-                return ModalClassCheck(False, "K4-bdia", (x,))
-    if cls == "S5":
-        for x in range(L.n):
-            if dia[x] != bdia[x]:
-                return ModalClassCheck(False, "S5-selfconjugate", (x,))
+            for law, holds in _PAIR_LAWS[condition]:
+                if not holds(L, dia, bdia, x):
+                    return ModalClassCheck(False, law, (x,))
     return ModalClassCheck(True)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import random
 import sys
 from pathlib import Path
@@ -18,21 +19,21 @@ from pathlib import Path
 from .bimodal import conjugate_pairs, diamonds_from_point
 from .errors import AlgebraError, FrontendError, ModelFormatError
 from .formulas import Mode, atoms_of
-from .nucleus import is_nucleus, least_nucleus, quotient
+from .nucleus import least_nucleus, quotient
 from .parsing import (
-    _groupoid_of,
-    _relation_codes,
     build,
+    document_quantale,
     parse_formula,
     parse_frame,
     parse_model,
     world_elements,
 )
 from .quantale import (
+    MODAL_SYSTEMS,
+    POINT_CONDITIONS,
     RelationQuantale,
     check_point_properties,
-    groupoid_quantale,
-    relation_quantale,
+    system_pairs,
 )
 from .semantics import PointedModel, evaluate, valid_in_model
 from .tensor import (
@@ -50,30 +51,28 @@ def _read(path):
         raise ModelFormatError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _decode_worlds(doc, q, value):
-    return [name for name, u in world_elements(doc) if q.leq(u, value)]
+def _evaluate(args):
+    'The model quantale, the formula value, and the named world atoms.'
+    doc = parse_model(_read(args.model))
+    model = build(doc)
+    value = evaluate(model, parse_formula(args.formula, doc.mode))
+    return model.quantale, value, world_elements(doc)
 
 
 def _cmd_eval(args):
-    doc = parse_model(_read(args.model))
-    model = build(doc)
-    f = parse_formula(args.formula, doc.mode)
-    value = evaluate(model, f)
-    names = _decode_worlds(doc, model.quantale, value)
+    q, value, worlds = _evaluate(args)
+    names = [name for name, u in worlds if q.leq(u, value)]
     print("{" + ", ".join(names) + "}")
     return 0
 
 
 def _cmd_valid(args):
-    doc = parse_model(_read(args.model))
-    model = build(doc)
-    f = parse_formula(args.formula, doc.mode)
-    if valid_in_model(model, f):
+    q, value, worlds = _evaluate(args)
+    if value == q.unit:
         print("VALID")
         return 0
-    value = evaluate(model, f)
-    for name, u in world_elements(doc):
-        if not model.quantale.leq(u, value):
+    for name, u in worlds:
+        if not q.leq(u, value):
             print(f"INVALID at {name}")
             return 1
     print("INVALID")
@@ -87,28 +86,19 @@ _SAMPLE_ELEMENTS = 150
 _SAMPLE_PAIRS = 2000
 
 
-def _axiom_carrier(doc):
-    """The quantale, point element, and element sample for the law checks.
+def _axiom_elements(q, alpha):
+    """The elements the law checks run over.
 
-    Small relation documents and groupoid documents get the exhaustively
-    validated table-backed quantale and the full carrier; larger world
-    sets fall back to the lazy quantale with a seeded element sample.
+    A table-backed quantale gives its full carrier; the lazy quantale of
+    a larger relation document gives a seeded element sample.
     """
-    if doc.is_groupoid:
-        q = groupoid_quantale(_groupoid_of(doc))
-        alpha = build(doc).alpha
-        return q, alpha, list(range(q.n))
-    codes, _ = _relation_codes(doc)
-    alpha = codes["alpha"]
-    nw = len(doc.worlds)
-    if nw <= 3:
-        return relation_quantale(doc.worlds), alpha, list(range(2 ** (nw * nw)))
-    q = RelationQuantale(doc.worlds)
+    if not isinstance(q, RelationQuantale):
+        return list(range(q.n))
     rng = random.Random(0)
     elems = {q.bottom, q.unit, q.top, alpha}
     while len(elems) < _SAMPLE_ELEMENTS:
-        elems.add(rng.getrandbits(nw * nw))
-    return q, alpha, sorted(elems)
+        elems.add(rng.getrandbits(q.nw * q.nw))
+    return sorted(elems)
 
 
 def _support_checks(q, elems):
@@ -148,10 +138,9 @@ def _print_flags(q, alpha):
 
 
 def _cmd_axioms(args):
-    doc = parse_model(_read(args.model))
-    q, alpha, elems = _axiom_carrier(doc)
+    alpha, q = document_quantale(parse_model(_read(args.model)))
     failed = False
-    for name, witness in _support_checks(q, elems):
+    for name, witness in _support_checks(q, _axiom_elements(q, alpha)):
         if witness is None:
             print(f"CHECK {name} PASS")
         else:
@@ -169,38 +158,14 @@ def _cmd_axioms(args):
 
 # --- quotient -------------------------------------------------------------
 
-def _system_pairs(q, alpha, system):
-    pairs = []
-    if system in ("T", "S4", "S5"):
-        pairs.append((q.unit, alpha))
-    if system in ("K4", "S4", "S5"):
-        pairs.append((q.mul(alpha, alpha), alpha))
-    if system == "S5":
-        pairs.append((q.inv(alpha), alpha))
-    return pairs
-
-
 def _cmd_quotient(args):
-    doc = parse_model(_read(args.model))
-    if doc.is_groupoid:
-        q = groupoid_quantale(_groupoid_of(doc))
-        alpha = build(doc).alpha
-    else:
-        if len(doc.worlds) > 3:
-            raise ModelFormatError(
-                "quotient needs the table-backed quantale; limited to 3 worlds")
-        q = relation_quantale(doc.worlds)
-        alpha = _relation_codes(doc)[0]["alpha"]
-    nuc = least_nucleus(q, _system_pairs(q, alpha, args.system))
-    check = is_nucleus(q, nuc.table)
-    gens_ok = all(q.leq(nuc(y), nuc(z))
-                  for y, z in _system_pairs(q, alpha, args.system))
-    failed = False
-    if check.ok and gens_ok:
-        print("CHECK nucleus PASS")
-    else:
-        failed = True
-        print(f"CHECK nucleus FAIL {check.law} at {check.witness}")
+    alpha, q = document_quantale(parse_model(_read(args.model)))
+    if isinstance(q, RelationQuantale):
+        raise ModelFormatError(
+            "quotient needs the table-backed quantale; limited to 3 worlds")
+    # least_nucleus raises unless the nucleus and its pairs check out
+    nuc = least_nucleus(q, system_pairs(q, alpha, args.system))
+    print("CHECK nucleus PASS")
     try:
         quot = quotient(q, nuc)
         print("CHECK quotient PASS")
@@ -209,12 +174,14 @@ def _cmd_quotient(args):
         return 1
     print(f"INFO closed {quot.quantale.n} of {q.n}")
     _print_flags(quot.quantale, quot.projection[alpha])
-    return 1 if failed else 0
+    return 0
 
 
 # --- tensor-verify --------------------------------------------------------
 
 def _cmd_tensor_verify(args):
+    if args.depth < 0:
+        raise FrontendError("--depth must be at least 0")
     frame = parse_frame(_read(args.frame))
     algebra = TensorAlgebra(frame, depth=args.depth)
     pairs = list(conjugate_pairs(frame))
@@ -233,19 +200,23 @@ def _cmd_tensor_verify(args):
 
 # --- sweep ----------------------------------------------------------------
 
-def _alpha_has_property(q, alpha, system):
-    if system in ("T", "S4", "S5") and not q.leq(q.unit, alpha):
-        return False
-    if system in ("K4", "S4", "S5") and not q.leq(q.mul(alpha, alpha), alpha):
-        return False
-    if system == "S5" and q.inv(alpha) != alpha:
-        return False
-    return True
+_SWEEP_WORLDS = 4     # 5 worlds would mean 2^25 points
 
 
 def _cmd_sweep(args):
+    if not 1 <= args.worlds <= _SWEEP_WORLDS:
+        raise FrontendError(f"--worlds must be between 1 and {_SWEEP_WORLDS}")
     scheme = parse_formula(args.scheme, Mode.CLASSICAL)
     atoms = sorted(atoms_of(scheme))
+    conditions = [POINT_CONDITIONS[c] for c in MODAL_SYSTEMS[args.system]]
+
+    def in_system(q, alpha):
+        # a loop, not all(): this runs on every point and must stay cheap
+        for lhs in conditions:
+            if not q.leq(lhs(q, alpha), alpha):
+                return False
+        return True
+
     count = 0
     for n in range(1, args.worlds + 1):
         worlds = tuple(str(i) for i in range(n))
@@ -253,7 +224,7 @@ def _cmd_sweep(args):
         diag = [sum(1 << (i * n + i) for i in range(n) if mask >> i & 1)
                 for mask in range(2 ** n)]
         for alpha in range(2 ** (n * n)):
-            if not _alpha_has_property(q, alpha, args.system):
+            if not in_system(q, alpha):
                 continue
             for choice in itertools.product(diag, repeat=len(atoms)):
                 model = PointedModel(q, alpha, dict(zip(atoms, choice)),
@@ -300,8 +271,7 @@ def _build_parser():
     p = sub.add_parser("quotient",
                        help="least nucleus for a modal system and its quotient")
     p.add_argument("model")
-    p.add_argument("--system", required=True,
-                   choices=("T", "K4", "S4", "S5"))
+    p.add_argument("--system", required=True, choices=tuple(MODAL_SYSTEMS))
     p.set_defaults(func=_cmd_quotient)
 
     p = sub.add_parser("tensor-verify",
@@ -315,8 +285,7 @@ def _build_parser():
                        help="exhaustive scheme validity over all points "
                             "of a modal class")
     p.add_argument("--worlds", type=int, required=True)
-    p.add_argument("--system", required=True,
-                   choices=("T", "K4", "S4", "S5"))
+    p.add_argument("--system", required=True, choices=tuple(MODAL_SYSTEMS))
     p.add_argument("--scheme", required=True)
     p.set_defaults(func=_cmd_sweep)
     return parser
@@ -325,7 +294,16 @@ def _build_parser():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here so a closed pipe surfaces inside the try
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; send what is left of the output (Python
+        # flushes it again at exit) to devnull instead of a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except FrontendError as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return 2

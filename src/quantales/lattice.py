@@ -89,9 +89,6 @@ class FiniteSupLattice:
         'Bitmask of elements above a.'
         return self._up[a]
 
-    def downset(self, a: int) -> int:
-        return self._down[a]
-
     def is_frame(self) -> bool:
         'Meet distributes over joins; with finiteness, binary joins suffice.'
         if self._frame is None:

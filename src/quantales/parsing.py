@@ -43,6 +43,7 @@ from .quantale import (
     FiniteGroupoid,
     RelationQuantale,
     groupoid_quantale,
+    relation_quantale,
 )
 from .relations import encode
 from .semantics import PointedModel
@@ -486,26 +487,42 @@ def _groupoid_of(doc: ModelDocument) -> FiniteGroupoid:
 _MAX_GROUPOID_ARROWS = 9
 
 
-def build(doc: ModelDocument) -> PointedModel:
-    """A pointed model from a parsed document.
+def document_quantale(doc: ModelDocument):
+    """The point element and the quantale of a model document.
 
-    Relation documents run over the lazy bitmask quantale at any world
-    count; the codes agree with the tabulated quantale's element indices,
-    so exhaustive checkers can rebuild that one for small documents.
+    The quantale is the exhaustively validated table when one fits: every
+    groupoid document (limited to 9 arrows, a 512-element carrier) and
+    relation documents up to 3 worlds.  Larger relation documents get the
+    lazy RelationQuantale; its codes agree with the table's indices.
     """
     if doc.is_groupoid:
         if len(doc.groupoid.arrows) > _MAX_GROUPOID_ARROWS:
             raise ModelFormatError(
                 f"groupoid documents are limited to {_MAX_GROUPOID_ARROWS} arrows")
         G = _groupoid_of(doc)
-        q = groupoid_quantale(G)
         aidx = {name: i for i, name in enumerate(G.arrows)}
         alpha = sum(1 << aidx[name] for name in set(doc.point))
-        oidx = {o: i for i, o in enumerate(G.objects)}
-        vals = {atom: sum(1 << G.identities[oidx[o]] for o in set(members))
+        return alpha, groupoid_quantale(G)
+    alpha = _relation_codes(doc)[0]["alpha"]
+    if len(doc.worlds) <= 3:
+        return alpha, relation_quantale(doc.worlds)
+    return alpha, RelationQuantale(doc.worlds)
+
+
+def build(doc: ModelDocument) -> PointedModel:
+    """A pointed model from a parsed document.
+
+    Relation documents run over the lazy bitmask quantale at any world
+    count, so evaluation never builds a table; groupoid documents over
+    the table of document_quantale.
+    """
+    if doc.is_groupoid:
+        alpha, q = document_quantale(doc)
+        atom_of = dict(world_elements(doc))
+        vals = {atom: sum(atom_of[o] for o in set(members))
                 for atom, members in doc.valuations.items()}
         return PointedModel(q, alpha, vals, doc.mode,
-                            world_atoms=G.objects)
+                            world_atoms=doc.groupoid.objects)
     q = RelationQuantale(doc.worlds)
     codes, vals = _relation_codes(doc)
     alpha = codes.pop("alpha")

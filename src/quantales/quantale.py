@@ -277,35 +277,14 @@ class RelationQuantale:
 def relation_quantale(worlds: Sequence) -> Quantale:
     """The full, exhaustively validated quantale of relations on worlds.
 
-    Element i is the relation with bit code i; the lattice is the powerset
-    of world pairs in the same bit order.  Guarded to three worlds, beyond
-    which the tables are no longer desk-scale; use RelationQuantale there.
+    This is the groupoid quantale of the pair groupoid: element i is the
+    relation with bit code i, and the lattice is the powerset of world
+    pairs in the same bit order.  Guarded to three worlds, beyond which
+    the tables are no longer desk-scale; use RelationQuantale there.
     """
-    worlds = tuple(worlds)
-    k = len(worlds)
-    if k > 3:
+    if len(worlds) > 3:
         raise ValueError("tabulated relation quantale is limited to 3 worlds")
-    lattice = powerset_lattice([(worlds[i], worlds[j])
-                                for i in range(k) for j in range(k)])
-    n = lattice.n
-    # one-arrow composites, then two nested subset DPs
-    single = [[rel.compose(1 << p, 1 << q, k) for q in range(k * k)]
-              for p in range(k * k)]
-    half = [[0] * n for _ in range(k * k)]
-    for p in range(k * k):
-        rowp = half[p]
-        for b in range(1, n):
-            low = b & -b
-            rowp[b] = rowp[b ^ low] | single[p][low.bit_length() - 1]
-    mul = [[0] * n for _ in range(n)]
-    for a in range(1, n):
-        low = a & -a
-        rows_prev = mul[a ^ low]
-        rows_p = half[low.bit_length() - 1]
-        mul[a] = [rows_prev[b] | rows_p[b] for b in range(n)]
-    inv = [rel.converse(a, k) for a in range(n)]
-    support = [rel.support(a, k) for a in range(n)]
-    return make_quantale(lattice, mul, inv, rel.diagonal(k), support=support)
+    return groupoid_quantale(pair_groupoid(worlds))
 
 
 # --- groupoids ------------------------------------------------------------
@@ -413,14 +392,16 @@ def groupoid_quantale(G: FiniteGroupoid) -> Quantale:
     m = len(G.arrows)
     lattice = powerset_lattice(G.arrows)
     n = lattice.n
+    # one-arrow composites, then two nested subset DPs
     single = [[0] * m for _ in range(m)]
     for (g, h), k in G.comp.items():
         single[g][h] |= 1 << k
     half = [[0] * n for _ in range(m)]
     for g in range(m):
+        row, sg = half[g], single[g]
         for b in range(1, n):
             low = b & -b
-            half[g][b] = half[g][b ^ low] | single[g][low.bit_length() - 1]
+            row[b] = row[b ^ low] | sg[low.bit_length() - 1]
     mul = [[0] * n for _ in range(n)]
     for a in range(1, n):
         low = a & -a
@@ -514,9 +495,32 @@ class PointFlags:
 
 def check_point_properties(q, alpha: int) -> PointFlags:
     'Order-theoretic properties of a chosen point element.'
-    return PointFlags(
-        reflexive=q.leq(q.unit, alpha),
-        transitive=q.leq(q.mul(alpha, alpha), alpha),
-        symmetric=q.inv(alpha) == alpha,
-        total_support=q.support(alpha) == q.unit,
-    )
+    holds = {c: q.leq(lhs(q, alpha), alpha)
+             for c, lhs in POINT_CONDITIONS.items()}
+    return PointFlags(**holds, total_support=q.support(alpha) == q.unit)
+
+
+# --- modal systems --------------------------------------------------------
+
+# The frame conditions of each modal system, in the order they are checked.
+MODAL_SYSTEMS = {
+    "T": ("reflexive",),
+    "K4": ("transitive",),
+    "S4": ("reflexive", "transitive"),
+    "S5": ("reflexive", "transitive", "symmetric"),
+}
+
+# Each condition on a point alpha is one generating pair (y, alpha), held
+# when y <= alpha; these give y.  alpha- <= alpha already forces
+# alpha- = alpha, since the involution is an order automorphism.
+POINT_CONDITIONS = {
+    "reflexive": lambda q, alpha: q.unit,
+    "transitive": lambda q, alpha: q.mul(alpha, alpha),
+    "symmetric": lambda q, alpha: q.inv(alpha),
+}
+
+
+def system_pairs(q, alpha: int, system: str) -> list[tuple[int, int]]:
+    'The generating pairs of a modal system at a point, for least_nucleus.'
+    return [(POINT_CONDITIONS[c](q, alpha), alpha)
+            for c in MODAL_SYSTEMS[system]]

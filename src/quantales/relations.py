@@ -29,13 +29,6 @@ def row(code: int, i: int, n: int) -> int:
     return code >> (i * n) & ((1 << n) - 1)
 
 
-def from_rows(rows, n: int) -> int:
-    code = 0
-    for i, r in enumerate(rows):
-        code |= r << (i * n)
-    return code
-
-
 def compose(a: int, b: int, n: int) -> int:
     out = 0
     for i in range(n):

@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .bimodal import check_modal_class
 from .errors import AlgebraError, DepthExceeded, NotAFrame
 from .lattice import FiniteSupLattice
 from .nucleus import Nucleus, quotient
@@ -181,12 +182,6 @@ class TensorAlgebra:
                             irr[p] for p in s[1:])
                         acc.update(self._pure_component(slots))
         return _element(out)
-
-    def mul_all(self, elems) -> GradedElement:
-        out = self.unit
-        for e in elems:
-            out = self.mul(out, e)
-        return out
 
     def inv(self, a: GradedElement) -> GradedElement:
         return _element({word_inv(w): frozenset(t[::-1] for t in c)
@@ -476,11 +471,8 @@ def check_lemmaB_inequalities(algebra: TensorAlgebra, dia: Sequence[int],
          == sig(eps_only[i]),
          lambda i: show_element(algebra, eps_only[i]))
 
-    t_class = all(L.leq(x, dia[x]) and L.leq(x, bdia[x]) for x in range(L.n))
-    k4_class = all(L.leq(dia[dia[x]], dia[x]) and L.leq(bdia[bdia[x]], bdia[x])
-                   for x in range(L.n))
-    s5_class = t_class and k4_class and all(
-        dia[x] == bdia[x] for x in range(L.n))
+    t_class, k4_class, s5_class = (check_modal_class(L, dia, bdia, cls).ok
+                                   for cls in ("T", "K4", "S5"))
     abar = algebra.alpha_bar("a")
     abar_inv = algebra.alpha_bar("A")
 

@@ -1,11 +1,18 @@
 """End-to-end runs of the command-line driver."""
 
+import ast
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import quantales.cli
+import quantales.quantale
+import quantales.semantics
 from quantales.cli import main
+from quantales.formulas import Mode
 
 EQUIV_MODEL = """
 MODE classical
@@ -39,6 +46,14 @@ VAL p x
 CHAIN2_FRAME = "ELEMENTS bot top\nLEQ (bot,top)\n"
 
 S5_SCHEME = "<>p /\\ q -> <>(p /\\ <>q)"
+
+# Z/10: one arrow more than a groupoid document may have
+Z10_MODEL = "\n".join(
+    ["MODE classical", "OBJECTS x"]
+    + [f"ARROWS g{i} x x" for i in range(10)]
+    + [f"COMP g{i} g{j} g{(i + j) % 10}" for i in range(10) for j in range(10)]
+    + [f"INV g{i} g{-i % 10}" for i in range(1, 5)]
+    + ["POINT g1", "VAL p x", ""])
 
 
 @pytest.fixture
@@ -235,3 +250,87 @@ def test_module_entry_point(files):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "SWEEP PASS models=2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "<>p"],
+    ["axioms"],
+    ["quotient", "--system", "T"],
+])
+def test_every_command_enforces_the_arrow_limit(files, capsys, monkeypatch,
+                                                argv):
+    tables = []
+    real = quantales.quantale.make_quantale
+    monkeypatch.setattr(quantales.quantale, "make_quantale",
+                        lambda *a, **k: tables.append(a) or real(*a, **k))
+    model = files("z10.model", Z10_MODEL)
+    code, out, err = run(capsys, argv[0], model, *argv[1:])
+    assert code == 2 and out == ""
+    assert err == "ERROR: groupoid documents are limited to 9 arrows\n"
+    assert tables == []
+
+
+@pytest.mark.parametrize("command", [["axioms"], ["quotient", "--system", "S5"]])
+def test_groupoid_quantale_is_built_once(files, capsys, monkeypatch, command):
+    # every table builder in quantales.quantale ends in make_quantale
+    calls = []
+    real = quantales.quantale.make_quantale
+    monkeypatch.setattr(quantales.quantale, "make_quantale",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    code, _, _ = run(capsys, command[0], files("m.model", Z2_MODEL),
+                     *command[1:])
+    assert code == 0 and len(calls) == 1
+
+
+def test_invalid_evaluates_the_formula_once(files, capsys, monkeypatch):
+    calls = []
+    real = quantales.semantics._EVALUATORS[Mode.CLASSICAL]
+    monkeypatch.setitem(quantales.semantics._EVALUATORS, Mode.CLASSICAL,
+                        lambda *a: calls.append(a) or real(*a))
+    model = files("m.model", "MODE classical\nWORLDS 0 1\n"
+                             "REL alpha (0,1)\nVAL p 1\n")
+    code, out, _ = run(capsys, "valid", model, "p")
+    assert code == 1 and out == "INVALID at 0\n"
+    assert len(calls) == 1
+
+
+def test_tensor_verify_rejects_a_negative_depth(files, capsys):
+    code, out, err = run(capsys, "tensor-verify",
+                         "--frame", files("c2.frame", CHAIN2_FRAME),
+                         "--depth", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("ERROR:") and "--depth" in err
+
+
+@pytest.mark.parametrize("worlds", ["0", "-1", "5"])
+def test_sweep_rejects_world_counts_outside_1_to_4(capsys, worlds):
+    # "p" fails on the first 1-world model, so a missing guard shows up as
+    # a quick SWEEP FAIL rather than a long run
+    code, out, err = run(capsys, "sweep", "--worlds", worlds,
+                         "--system", "T", "--scheme", "p")
+    assert code == 2 and out == ""
+    assert err.startswith("ERROR:") and "--worlds" in err
+
+
+def test_a_closed_stdout_pipe_ends_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quantales", "sweep", "--worlds", "1",
+             "--system", "T", "--scheme", "[]p -> p"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
+def test_cli_imports_no_private_library_names():
+    tree = ast.parse(Path(quantales.cli.__file__).read_text())
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or node.module.startswith("quantales"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

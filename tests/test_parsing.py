@@ -18,13 +18,14 @@ from quantales.formulas import (
 )
 from quantales.parsing import (
     build,
+    document_quantale,
     parse_formula,
     parse_frame,
     parse_model,
     parse_program,
     world_elements,
 )
-from quantales.quantale import RelationQuantale
+from quantales.quantale import Quantale, RelationQuantale
 from quantales.relations import encode
 from quantales.semantics import evaluate
 
@@ -269,6 +270,27 @@ def test_groupoid_documents_have_an_arrow_cap():
     lines += ["POINT a0"]
     with pytest.raises(ModelFormatError):
         build(parse_model("\n".join(lines)))
+
+
+def test_document_quantale_is_a_table_when_one_fits():
+    for worlds, table in (("a b c", True), ("a b c d", False)):
+        doc = parse_model(f"MODE classical\nWORLDS {worlds}\n"
+                          "REL alpha (a,b) (b,a)\n")
+        alpha, q = document_quantale(doc)
+        assert isinstance(q, Quantale) == table
+        assert isinstance(q, RelationQuantale) != table
+        assert alpha == build(doc).alpha
+    doc = parse_model(Z2_DOC)
+    alpha, q = document_quantale(doc)
+    assert q.n == 4 and alpha == build(doc).alpha == 1 << 1
+
+
+def test_document_quantale_has_the_arrow_cap():
+    lines = ["MODE classical", "OBJECTS x"]
+    lines += [f"ARROWS a{i} x x" for i in range(10)]
+    lines += ["POINT a0"]
+    with pytest.raises(ModelFormatError, match="limited to 9 arrows"):
+        document_quantale(parse_model("\n".join(lines)))
 
 
 def test_ctl_document_needs_time_to_continue():

@@ -18,6 +18,7 @@ from quantales.errors import (
 )
 from quantales.lattice import chain_lattice, powerset_lattice
 from quantales.quantale import (
+    MODAL_SYSTEMS,
     FiniteGroupoid,
     RelationQuantale,
     check_point_properties,
@@ -28,6 +29,7 @@ from quantales.quantale import (
     pair_groupoid,
     relation_quantale,
     supports_locale,
+    system_pairs,
     with_derived_support,
 )
 
@@ -282,3 +284,31 @@ class TestPointFlags:
         flags = check_point_properties(rq2, alpha)
         assert flags.reflexive and flags.transitive and flags.symmetric
         assert flags.total_support
+
+
+class TestModalSystems:
+    def test_point_conditions_match_the_pair_oracle(self):
+        # every point at 1-3 worlds; the tables at 1-2 worlds as well
+        for k in (1, 2, 3):
+            worlds = tuple(range(k))
+            qs = [RelationQuantale(worlds)]
+            if k < 3:
+                qs.append(relation_quantale(worlds))
+            for alpha in range(2 ** (k * k)):
+                r = rel.decode(alpha, k)
+                want = {
+                    "reflexive": oracles.rel_diagonal(worlds) <= r,
+                    "transitive": oracles.rel_compose(r, r) <= r,
+                    "symmetric": oracles.rel_converse(r) == r,
+                }
+                for system, conditions in MODAL_SYSTEMS.items():
+                    expected = all(want[c] for c in conditions)
+                    for q in qs:
+                        assert all(q.leq(y, z) for y, z in
+                                   system_pairs(q, alpha, system)) == expected
+                for q in qs:
+                    flags = check_point_properties(q, alpha)
+                    assert (flags.reflexive, flags.transitive,
+                            flags.symmetric) == (want["reflexive"],
+                                                 want["transitive"],
+                                                 want["symmetric"])
