@@ -1,10 +1,11 @@
 """Formula and program syntax trees, modes, and the printer.
 
-Each mode fixes which connectives are primitive: classical takes negation,
-disjunction and the diamond, with conjunction, implication and the box as
-abbreviations; the temporal mode takes EX, EF, EG with the A-forms as
-abbreviations; the dynamic mode indexes diamonds by programs.  The printer
-emits the concrete syntax the parser accepts, with minimal parentheses.
+MODE_NODES lists the connectives each mode admits, and each mode fixes
+which of them are primitive: classical takes negation, disjunction and
+the diamond, with conjunction, implication and the box as abbreviations;
+the temporal mode takes EX, EF, EG with the A-forms as abbreviations;
+the dynamic mode indexes diamonds by programs.  The printer emits the
+concrete syntax the parser accepts, with minimal parentheses.
 """
 
 from __future__ import annotations
@@ -112,39 +113,13 @@ class PTest(Program):
     formula: Formula
 
 
-_MODE_NODES = {
+# The connectives each mode admits; the parser and the evaluator both read it.
+MODE_NODES = {
     Mode.CLASSICAL: (Atom, Not, And, Or, Implies, Diamond, Box),
     Mode.INTUITIONISTIC: (Atom, Not, And, Or, Implies, Diamond, Box),
     Mode.CTL: (Atom, Not, And, Or, Implies, Temporal),
     Mode.PDL: (Atom, Not, And, Or, Implies, ProgDiamond),
 }
-
-
-def mode_violation(f: Formula, mode: Mode):
-    'The first subformula whose connective the mode does not admit, if any.'
-    if not isinstance(f, _MODE_NODES[mode]):
-        return f
-    for attr in ("sub", "left", "right"):
-        child = getattr(f, attr, None)
-        if isinstance(child, Formula):
-            bad = mode_violation(child, mode)
-            if bad is not None:
-                return bad
-    if isinstance(f, ProgDiamond):
-        return _prog_mode_violation(f.prog, mode)
-    return None
-
-
-def _prog_mode_violation(p: Program, mode: Mode):
-    if isinstance(p, PTest):
-        return mode_violation(p.formula, mode)
-    for attr in ("sub", "left", "right"):
-        child = getattr(p, attr, None)
-        if isinstance(child, Program):
-            bad = _prog_mode_violation(child, mode)
-            if bad is not None:
-                return bad
-    return None
 
 
 # precedence levels, loosest first

@@ -26,6 +26,7 @@ from .formulas import (
     Box,
     Diamond,
     Implies,
+    MODE_NODES,
     Mode,
     Not,
     Or,
@@ -154,22 +155,22 @@ class _Parser:
             self.take()
             return Not(self.unary())
         if tok.kind == "<>":
-            if self.mode not in (Mode.CLASSICAL, Mode.INTUITIONISTIC):
+            if Diamond not in MODE_NODES[self.mode]:
                 self.fail(f"'<>' is not a {self.mode.value} connective")
             self.take()
             return Diamond(self.unary())
         if tok.kind == "[]":
-            if self.mode not in (Mode.CLASSICAL, Mode.INTUITIONISTIC):
+            if Box not in MODE_NODES[self.mode]:
                 self.fail(f"'[]' is not a {self.mode.value} connective")
             self.take()
             return Box(self.unary())
         if tok.kind in TEMPORAL_OPS:
-            if self.mode != Mode.CTL:
+            if Temporal not in MODE_NODES[self.mode]:
                 self.fail(f"temporal operator {tok.kind} needs ctl mode")
             self.take()
             return Temporal(tok.kind, self.unary())
         if tok.kind == "<":
-            if self.mode != Mode.PDL:
+            if ProgDiamond not in MODE_NODES[self.mode]:
                 self.fail("program diamonds need pdl mode")
             self.take()
             prog = self.program()

@@ -232,6 +232,7 @@ class RelationQuantale:
         self.bottom = 0
         self.top = rel.full(self.nw)
         self.stable = True
+        self._supp_elems = None
 
     def __repr__(self):
         return f"RelationQuantale(worlds={self.nw})"
@@ -263,12 +264,13 @@ class RelationQuantale:
         return out
 
     def support_elements(self):
-        'All subsets of the diagonal.'
-        n = self.nw
-        out = []
-        for sub in range(1 << n):
-            out.append(rel.encode(((i, i) for i in _bits(sub)), n))
-        return tuple(sorted(out))
+        'All subsets of the diagonal, ascending.'
+        if self._supp_elems is None:
+            n = self.nw
+            self._supp_elems = tuple(sorted(
+                rel.encode(((i, i) for i in _bits(sub)), n)
+                for sub in range(1 << n)))
+        return self._supp_elems
 
     def star(self, a):
         return rel.star(a, self.nw)

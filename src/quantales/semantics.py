@@ -1,10 +1,15 @@
-"""Four evaluators over a supported quantale with a chosen point.
+"""One evaluator for all four modes over a supported quantale with a point.
 
 Formula values live below the unit; program values roam the whole
-quantale.  The classical evaluator interprets negation by complements in
-the support locale and fails with NotComplemented (naming the offending
-subformula) when one is missing; the intuitionistic one uses the Heyting
-residual instead and needs no complements.
+quantale.  Each mode admits the connectives listed for it in
+formulas.MODE_NODES, and every diamond is s(a.v) for its point or
+program a.  Classical, temporal and dynamic modes interpret negation by
+complements in the support locale, failing with NotComplemented (naming
+the offending subformula) when one is missing, and read conjunction,
+implication, the box and the A-forms as abbreviations; intuitionistic
+mode reads conjunction as multiplication, implication and negation as
+the Heyting residual and the box as a right adjoint, and needs no
+complements.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .formulas import (
     Diamond,
     Formula,
     Implies,
+    MODE_NODES,
     Mode,
     Not,
     Or,
@@ -99,134 +105,102 @@ def op_star(q, a: int) -> int:
         out = nxt
 
 
-def _check_mode(model: PointedModel, expected: Mode):
+def _in_mode(model: PointedModel, expected: Mode) -> PointedModel:
     if model.mode != expected:
         raise ValueError(f"model is in {model.mode.value} mode, not {expected.value}")
+    return model
 
 
 def eval_classical(model: PointedModel, f: Formula) -> int:
-    _check_mode(model, Mode.CLASSICAL)
-    return _eval_cl(model, f)
-
-
-def _eval_cl(model, f):
-    q = model.quantale
-    if isinstance(f, Atom):
-        return model.atom_value(f.name)
-    if isinstance(f, Not):
-        return _complement(q, _eval_cl(model, f.sub), f.sub)
-    if isinstance(f, Or):
-        return q.join(_eval_cl(model, f.left), _eval_cl(model, f.right))
-    if isinstance(f, And):
-        return _eval_cl(model, Not(Or(Not(f.left), Not(f.right))))
-    if isinstance(f, Implies):
-        return _eval_cl(model, Or(Not(f.left), f.right))
-    if isinstance(f, Diamond):
-        return q.support(q.mul(model.alpha, _eval_cl(model, f.sub)))
-    if isinstance(f, Box):
-        return _eval_cl(model, Not(Diamond(Not(f.sub))))
-    raise TypeError(f"connective not available classically: {f!r}")
+    return evaluate(_in_mode(model, Mode.CLASSICAL), f)
 
 
 def eval_intuitionistic(model: PointedModel, f: Formula) -> int:
-    _check_mode(model, Mode.INTUITIONISTIC)
-    return _eval_int(model, f)
+    return evaluate(_in_mode(model, Mode.INTUITIONISTIC), f)
 
 
-def _eval_int(model, f):
-    q = model.quantale
-    if isinstance(f, Atom):
-        return model.atom_value(f.name)
+def eval_ctl(model: PointedModel, f: Formula) -> int:
+    return evaluate(_in_mode(model, Mode.CTL), f)
+
+
+def eval_pdl(model: PointedModel, f: Formula) -> int:
+    return evaluate(_in_mode(model, Mode.PDL), f)
+
+
+def eval_program(model: PointedModel, p: Program) -> int:
+    return _eval_prog(_in_mode(model, Mode.PDL), p)
+
+
+# the E-form each A-form is the negated dual of
+_DUALS = {"AX": "EX", "AG": "EF", "AF": "EG"}
+
+
+def _abbreviation(f: Formula) -> Formula:
+    'What a derived connective stands for outside intuitionistic mode.'
     if isinstance(f, And):
-        # conjunction is multiplication, which is meet below the unit
-        return q.mul(_eval_int(model, f.left), _eval_int(model, f.right))
-    if isinstance(f, Or):
-        return q.join(_eval_int(model, f.left), _eval_int(model, f.right))
+        return Not(Or(Not(f.left), Not(f.right)))
     if isinstance(f, Implies):
-        return _residual(q, _eval_int(model, f.left), _eval_int(model, f.right))
-    if isinstance(f, Not):
-        return _residual(q, _eval_int(model, f.sub), q.bottom)
-    if isinstance(f, Diamond):
-        return q.support(q.mul(model.alpha, _eval_int(model, f.sub)))
+        return Or(Not(f.left), f.right)
     if isinstance(f, Box):
-        y = _eval_int(model, f.sub)
-        ainv = q.inv(model.alpha)
-        return q.join_all(x for x in q.support_elements()
-                          if q.leq(q.support(q.mul(ainv, x)), y))
-    raise TypeError(f"connective not available intuitionistically: {f!r}")
+        return Not(Diamond(Not(f.sub)))
+    return Not(Temporal(_DUALS[f.op], Not(f.sub)))
+
+
+def evaluate(model: PointedModel, f: Formula) -> int:
+    'The value of f below the unit, read in the model\'s own mode.'
+    q = model.quantale
+    nodes = MODE_NODES[model.mode]
+    heyting = model.mode is Mode.INTUITIONISTIC
+
+    def ev(f):
+        if not isinstance(f, nodes):
+            raise TypeError(
+                f"connective not available in {model.mode.value} mode: {f!r}")
+        if isinstance(f, Atom):
+            return model.atom_value(f.name)
+        if isinstance(f, Or):
+            return q.join(ev(f.left), ev(f.right))
+        if isinstance(f, Diamond):
+            return q.support(q.mul(model.alpha, ev(f.sub)))
+        if isinstance(f, ProgDiamond):
+            return q.support(q.mul(_eval_prog(model, f.prog), ev(f.sub)))
+        if heyting:
+            if isinstance(f, And):
+                # conjunction is multiplication, which is meet below the unit
+                return q.mul(ev(f.left), ev(f.right))
+            if isinstance(f, Implies):
+                return _residual(q, ev(f.left), ev(f.right))
+            if isinstance(f, Not):
+                return _residual(q, ev(f.sub), q.bottom)
+            # Box: the right adjoint of the diamond along the converse point
+            y = ev(f.sub)
+            ainv = q.inv(model.alpha)
+            return q.join_all(x for x in q.support_elements()
+                              if q.leq(q.support(q.mul(ainv, x)), y))
+        if isinstance(f, Not):
+            return _complement(q, ev(f.sub), f.sub)
+        if isinstance(f, Temporal) and f.op not in _DUALS:
+            v = ev(f.sub)
+            if f.op == "EX":
+                return q.support(q.mul(model.alpha, v))
+            if f.op == "EF":
+                return q.support(q.mul(op_star(q, model.alpha), v))
+            # EG: greatest fixed point of a |-> v ^ s(alpha a), from v downward
+            cur = v
+            while True:
+                nxt = q.meet(v, q.support(q.mul(model.alpha, cur)))
+                if nxt == cur:
+                    return cur
+                cur = nxt
+        return ev(_abbreviation(f))
+
+    return ev(f)
 
 
 def _residual(q, a: int, b: int) -> int:
     'Heyting residual inside the support locale.'
     return q.join_all(c for c in q.support_elements()
                       if q.leq(q.meet(a, c), b))
-
-
-def eval_ctl(model: PointedModel, f: Formula) -> int:
-    _check_mode(model, Mode.CTL)
-    return _eval_ctl(model, f)
-
-
-def _eval_ctl(model, f):
-    q = model.quantale
-    if isinstance(f, Atom):
-        return model.atom_value(f.name)
-    if isinstance(f, Not):
-        return _complement(q, _eval_ctl(model, f.sub), f.sub)
-    if isinstance(f, Or):
-        return q.join(_eval_ctl(model, f.left), _eval_ctl(model, f.right))
-    if isinstance(f, And):
-        return _eval_ctl(model, Not(Or(Not(f.left), Not(f.right))))
-    if isinstance(f, Implies):
-        return _eval_ctl(model, Or(Not(f.left), f.right))
-    if isinstance(f, Temporal):
-        op, sub = f.op, f.sub
-        if op == "AX":
-            return _eval_ctl(model, Not(Temporal("EX", Not(sub))))
-        if op == "AG":
-            return _eval_ctl(model, Not(Temporal("EF", Not(sub))))
-        if op == "AF":
-            return _eval_ctl(model, Not(Temporal("EG", Not(sub))))
-        v = _eval_ctl(model, sub)
-        if op == "EX":
-            return q.support(q.mul(model.alpha, v))
-        if op == "EF":
-            return q.support(q.mul(op_star(q, model.alpha), v))
-        # EG: greatest fixed point of a |-> v ^ s(alpha a), from v downward
-        cur = v
-        while True:
-            nxt = q.meet(v, q.support(q.mul(model.alpha, cur)))
-            if nxt == cur:
-                return cur
-            cur = nxt
-    raise TypeError(f"connective not available temporally: {f!r}")
-
-
-def eval_pdl(model: PointedModel, f: Formula) -> int:
-    _check_mode(model, Mode.PDL)
-    return _eval_pdl(model, f)
-
-
-def eval_program(model: PointedModel, p: Program) -> int:
-    _check_mode(model, Mode.PDL)
-    return _eval_prog(model, p)
-
-
-def _eval_pdl(model, f):
-    q = model.quantale
-    if isinstance(f, Atom):
-        return model.atom_value(f.name)
-    if isinstance(f, Not):
-        return _complement(q, _eval_pdl(model, f.sub), f.sub)
-    if isinstance(f, Or):
-        return q.join(_eval_pdl(model, f.left), _eval_pdl(model, f.right))
-    if isinstance(f, And):
-        return _eval_pdl(model, Not(Or(Not(f.left), Not(f.right))))
-    if isinstance(f, Implies):
-        return _eval_pdl(model, Or(Not(f.left), f.right))
-    if isinstance(f, ProgDiamond):
-        return q.support(q.mul(_eval_prog(model, f.prog), _eval_pdl(model, f.sub)))
-    raise TypeError(f"connective not available dynamically: {f!r}")
 
 
 def _eval_prog(model, p):
@@ -240,24 +214,12 @@ def _eval_prog(model, p):
     if isinstance(p, PStar):
         return op_star(q, _eval_prog(model, p.sub))
     if isinstance(p, PTest):
-        return _eval_pdl(model, p.formula)
+        return evaluate(model, p.formula)
     raise TypeError(f"not a program: {p!r}")
-
-
-_EVALUATORS = {
-    Mode.CLASSICAL: eval_classical,
-    Mode.INTUITIONISTIC: eval_intuitionistic,
-    Mode.CTL: eval_ctl,
-    Mode.PDL: eval_pdl,
-}
-
-
-def evaluate(model: PointedModel, f: Formula) -> int:
-    return _EVALUATORS[model.mode](model, f)
 
 
 def valid_in_model(model: PointedModel, f: Formula, mode: Mode | None = None) -> bool:
     'A formula is valid when its value is the whole unit.'
-    if mode is not None and mode != model.mode:
-        raise ValueError(f"model is in {model.mode.value} mode, not {mode.value}")
+    if mode is not None:
+        _in_mode(model, mode)
     return evaluate(model, f) == model.quantale.unit

@@ -329,20 +329,37 @@ def show_element(algebra: TensorAlgebra, a: GradedElement) -> str:
     return " | ".join(bits)
 
 
-def _index_pairs(n: int, budget: int, rng: random.Random):
-    if n * n <= budget:
-        yield from itertools.product(range(n), repeat=2)
+def _index_tuples(n: int, k: int, budget: int, rng: random.Random):
+    'Every k-tuple of indices below n when they fit the budget, else a sample.'
+    if n ** k <= budget:
+        yield from itertools.product(range(n), repeat=k)
     else:
         for _ in range(budget):
-            yield rng.randrange(n), rng.randrange(n)
+            yield tuple(rng.randrange(n) for _ in range(k))
 
 
-def _index_triples(n: int, budget: int, rng: random.Random):
-    if n ** 3 <= budget:
-        yield from itertools.product(range(n), repeat=3)
-    else:
-        for _ in range(budget):
-            yield rng.randrange(n), rng.randrange(n), rng.randrange(n)
+def _law_suite(algebra: TensorAlgebra, dia, bdia, samples):
+    """What both law suites share: the samples, the pre-support of a
+    product (ss), its scalar embedding (sig), a sample printer (one), and
+    scan, which appends one LawResult per law to results, stopping at the
+    first failing index."""
+    if samples is None:
+        samples = default_samples(algebra)
+    dia = tuple(dia)
+    bdia = tuple(bdia)
+    ss = lambda *es: algebra.support_of_product(dia, bdia, es)
+    sig = lambda a: algebra.embed(ss(a))
+    one = lambda i: show_element(algebra, samples[i])
+    results = []
+
+    def scan(name, idxs, test, describe):
+        for idx in idxs:
+            if not test(idx):
+                results.append(LawResult(name, False, describe(idx)))
+                return
+        results.append(LawResult(name, True))
+
+    return samples, ss, sig, one, scan, results
 
 
 def check_presupport_laws(algebra: TensorAlgebra, dia: Sequence[int],
@@ -359,25 +376,11 @@ def check_presupport_laws(algebra: TensorAlgebra, dia: Sequence[int],
     degree-2 samples need depth at least 8.
     """
     L = algebra.lattice
-    if samples is None:
-        samples = default_samples(algebra)
+    samples, ss, sig, one, scan, results = _law_suite(algebra, dia, bdia,
+                                                      samples)
     rng = random.Random(seed)
-    dia = tuple(dia)
-    bdia = tuple(bdia)
-    ss = lambda *es: algebra.support_of_product(dia, bdia, es)
-    sig = lambda a: algebra.embed(ss(a))
     inv = algebra.inv
     n = len(samples)
-    results = []
-
-    def scan(name, pairs, test, describe):
-        for idx in pairs:
-            if not test(idx):
-                results.append(LawResult(name, False, describe(idx)))
-                return
-        results.append(LawResult(name, True))
-
-    one = lambda i: show_element(algebra, samples[i])
 
     scan("unit-support", [()],
          lambda _: ss(algebra.unit) == L.top,
@@ -388,23 +391,23 @@ def check_presupport_laws(algebra: TensorAlgebra, dia: Sequence[int],
     scan("support-idempotent", range(n),
          lambda i: ss(sig(samples[i])) == ss(samples[i]),
          one)
-    scan("support-product", _index_pairs(n, pair_budget, rng),
+    scan("support-product", _index_tuples(n, 2, pair_budget, rng),
          lambda ij: ss(sig(samples[ij[0]]), samples[ij[1]])
          == L.meet(ss(samples[ij[0]]), ss(samples[ij[1]])),
          lambda ij: f"a={one(ij[0])} b={one(ij[1])}")
-    scan("stability", _index_pairs(n, pair_budget, rng),
+    scan("stability", _index_tuples(n, 2, pair_budget, rng),
          lambda ij: ss(samples[ij[0]], samples[ij[1]])
          == ss(samples[ij[0]], sig(samples[ij[1]])),
          lambda ij: f"a={one(ij[0])} b={one(ij[1])}")
     scan("conjugacy-a", range(n),
          lambda i: L.leq(ss(samples[i]), ss(samples[i], inv(samples[i]))),
          one)
-    scan("conjugacy-b", _index_pairs(n, pair_budget, rng),
+    scan("conjugacy-b", _index_tuples(n, 2, pair_budget, rng),
          lambda ij: L.leq(
              ss(sig(samples[ij[0]]), samples[ij[1]]),
              ss(samples[ij[0]], inv(samples[ij[0]]), samples[ij[1]])),
          lambda ij: f"a={one(ij[0])} b={one(ij[1])}")
-    scan("conjugacy-c", _index_triples(n, triple_budget, rng),
+    scan("conjugacy-c", _index_tuples(n, 3, triple_budget, rng),
          lambda ijk: L.leq(
              ss(samples[ijk[0]], sig(samples[ijk[1]]), samples[ijk[2]]),
              ss(samples[ijk[0]], samples[ijk[1]], inv(samples[ijk[1]]),
@@ -426,23 +429,10 @@ def check_lemmaB_inequalities(algebra: TensorAlgebra, dia: Sequence[int],
     are dropped from a law's grid; if nothing fits, DepthExceeded.
     """
     L = algebra.lattice
-    if samples is None:
-        samples = default_samples(algebra)
+    samples, ss, sig, one, scan, results = _law_suite(algebra, dia, bdia,
+                                                      samples)
     rng = random.Random(seed)
-    dia = tuple(dia)
-    bdia = tuple(bdia)
-    ss = lambda *es: algebra.support_of_product(dia, bdia, es)
-    sig = lambda a: algebra.embed(ss(a))
     n = len(samples)
-    results = []
-    one = lambda i: show_element(algebra, samples[i])
-
-    def scan(name, idxs, test, describe):
-        for idx in idxs:
-            if not test(idx):
-                results.append(LawResult(name, False, describe(idx)))
-                return
-        results.append(LawResult(name, True))
 
     def deg(e):
         return max((len(w) for w in e.words()), default=0)
@@ -459,7 +449,7 @@ def check_lemmaB_inequalities(algebra: TensorAlgebra, dia: Sequence[int],
         return L.leq(ss(a, sig(t), b), ss(a, t, algebra.inv(t), b))
 
     scan("defining-pair",
-         eligible(_index_triples(n, triple_budget, rng),
+         eligible(_index_tuples(n, 3, triple_budget, rng),
                   lambda ijk: deg(samples[ijk[0]]) + 2 * deg(samples[ijk[1]])
                   + deg(samples[ijk[2]])),
          defining,
@@ -477,7 +467,7 @@ def check_lemmaB_inequalities(algebra: TensorAlgebra, dia: Sequence[int],
     abar_inv = algebra.alpha_bar("A")
 
     def pairlaw(name, extra_degree, test):
-        idxs = eligible(_index_pairs(n, pair_budget, rng),
+        idxs = eligible(_index_tuples(n, 2, pair_budget, rng),
                         lambda ij: deg(samples[ij[0]]) + deg(samples[ij[1]])
                         + extra_degree)
         scan(name, idxs, test, lambda ij: f"a={one(ij[0])} b={one(ij[1])}")

@@ -1,6 +1,8 @@
 """End-to-end runs of the command-line driver."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,9 +12,7 @@ import pytest
 
 import quantales.cli
 import quantales.quantale
-import quantales.semantics
 from quantales.cli import main
-from quantales.formulas import Mode
 
 EQUIV_MODEL = """
 MODE classical
@@ -284,8 +284,8 @@ def test_groupoid_quantale_is_built_once(files, capsys, monkeypatch, command):
 
 def test_invalid_evaluates_the_formula_once(files, capsys, monkeypatch):
     calls = []
-    real = quantales.semantics._EVALUATORS[Mode.CLASSICAL]
-    monkeypatch.setitem(quantales.semantics._EVALUATORS, Mode.CLASSICAL,
+    real = quantales.cli.evaluate
+    monkeypatch.setattr(quantales.cli, "evaluate",
                         lambda *a: calls.append(a) or real(*a))
     model = files("m.model", "MODE classical\nWORLDS 0 1\n"
                              "REL alpha (0,1)\nVAL p 1\n")
@@ -334,3 +334,20 @@ def test_cli_imports_no_private_library_names():
                and (node.level or node.module.startswith("quantales"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_every_traced_span_resolves():
+    # perfbench/layers.py names the library functions that --trace 1 wraps
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = []
+    for name in layers.TRACED:
+        module, *attrs = name.split(".")
+        owner = importlib.import_module(f"quantales.{module}")
+        for attr in attrs:
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(name)
+    assert layers.TRACED and missing == []

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from quantales.errors import NotComplemented, TimeEnds
+from quantales.errors import NotComplemented, ParseError, TimeEnds
 from quantales.formulas import (
     And, Atom, Box, Diamond, Implies, Mode, Not, Or, PAtom, PChoice,
     ProgDiamond, PSeq, PStar, PTest, Temporal, to_text,
 )
+from quantales.parsing import parse_formula
 from quantales.quantale import RelationQuantale, relation_quantale
 from quantales.relations import encode
 from quantales.semantics import (
@@ -204,6 +205,26 @@ def test_double_negation_not_involutive_on_a_chain():
     assert evaluate(m, Not(Not(Atom("p")))) == 2
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_heyting_path_matches_the_goedel_chain(k):
+    from quantales.lattice import chain_lattice
+    from quantales.quantale import make_quantale
+    # the k-chain as a locale quantale: mul is min, unit is top
+    mul = tuple(tuple(min(a, b) for b in range(k)) for a in range(k))
+    top = k - 1
+    q = make_quantale(chain_lattice(k), mul, unit=top,
+                      inv=tuple(range(k)), support=tuple(range(k)))
+    assert all(q.leq(a, b) == (a <= b) for a in range(k) for b in range(k))
+    for vp in range(k):
+        for vq in range(k):
+            m = PointedModel(q, alpha=top, valuation={"p": vp, "q": vq},
+                             mode=Mode.INTUITIONISTIC)
+            # Goedel implication and negation on a chain
+            assert evaluate(m, Implies(Atom("p"), Atom("q"))) == \
+                (top if vp <= vq else vq)
+            assert evaluate(m, Not(Atom("p"))) == (top if vp == 0 else 0)
+
+
 def test_s5_unit_and_counit_schemes():
     rng = random.Random(19)
     for _ in range(20):
@@ -382,3 +403,22 @@ def test_evaluators_work_on_the_lazy_quantale_with_four_worlds():
     edges = {(i, (i + 1) % 4) for i in worlds}
     m = rel_model(worlds, edges, {"p": {2}}, Mode.CLASSICAL)
     assert worlds_of(m, evaluate(m, Diamond(Diamond(Atom("p"))))) == {0}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_parser_and_evaluator_admit_the_same_connectives(mode):
+    m = rel_model("ab", {("a", "b"), ("b", "a")}, {"p": {"b"}}, mode,
+                  programs={"a": {("a", "b")}})
+    p = Atom("p")
+    for f in (Diamond(p), Box(p), Temporal("EX", p),
+              ProgDiamond(PAtom("a"), p)):
+        try:
+            parsed = parse_formula(to_text(f), mode) == f
+        except ParseError:
+            parsed = False
+        try:
+            evaluate(m, f)
+            evaluated = True
+        except TypeError:
+            evaluated = False
+        assert parsed == evaluated, (mode, to_text(f))
