@@ -10,11 +10,11 @@ action on join-irreducibles, which is how the sweep helpers enumerate them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import (
     InternalValidationFailed,
+    LawCheck,
     NotAFrame,
     NotConjugate,
     NotJoinPreserving,
@@ -35,18 +35,8 @@ def join_preservation_witness(L: FiniteSupLattice, table: Sequence[int]):
     return None
 
 
-@dataclass(frozen=True)
-class ConjugacyCheck:
-    ok: bool
-    side: str | None = None
-    witness: tuple | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
 def check_conjugacy(L: FiniteSupLattice, dia: Sequence[int],
-                    bdia: Sequence[int]) -> ConjugacyCheck:
+                    bdia: Sequence[int]) -> LawCheck:
     """Both conjugacy inequalities, exhaustively.
 
     Join preservation is a precondition and is checked first; a bad table
@@ -59,10 +49,10 @@ def check_conjugacy(L: FiniteSupLattice, dia: Sequence[int],
     for x in range(L.n):
         for y in range(L.n):
             if not L.leq(L.meet(dia[x], y), dia[L.meet(x, bdia[y])]):
-                return ConjugacyCheck(False, "forward", (x, y))
+                return LawCheck(False, "forward", (x, y))
             if not L.leq(L.meet(bdia[x], y), bdia[L.meet(x, dia[y])]):
-                return ConjugacyCheck(False, "backward", (x, y))
-    return ConjugacyCheck(True)
+                return LawCheck(False, "backward", (x, y))
+    return LawCheck(True)
 
 
 class BimodalFrame:
@@ -75,7 +65,7 @@ class BimodalFrame:
         check = check_conjugacy(frame, dia, bdia)
         if not check:
             raise NotConjugate(
-                f"{check.side} conjugacy fails at {check.witness}")
+                f"{check.law} conjugacy fails at {check.witness}")
         self.frame = frame
         self.dia = tuple(dia)
         self.bdia = tuple(bdia)
@@ -126,16 +116,6 @@ def box_adjoints(L: FiniteSupLattice, dia: Sequence[int],
     return box, bbox
 
 
-@dataclass(frozen=True)
-class ModalClassCheck:
-    ok: bool
-    law: str | None = None
-    witness: tuple | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
 # Each frame condition of MODAL_SYSTEMS as named laws on a diamond pair,
 # checked at every element x.
 _PAIR_LAWS = {
@@ -150,7 +130,7 @@ _PAIR_LAWS = {
 
 
 def check_modal_class(L: FiniteSupLattice, dia: Sequence[int],
-                      bdia: Sequence[int], cls: str) -> ModalClassCheck:
+                      bdia: Sequence[int], cls: str) -> LawCheck:
     """Inclusion in one of the modal classes T, K4, S4, S5.
 
     T: x <= dia x and x <= bdia x.  K4: dia dia x <= dia x and likewise
@@ -162,8 +142,8 @@ def check_modal_class(L: FiniteSupLattice, dia: Sequence[int],
         for x in range(L.n):
             for law, holds in _PAIR_LAWS[condition]:
                 if not holds(L, dia, bdia, x):
-                    return ModalClassCheck(False, law, (x,))
-    return ModalClassCheck(True)
+                    return LawCheck(False, law, (x,))
+    return LawCheck(True)
 
 
 def join_preserving_endomaps(L: FiniteSupLattice) -> Iterator[tuple[int, ...]]:

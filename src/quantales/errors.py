@@ -1,10 +1,24 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the check result type.
 
 Construction-time validators raise; check_* style operations return results
 instead and never raise on mathematical falsity.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class LawCheck:
+    'An exhaustive check: ok, or the first law that fails and its witness.'
+
+    ok: bool
+    law: str | None = None
+    witness: tuple | None = None
+
+    def __bool__(self):
+        return self.ok
 
 
 class AlgebraError(Exception):

@@ -265,6 +265,23 @@ def closure_from_meet_closed(L: FiniteSupLattice, closed: Iterable[int]) -> Clos
     return ClosureOperator(L, tuple(table))
 
 
+def _sublattice(elems, labels, leq, join, meet, pos, bottom, top) -> FiniteSupLattice:
+    """The lattice on elems under leq, with the tables pos[join(x, y)] and
+    pos[meet(x, y)]; pos sends every element a join or meet of members
+    can reach to the index of the member it stands for."""
+    m = len(elems)
+    up = [0] * m
+    down = [0] * m
+    for a, x in enumerate(elems):
+        for b, y in enumerate(elems):
+            if leq(x, y):
+                up[a] |= 1 << b
+                down[b] |= 1 << a
+    join_t = [[pos[join(x, y)] for y in elems] for x in elems]
+    meet_t = [[pos[meet(x, y)] for y in elems] for x in elems]
+    return FiniteSupLattice(labels, up, down, join_t, meet_t, pos[bottom], pos[top])
+
+
 def closed_elements(L: FiniteSupLattice, j: ClosureOperator) -> FiniteSupLattice:
     """The lattice of j-closed elements: order inherited, joins closed by j.
 
@@ -273,18 +290,10 @@ def closed_elements(L: FiniteSupLattice, j: ClosureOperator) -> FiniteSupLattice
     """
     elems = j.closed()
     idx = {x: k for k, x in enumerate(elems)}
-    m = len(elems)
-    up = [0] * m
-    down = [0] * m
-    for a, x in enumerate(elems):
-        for b, y in enumerate(elems):
-            if L.leq(x, y):
-                up[a] |= 1 << b
-                down[b] |= 1 << a
-    join_t = [[idx[j(L.join(x, y))] for y in elems] for x in elems]
-    meet_t = [[idx[L.meet(x, y)] for y in elems] for x in elems]
-    labels = tuple(L.labels[x] for x in elems)
-    return FiniteSupLattice(labels, up, down, join_t, meet_t, idx[j(L.bottom)], idx[L.top])
+    # the index of j(x) for every x, so a join is closed by one lookup
+    pos = [idx[c] for c in j.table]
+    return _sublattice(elems, tuple(L.labels[x] for x in elems),
+                       L.leq, L.join, L.meet, pos, L.bottom, L.top)
 
 
 @dataclass(frozen=True)

@@ -11,22 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InternalValidationFailed, NotANucleus, QuantaleLawError
+from .errors import (
+    InternalValidationFailed,
+    LawCheck,
+    NotANucleus,
+    QuantaleLawError,
+)
 from .lattice import ClosureOperator, closed_elements, closure_from_meet_closed
 from .quantale import Quantale, make_quantale
 
 
-@dataclass(frozen=True)
-class NucleusCheck:
-    ok: bool
-    law: str | None = None
-    witness: tuple | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def is_nucleus(q: Quantale, table: Sequence[int]) -> NucleusCheck:
+def is_nucleus(q: Quantale, table: Sequence[int]) -> LawCheck:
     """Exhaustive check of the nucleus laws for a candidate table.
 
     Reports the first failure: one of the closure laws, then
@@ -37,24 +32,24 @@ def is_nucleus(q: Quantale, table: Sequence[int]) -> NucleusCheck:
     t = tuple(table)
     for a in range(q.n):
         if not L.leq(a, t[a]):
-            return NucleusCheck(False, "increasing", (a,))
+            return LawCheck(False, "increasing", (a,))
         if t[t[a]] != t[a]:
-            return NucleusCheck(False, "idempotent", (a,))
+            return LawCheck(False, "idempotent", (a,))
         for b in range(q.n):
             if L.leq(a, b) and not L.leq(t[a], t[b]):
-                return NucleusCheck(False, "monotone", (a, b))
+                return LawCheck(False, "monotone", (a, b))
     for a in range(q.n):
         for b in range(q.n):
             if not L.leq(q.mul(t[a], t[b]), t[q.mul(a, b)]):
-                return NucleusCheck(False, "mul", (a, b))
+                return LawCheck(False, "mul", (a, b))
     for a in range(q.n):
         if not L.leq(q.inv(t[a]), t[q.inv(a)]):
-            return NucleusCheck(False, "inv", (a,))
+            return LawCheck(False, "inv", (a,))
     if q.has_support:
         for a in range(q.n):
             if not L.leq(q.support(t[a]), t[q.support(a)]):
-                return NucleusCheck(False, "support", (a,))
-    return NucleusCheck(True)
+                return LawCheck(False, "support", (a,))
+    return LawCheck(True)
 
 
 class Nucleus:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ModelFormatError, ParseError, UndeclaredWorld
 from .formulas import (
@@ -281,6 +282,21 @@ class GroupoidDoc:
     inv: tuple         # (f, g) name pairs; unlisted arrows are self-inverse
     comp: tuple        # (f, g, h) name triples meaning f g = h
 
+    @cached_property
+    def finite_groupoid(self) -> FiniteGroupoid:
+        'The FiniteGroupoid of these tables, validated once per document.'
+        oidx = {o: i for i, o in enumerate(self.objects)}
+        aidx = {name: i for i, (name, _, _) in enumerate(self.arrows)}
+        dom = [oidx[d] for _, d, _ in self.arrows]
+        cod = [oidx[c] for _, _, c in self.arrows]
+        inv = list(range(len(self.arrows)))
+        for f, h in self.inv:
+            inv[aidx[f]] = aidx[h]
+            inv[aidx[h]] = aidx[f]
+        comp = {(aidx[f], aidx[h]): aidx[k] for f, h, k in self.comp}
+        names = [name for name, _, _ in self.arrows]
+        return FiniteGroupoid(self.objects, names, dom, cod, comp, inv)
+
 
 @dataclass(frozen=True)
 class ModelDocument:
@@ -470,21 +486,6 @@ def _relation_codes(doc: ModelDocument):
     return codes, vals
 
 
-def _groupoid_of(doc: ModelDocument) -> FiniteGroupoid:
-    g = doc.groupoid
-    oidx = {o: i for i, o in enumerate(g.objects)}
-    aidx = {name: i for i, (name, _, _) in enumerate(g.arrows)}
-    dom = [oidx[d] for _, d, _ in g.arrows]
-    cod = [oidx[c] for _, _, c in g.arrows]
-    inv = list(range(len(g.arrows)))
-    for f, h in g.inv:
-        inv[aidx[f]] = aidx[h]
-        inv[aidx[h]] = aidx[f]
-    comp = {(aidx[f], aidx[h]): aidx[k] for f, h, k in g.comp}
-    return FiniteGroupoid(g.objects, [name for name, _, _ in g.arrows],
-                          dom, cod, comp, inv)
-
-
 _MAX_GROUPOID_ARROWS = 9
 
 
@@ -500,7 +501,7 @@ def document_quantale(doc: ModelDocument):
         if len(doc.groupoid.arrows) > _MAX_GROUPOID_ARROWS:
             raise ModelFormatError(
                 f"groupoid documents are limited to {_MAX_GROUPOID_ARROWS} arrows")
-        G = _groupoid_of(doc)
+        G = doc.groupoid.finite_groupoid
         aidx = {name: i for i, name in enumerate(G.arrows)}
         alpha = sum(1 << aidx[name] for name in set(doc.point))
         return alpha, groupoid_quantale(G)
@@ -534,7 +535,7 @@ def build(doc: ModelDocument) -> PointedModel:
 def world_elements(doc: ModelDocument):
     'Pairs (name, locale atom) for decoding formula values into worlds.'
     if doc.is_groupoid:
-        G = _groupoid_of(doc)
+        G = doc.groupoid.finite_groupoid
         return tuple((name, 1 << G.identities[i])
                      for i, name in enumerate(G.objects))
     nw = len(doc.worlds)

@@ -25,7 +25,7 @@ from .errors import (
     SupportLocaleLawFails,
     UnitLawFails,
 )
-from .lattice import FiniteSupLattice, _bits, powerset_lattice
+from .lattice import FiniteSupLattice, _bits, _sublattice, powerset_lattice
 
 
 class Quantale:
@@ -469,19 +469,8 @@ def supports_locale(q) -> SupportLocale:
                 raise SupportLocaleLawFails(
                     f"multiplication is not meet below the unit at {(b, c)}")
     idx = {x: i for i, x in enumerate(elems)}
-    m = len(elems)
-    up = [0] * m
-    down = [0] * m
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            if q.leq(x, y):
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    join_t = [[idx[q.join(x, y)] for y in elems] for x in elems]
-    meet_t = [[idx[q.meet(x, y)] for y in elems] for x in elems]
-    labels = tuple(elems)
-    lat = FiniteSupLattice(labels, up, down, join_t, meet_t,
-                           idx[q.bottom], idx[q.unit])
+    lat = _sublattice(elems, elems, q.leq, q.join, q.meet, idx,
+                      q.bottom, q.unit)
     if not lat.is_frame():
         raise SupportLocaleLawFails("the elements below the unit are not a frame")
     return SupportLocale(lat, elems, idx)

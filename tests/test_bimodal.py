@@ -12,8 +12,9 @@ from quantales.bimodal import (
     diamonds_from_point,
     join_preserving_endomaps,
 )
-from quantales.errors import NotConjugate, NotJoinPreserving
+from quantales.errors import LawCheck, NotConjugate, NotJoinPreserving
 from quantales.lattice import powerset_lattice
+from quantales.nucleus import is_nucleus
 from quantales.quantale import (
     RelationQuantale,
     check_point_properties,
@@ -77,6 +78,26 @@ class TestConjugacy:
         assert check.witness is not None
         with pytest.raises(NotConjugate):
             BimodalFrame(L, dia, ident)
+
+    def test_the_failing_side_is_the_law_the_error_names(self):
+        L = powerset_lattice("ab")
+        b = L.index(frozenset("b"))
+        dia = (L.bottom, b, b, b)
+        ident = tuple(range(L.n))
+        for first, second, side in ((dia, ident, "backward"),
+                                    (ident, dia, "forward")):
+            check = check_conjugacy(L, first, second)
+            assert (bool(check), check.law, check.witness) == (False, side, (1, 1))
+            with pytest.raises(NotConjugate) as exc:
+                BimodalFrame(L, first, second)
+            assert str(exc.value) == f"{side} conjugacy fails at (1, 1)"
+
+    def test_every_exhaustive_check_returns_a_law_check(self, rq2, loc2):
+        L = loc2.lattice
+        ident = tuple(range(L.n))
+        assert type(check_conjugacy(L, ident, ident)) is LawCheck
+        assert type(check_modal_class(L, ident, ident, "S5")) is LawCheck
+        assert type(is_nucleus(rq2, list(range(rq2.n)))) is LawCheck
 
     def test_join_preservation_reported_distinctly(self):
         L = powerset_lattice("ab")

@@ -282,6 +282,18 @@ def test_groupoid_quantale_is_built_once(files, capsys, monkeypatch, command):
     assert code == 0 and len(calls) == 1
 
 
+@pytest.mark.parametrize("command", [["eval", "<>p"], ["valid", "p"]])
+def test_groupoid_document_is_validated_once(files, capsys, monkeypatch,
+                                             command):
+    calls = []
+    real = quantales.quantale.FiniteGroupoid._validate
+    monkeypatch.setattr(quantales.quantale.FiniteGroupoid, "_validate",
+                        lambda self: calls.append(self) or real(self))
+    code, _, _ = run(capsys, command[0], files("m.model", Z2_MODEL),
+                     command[1])
+    assert code == 0 and len(calls) == 1
+
+
 def test_invalid_evaluates_the_formula_once(files, capsys, monkeypatch):
     calls = []
     real = quantales.cli.evaluate

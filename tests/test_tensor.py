@@ -36,6 +36,7 @@ from quantales.tensor import (
     InvolutiveMonoid,
     LawResult,
     TensorAlgebra,
+    _grid,
     check_graded_nucleus,
     check_grading,
     check_lemmaB_inequalities,
@@ -611,3 +612,30 @@ def test_pre_support_is_join_preserving(a, b):
     ident = identity(CH3)
     ss = lambda e: A_CH3.pre_support(ident, ident, e)
     assert ss(A_CH3.join(a, b)) == CH3.join(ss(a), ss(b))
+
+
+# --- the sampling rule of the law checks ----------------------------------
+
+def test_grid_is_the_whole_product_when_it_fits_the_budget():
+    domains = (range(3), "xy", range(2))
+    assert (list(_grid(domains, 12, random.Random(0)))
+            == list(itertools.product(*domains)))
+
+
+def test_grid_draws_exactly_the_budget_and_only_when_iterated():
+    rng = random.Random(0)
+    before = rng.getstate()
+    grid = _grid((range(5), range(5)), 24, rng)
+    assert rng.getstate() == before
+    tuples = list(grid)
+    assert len(tuples) == 24
+    assert all(0 <= i < 5 and 0 <= j < 5 for i, j in tuples)
+    assert rng.getstate() != before
+
+
+def test_grid_samples_index_tuples_as_randrange():
+    # 47 samples on the 3-chain: the triple laws sample 4,000 of 47^3
+    ref = random.Random(0)
+    expected = [tuple(ref.randrange(47) for _ in range(3))
+                for _ in range(4000)]
+    assert list(_grid((range(47),) * 3, 4000, random.Random(0))) == expected
