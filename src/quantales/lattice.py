@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     NotAClosureOperator,
     NotACongruence,
@@ -96,13 +98,15 @@ class FiniteSupLattice:
         return self._frame
 
     def _frame_witness(self):
-        mt, jn = self._meet, self._join
+        'The first (x, a, b) with x ^ (a v b) != (x ^ a) v (x ^ b), or None.'
+        mt = np.asarray(self._meet, dtype=np.int64)
+        jn = np.asarray(self._join, dtype=np.int64)
         for x in range(self.n):
             mx = mt[x]
-            for a in range(self.n):
-                for b in range(self.n):
-                    if mx[jn[a][b]] != jn[mx[a]][mx[b]]:
-                        return x, a, b
+            holds = mx[jn] == jn[np.ix_(mx, mx)]
+            if not holds.all():
+                a, b = np.argwhere(~holds)[0]
+                return x, int(a), int(b)
         return None
 
     def join_irreducibles(self) -> tuple[int, ...]:

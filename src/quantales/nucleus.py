@@ -2,14 +2,21 @@
 
 A nucleus is a closure operator compatible with multiplication, involution
 and support; its closed elements carry a quotient quantale.  least_nucleus
-builds the smallest nucleus collapsing a generating relation, going through
-the saturation of the relation and a closed-set characterization.
+builds the smallest nucleus collapsing a generating relation by compressed
+saturation: instead of the saturated set of pairs (y, z), it keeps for each
+right-hand side z the join Y(z) of every y paired with z.  The saturation
+rules (multiply on either side, support, involution) preserve joins, so Y
+is exactly the pointwise join of the full saturation, and an element x is
+closed iff Y(z) <= x for every z <= x.  supported_closure is the explicit
+saturated relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     InternalValidationFailed,
@@ -18,37 +25,47 @@ from .errors import (
     QuantaleLawError,
 )
 from .lattice import ClosureOperator, closed_elements, closure_from_meet_closed
-from .quantale import Quantale, make_quantale
+from .quantale import Quantale, _first, _leq_matrix, make_quantale
 
 
 def is_nucleus(q: Quantale, table: Sequence[int]) -> LawCheck:
     """Exhaustive check of the nucleus laws for a candidate table.
 
-    Reports the first failure: one of the closure laws, then
-    j(x) j(y) <= j(x y), then j(x)- <= j(x-), then s(j(x)) <= j(s(x))
+    Reports the first failure: one of the closure laws (increasing, then
+    idempotent, then monotone, for the first failing element in order),
+    then j(x) j(y) <= j(x y), then j(x)- <= j(x-), then s(j(x)) <= j(s(x))
     when the quantale carries a support.
     """
-    L = q.lattice
-    t = tuple(table)
-    for a in range(q.n):
-        if not L.leq(a, t[a]):
+    n = q.n
+    t = np.asarray(tuple(table), dtype=np.int64)
+    if t.shape != (n,) or ((t < 0) | (t >= n)).any():
+        raise ValueError("nucleus table does not map the carrier into itself")
+    leq = _leq_matrix(q.lattice)
+    ar = np.arange(n)
+    increasing = leq[ar, t]
+    idempotent = t[t] == t
+    monotone = ~leq | leq[np.ix_(t, t)]
+    bad = ~(increasing & idempotent & monotone.all(axis=1))
+    if bad.any():
+        a = int(np.argmax(bad))
+        if not increasing[a]:
             return LawCheck(False, "increasing", (a,))
-        if t[t[a]] != t[a]:
+        if not idempotent[a]:
             return LawCheck(False, "idempotent", (a,))
-        for b in range(q.n):
-            if L.leq(a, b) and not L.leq(t[a], t[b]):
-                return LawCheck(False, "monotone", (a, b))
-    for a in range(q.n):
-        for b in range(q.n):
-            if not L.leq(q.mul(t[a], t[b]), t[q.mul(a, b)]):
-                return LawCheck(False, "mul", (a, b))
-    for a in range(q.n):
-        if not L.leq(q.inv(t[a]), t[q.inv(a)]):
-            return LawCheck(False, "inv", (a,))
+        return LawCheck(False, "monotone", (a, int(np.argmin(monotone[a]))))
+    M = np.asarray(q.mul_table, dtype=np.int64)
+    holds = leq[M[np.ix_(t, t)], t[M]]
+    if not holds.all():
+        return LawCheck(False, "mul", _first(holds))
+    I = np.asarray(q.inv_table, dtype=np.int64)
+    holds = leq[I[t], t[I]]
+    if not holds.all():
+        return LawCheck(False, "inv", _first(holds))
     if q.has_support:
-        for a in range(q.n):
-            if not L.leq(q.support(t[a]), t[q.support(a)]):
-                return LawCheck(False, "support", (a,))
+        S = np.asarray(q.support_table, dtype=np.int64)
+        holds = leq[S[t], t[S]]
+        if not holds.all():
+            return LawCheck(False, "support", _first(holds))
     return LawCheck(True)
 
 
@@ -99,18 +116,67 @@ def supported_closure(q: Quantale, pairs: Iterable[tuple[int, int]]) -> frozense
     return frozenset(seen)
 
 
+def saturated_bounds(q: Quantale, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The saturated relation in compressed form: Y(z) for every z.
+
+    Y(z) is the join of every y that supported_closure pairs with z.  It is
+    saturated with a worklist of the z whose bound grew: a Y(z) is joined
+    into Y(a z) and Y(z) a into Y(z a) for every a, s(Y(z)) into Y(s z)
+    and Y(z)- into Y(z-).  All four rules preserve joins, so this least
+    solution is exactly the pointwise join of the explicit saturation.
+    Each bound grows at most height(L) times.
+    """
+    L = q.lattice
+    jn = L._join
+    rows = q.mul_table
+    cols = tuple(zip(*rows))
+    inv = q.inv_table
+    supp = q.support_table
+    bound = [L.bottom] * q.n
+    for y, z in pairs:
+        bound[z] = jn[bound[z]][y]
+    work = [z for z in range(q.n) if bound[z] != L.bottom]
+    queued = [False] * q.n
+    for z in work:
+        queued[z] = True
+    while work:
+        z = work.pop()
+        queued[z] = False
+        y = bound[z]
+        targets = [*zip(cols[z], cols[y]), *zip(rows[z], rows[y]),
+                   (inv[z], inv[y])]
+        if supp is not None:
+            targets.append((supp[z], supp[y]))
+        for tz, ty in targets:
+            old = bound[tz]
+            new = jn[old][ty]
+            if new != old:
+                bound[tz] = new
+                if not queued[tz]:
+                    queued[tz] = True
+                    work.append(tz)
+    return bound
+
+
 def least_nucleus(q: Quantale, pairs: Iterable[tuple[int, int]]) -> Nucleus:
     """The smallest nucleus j with j(y) <= j(z) for every generating pair.
 
     An element is closed exactly when it absorbs the saturated relation:
     whenever it lies above a right-hand side it lies above the matching
-    left-hand side.  j sends each element to its least closed cover.
+    left-hand side.  With the relation compressed to Y (saturated_bounds),
+    x is closed iff Y(z) <= x for every z <= x.  j sends each element to
+    its least closed cover.
     """
     pairs = [tuple(p) for p in pairs]
     L = q.lattice
-    closure = supported_closure(q, pairs)
-    closed = [x for x in range(q.n)
-              if all(L.leq(y, x) for y, z in closure if L.leq(z, x))]
+    bound = saturated_bounds(q, pairs)
+    # x is closed iff z <= x implies Y(z) <= x; a z with Y(z) <= z never
+    # excludes anything
+    closed_mask = (1 << q.n) - 1
+    for z in range(q.n):
+        if not L.leq(bound[z], z):
+            closed_mask &= ~L.upset(z) | L.upset(bound[z])
+    closed = [x for x in range(q.n) if closed_mask >> x & 1]
     j = closure_from_meet_closed(L, closed)
     nuc = Nucleus(q, j.table)
     for y, z in pairs:
@@ -156,18 +222,24 @@ def quotient(q: Quantale, nuc: Nucleus) -> Quotient:
         new = make_quantale(lat, mul, inv, proj[q.unit], support=support)
     except QuantaleLawError as exc:
         raise InternalValidationFailed(f"quotient law failure: {exc}") from exc
-    for a in range(q.n):
-        if new.inv(proj[a]) != proj[q.inv(a)]:
+    P = np.asarray(proj, dtype=np.int64)
+    M = np.asarray(q.mul_table, dtype=np.int64)
+    J = np.asarray(L._join, dtype=np.int64)
+    inv_ok = np.asarray(new.inv_table)[P] == P[np.asarray(q.inv_table)]
+    supp_ok = (np.asarray(new.support_table)[P] == P[np.asarray(q.support_table)]
+               if q.has_support else np.ones(q.n, dtype=bool))
+    mul_ok = np.asarray(new.mul_table)[np.ix_(P, P)] == P[M]
+    join_ok = np.asarray(new.lattice._join)[np.ix_(P, P)] == P[J]
+    bad = ~(inv_ok & supp_ok & mul_ok.all(axis=1) & join_ok.all(axis=1))
+    if bad.any():
+        a = int(np.argmax(bad))
+        if not inv_ok[a]:
             raise InternalValidationFailed(f"projection breaks involution at {a}")
-        if q.has_support and new.support(proj[a]) != proj[q.support(a)]:
+        if not supp_ok[a]:
             raise InternalValidationFailed(f"projection breaks support at {a}")
-        for b in range(q.n):
-            if new.mul(proj[a], proj[b]) != proj[q.mul(a, b)]:
-                raise InternalValidationFailed(
-                    f"projection breaks multiplication at {(a, b)}")
-            if new.join(proj[a], proj[b]) != proj[q.join(a, b)]:
-                raise InternalValidationFailed(
-                    f"projection breaks joins at {(a, b)}")
+        b = int(np.argmin(mul_ok[a] & join_ok[a]))
+        law = "multiplication" if not mul_ok[a, b] else "joins"
+        raise InternalValidationFailed(f"projection breaks {law} at {(a, b)}")
     return Quotient(new, proj, closed)
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import quantales
 import quantales.cli
 import quantales.quantale
 from quantales.cli import main
@@ -150,6 +151,16 @@ def test_quotient_of_the_equivalence_model_keeps_its_point(files, capsys):
     assert "FLAG symmetric YES" in out
 
 
+def test_s5_quotient_of_a_three_world_loop_collapses(files, capsys):
+    # T alone already leaves one closed element on this shape; S5 adds
+    # generating pairs, so it can close no more, and top is always closed
+    model = files("m.model", "MODE classical\nWORLDS a b c\n"
+                             "REL alpha (a,a)\nVAL p a\n")
+    code, out, _ = run(capsys, "quotient", model, "--system", "S5")
+    assert code == 0
+    assert "INFO closed 1 of 512" in out.splitlines()
+
+
 def test_quotient_needs_a_small_relation_document(files, capsys):
     model = files("m.model", "MODE classical\nWORLDS a b c d\n"
                              "REL alpha (a,a) (b,b) (c,c) (d,d)\n")
@@ -243,11 +254,19 @@ def test_usage_errors_exit_2(files):
     assert e.value.code == 2
 
 
+def _child_env():
+    'The environment of a child interpreter that imports this quantales.'
+    src = str(Path(quantales.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def test_module_entry_point(files):
     proc = subprocess.run(
         [sys.executable, "-m", "quantales", "sweep", "--worlds", "1",
          "--system", "T", "--scheme", "[]p -> p"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout == "SWEEP PASS models=2\n"
 
@@ -331,7 +350,8 @@ def test_a_closed_stdout_pipe_ends_quietly():
         proc = subprocess.run(
             [sys.executable, "-m", "quantales", "sweep", "--worlds", "1",
              "--system", "T", "--scheme", "[]p -> p"],
-            stdout=write_end, stderr=subprocess.PIPE, text=True)
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=_child_env())
     finally:
         os.close(write_end)
     assert proc.returncode == 1

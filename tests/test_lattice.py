@@ -97,6 +97,17 @@ class TestFrames:
     def test_n5_is_not_a_frame(self):
         assert not n5_lattice().is_frame()
 
+    def test_frame_witness_is_the_first_failing_triple(self, small_lattices):
+        for L in [*small_lattices, powerset_lattice("xyz")]:
+            first = next(((x, a, b) for x in range(L.n) for a in range(L.n)
+                          for b in range(L.n)
+                          if L.meet(x, L.join(a, b))
+                          != L.join(L.meet(x, a), L.meet(x, b))), None)
+            assert L._frame_witness() == first
+            assert L.is_frame() == (first is None)
+        assert m3_lattice()._frame_witness() is not None
+        assert n5_lattice()._frame_witness() is not None
+
 
 class TestClosure:
     def test_meet_closed_example(self):

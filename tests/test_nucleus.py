@@ -1,10 +1,13 @@
 """Nuclei, generated nuclei, and quotient quantales."""
 
+import random
+
 import pytest
 
+import quantales.nucleus
 from quantales import relations as rel
-from quantales.errors import NotANucleus
-from quantales.lattice import powerset_lattice
+from quantales.errors import InternalValidationFailed, NotANucleus
+from quantales.lattice import FiniteSupLattice, diamond_lattice, powerset_lattice
 from quantales.nucleus import (
     Nucleus,
     is_nucleus,
@@ -12,15 +15,19 @@ from quantales.nucleus import (
     nucleus_join,
     nucleus_meet,
     quotient,
+    saturated_bounds,
     supported_closure,
 )
 from quantales.quantale import (
+    Quantale,
     check_point_properties,
+    group_groupoid,
+    groupoid_quantale,
     make_quantale,
     relation_quantale,
 )
 
-from oracles import all_closure_tables
+from oracles import all_closure_tables, tables
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +46,45 @@ def locale2():
 @pytest.fixture(scope="session")
 def rq1():
     return relation_quantale("a")
+
+
+@pytest.fixture(scope="session")
+def z2():
+    return groupoid_quantale(
+        group_groupoid(["e", "g"], [[0, 1], [1, 0]], [0, 1], 0))
+
+
+@pytest.fixture(scope="session")
+def diamond_locale():
+    'The diamond frame as a quantale: mul = meet, inv = support = identity.'
+    L = diamond_lattice()
+    _, mt = tables(L)
+    ident = list(range(L.n))
+    return make_quantale(L, mt, ident, L.top, support=ident)
+
+
+def _loop_is_nucleus(q, t):
+    'The nucleus laws checked one element at a time, in is_nucleus order.'
+    L = q.lattice
+    for a in range(q.n):
+        if not L.leq(a, t[a]):
+            return False, "increasing", (a,)
+        if t[t[a]] != t[a]:
+            return False, "idempotent", (a,)
+        for b in range(q.n):
+            if L.leq(a, b) and not L.leq(t[a], t[b]):
+                return False, "monotone", (a, b)
+    for a in range(q.n):
+        for b in range(q.n):
+            if not L.leq(q.mul(t[a], t[b]), t[q.mul(a, b)]):
+                return False, "mul", (a, b)
+    for a in range(q.n):
+        if not L.leq(q.inv(t[a]), t[q.inv(a)]):
+            return False, "inv", (a,)
+    for a in range(q.n):
+        if not L.leq(q.support(t[a]), t[q.support(a)]):
+            return False, "support", (a,)
+    return True, None, None
 
 
 class TestIsNucleus:
@@ -62,6 +108,38 @@ class TestIsNucleus:
         table[1] = 3
         table[3] = 1
         assert is_nucleus(rq2, table).law in ("idempotent", "monotone")
+
+    def test_first_failure_matches_the_element_loop(self, rq1, rq2, locale2,
+                                                    z2, diamond_locale):
+        # the copies with random involution and support tables, unvalidated,
+        # make the inv and support laws fail where the earlier ones hold
+        rng = random.Random(0)
+        for q in (rq1, rq2, locale2, z2, diamond_locale):
+            # every closure table where there are few, else the least nuclei
+            candidates = ([list(t) for t in all_closure_tables(q.lattice)]
+                          if q.n <= 4 else
+                          [list(least_nucleus(q, pairs).table)
+                           for pairs in _random_relations(q, seed=1)])
+            candidates += [[rng.randrange(q.n) for _ in range(q.n)]
+                           for _ in range(200)]
+            candidates += [[q.join(a, x) for a in range(q.n)]
+                           for x in range(q.n)]
+            def scrambled():
+                return [rng.randrange(q.n) for _ in range(q.n)]
+            copies = [Quantale(q.lattice, q.mul_table, scrambled(), q.unit,
+                               support, True)
+                      for support in (q.support_table, scrambled())]
+            for p in (q, *copies):
+                for t in candidates:
+                    check = is_nucleus(p, t)
+                    assert (check.ok, check.law, check.witness) == \
+                        _loop_is_nucleus(p, t)
+
+    def test_a_table_off_the_carrier_is_rejected(self, rq2):
+        with pytest.raises(ValueError):
+            is_nucleus(rq2, [15] * 15)
+        with pytest.raises(ValueError):
+            is_nucleus(rq2, [16] * 16)
 
     def test_constructor_rejects_non_nucleus(self, rq2):
         e = rq2.unit
@@ -104,6 +182,28 @@ class TestSupportedClosure:
 
         for pairs in ([(1, 0)], [(rq1.unit, rq1.top)], [(0, 1)]):
             assert supported_closure(rq1, pairs) == three_rule(rq1, pairs)
+
+
+def _random_relations(q, seed, count=25):
+    'Seeded generating relations of zero to three pairs.'
+    rng = random.Random(seed)
+    return [[(rng.randrange(q.n), rng.randrange(q.n))
+             for _ in range(rng.randrange(4))] for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", ["rq1", "rq2", "locale2", "z2",
+                                  "diamond_locale"])
+def test_compressed_bounds_are_joins_of_the_explicit_saturation(request, name):
+    q = request.getfixturevalue(name)
+    L = q.lattice
+    for pairs in _random_relations(q, seed=name):
+        explicit = supported_closure(q, pairs)
+        joins = [L.join_all(y for y, z in explicit if z == w)
+                 for w in range(q.n)]
+        assert saturated_bounds(q, pairs) == joins
+        closed = [x for x in range(q.n)
+                  if all(L.leq(y, x) for y, z in explicit if L.leq(z, x))]
+        assert list(least_nucleus(q, pairs).closed()) == closed
 
 
 class TestLeastNucleus:
@@ -169,6 +269,65 @@ class TestQuotient:
             for b in range(16):
                 assert new.mul(pi[a], pi[b]) == pi[rq2.mul(a, b)]
                 assert new.join(pi[a], pi[b]) == pi[rq2.join(a, b)]
+
+
+def _loop_projection_break(q, new, proj):
+    'The first homomorphism failure of proj, checked pair by pair.'
+    for a in range(q.n):
+        if new.inv(proj[a]) != proj[q.inv(a)]:
+            return f"projection breaks involution at {a}"
+        if new.support(proj[a]) != proj[q.support(a)]:
+            return f"projection breaks support at {a}"
+        for b in range(q.n):
+            if new.mul(proj[a], proj[b]) != proj[q.mul(a, b)]:
+                return f"projection breaks multiplication at {(a, b)}"
+            if new.join(proj[a], proj[b]) != proj[q.join(a, b)]:
+                return f"projection breaks joins at {(a, b)}"
+    return None
+
+
+def _corrupt(new, part, cells):
+    """A copy of new, unvalidated, with the entries at cells changed in one
+    table, or in both the multiplication and the join table."""
+    mul = [list(r) for r in new.mul_table]
+    inv = list(new.inv_table)
+    support = list(new.support_table)
+    L = new.lattice
+    join = [list(r) for r in L._join]
+    for x, y in cells:
+        if part == "inv":
+            inv[x] = y
+        elif part == "support":
+            support[x] = y
+        if part in ("mul", "both"):
+            mul[x][y] = L.top if mul[x][y] != L.top else L.bottom
+        if part in ("join", "both"):
+            join[x][y] = L.top if join[x][y] != L.top else L.bottom
+    lat = FiniteSupLattice(L.labels, L._up, L._down, join, L._meet,
+                           L.bottom, L.top)
+    return Quantale(lat, mul, inv, new.unit, support, True)
+
+
+@pytest.mark.parametrize("part", ["inv", "support", "mul", "join", "both"])
+def test_projection_check_names_the_first_broken_law(rq2, monkeypatch, part):
+    nuc = least_nucleus(rq2, [])
+    good = quotient(rq2, nuc)
+    real = quantales.nucleus.make_quantale
+    rng = random.Random(part)
+    n = good.quantale.n
+    for size in (1, 2, 3) * 4:
+        cells = [(rng.randrange(n), rng.randrange(n)) for _ in range(size)]
+        bad = _corrupt(good.quantale, part, cells)
+        monkeypatch.setattr(quantales.nucleus, "make_quantale",
+                            lambda *a, **k: bad)
+        expected = _loop_projection_break(rq2, bad, good.projection)
+        if expected is None:
+            quotient(rq2, nuc)
+        else:
+            with pytest.raises(InternalValidationFailed) as err:
+                quotient(rq2, nuc)
+            assert str(err.value) == expected
+        monkeypatch.setattr(quantales.nucleus, "make_quantale", real)
 
 
 class TestNucleusAlgebra:
