@@ -121,15 +121,21 @@ def saturated_bounds(q: Quantale, pairs: Iterable[tuple[int, int]]) -> list[int]
 
     Y(z) is the join of every y that supported_closure pairs with z.  It is
     saturated with a worklist of the z whose bound grew: a Y(z) is joined
-    into Y(a z) and Y(z) a into Y(z a) for every a, s(Y(z)) into Y(s z)
-    and Y(z)- into Y(z-).  All four rules preserve joins, so this least
-    solution is exactly the pointwise join of the explicit saturation.
-    Each bound grows at most height(L) times.
+    into Y(a z) for every a, s(Y(z)) into Y(s z) and Y(z)- into Y(z-).
+    The rules preserve joins, so this least solution is exactly the
+    pointwise join of the explicit saturation.  Each bound grows at most
+    height(L) times.
+
+    supported_closure also multiplies on the right; here that rule is
+    implied.  The involution is a join-preserving anti-automorphism, so
+    Y(z) a = (a- Y(z)-)- <= (a- Y(z-))- <= Y(a- z-)- <= Y((a- z-)-) =
+    Y(z a), by the involution rule, the left rule at a-, and the
+    involution rule again.  The least solution of the three rules is thus
+    closed under all four, and so equal to the least solution of all four.
     """
     L = q.lattice
     jn = L._join
-    rows = q.mul_table
-    cols = tuple(zip(*rows))
+    cols = tuple(zip(*q.mul_table))
     inv = q.inv_table
     supp = q.support_table
     bound = [L.bottom] * q.n
@@ -143,8 +149,7 @@ def saturated_bounds(q: Quantale, pairs: Iterable[tuple[int, int]]) -> list[int]
         z = work.pop()
         queued[z] = False
         y = bound[z]
-        targets = [*zip(cols[z], cols[y]), *zip(rows[z], rows[y]),
-                   (inv[z], inv[y])]
+        targets = [*zip(cols[z], cols[y]), (inv[z], inv[y])]
         if supp is not None:
             targets.append((supp[z], supp[y]))
         for tz, ty in targets:
@@ -204,7 +209,7 @@ def quotient(q: Quantale, nuc: Nucleus) -> Quotient:
 
     Multiplication closes products, joins close joins, involution and
     meets restrict, the unit is the closure of the unit and the support
-    is the closed support.  The result is revalidated exhaustively, and
+    is the closed support.  The result is revalidated by make_quantale, and
     the projection is checked to be a homomorphism; failures raise
     InternalValidationFailed since they would mean a bug, not bad input.
     """

@@ -492,7 +492,7 @@ _MAX_GROUPOID_ARROWS = 9
 def document_quantale(doc: ModelDocument):
     """The point element and the quantale of a model document.
 
-    The quantale is the exhaustively validated table when one fits: every
+    The quantale is the validated table when one fits: every
     groupoid document (limited to 9 arrows, a 512-element carrier) and
     relation documents up to 3 worlds.  Larger relation documents get the
     lazy RelationQuantale; its codes agree with the table's indices.

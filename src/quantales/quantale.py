@@ -1,10 +1,12 @@
 """Unital involutive quantales on finite lattices, with optional supports.
 
-Table-backed quantales validate every law exhaustively at construction;
-the vectorized checks keep that affordable up to the 512-element relation
-quantale on three worlds.  RelationQuantale is the lazy counterpart for
-world sets too large to tabulate, computing the same operations on bitmask
-codes directly.
+Table-backed quantales validate every law exactly at construction.  On a
+distributive carrier, which every powerset quantale has, associativity
+and distributivity are decided on the join-irreducibles in O(n^2); any
+other carrier, and any table that fails, goes through the exhaustive loop
+over all triples, which names the first failure.  RelationQuantale is the
+lazy counterpart for world sets too large to tabulate, computing the same
+operations on bitmask codes directly.
 """
 
 from __future__ import annotations
@@ -106,41 +108,43 @@ def _first(mask: np.ndarray):
 def make_quantale(lattice: FiniteSupLattice, mul: Sequence[Sequence[int]],
                   inv: Sequence[int], unit: int,
                   support: Sequence[int] | None = None) -> Quantale:
-    """Validate every quantale law exhaustively and return the instance.
+    """Validate every quantale law exactly and return the instance.
 
-    Checks, in order: preservation of the bottom, associativity,
-    distribution over binary joins on both sides (enough, by finiteness,
-    for all nonempty joins), unit laws, involution laws, and, when a
-    support table is supplied, the support axioms plus stability.
+    Checks, in order: that every table entry lies in the carrier, the
+    preservation of the bottom, associativity, distribution over binary
+    joins on both sides (enough, by finiteness, for all nonempty joins),
+    unit laws, involution laws, and, when a support table is supplied, the
+    support axioms plus stability.
+
+    Associativity and distributivity are decided on the k join-irreducibles
+    when the carrier is distributive, in O(n^2 + k^3) steps
+    (_laws_hold_on_irreducibles).  That path only ever accepts: when it
+    finds a failure, or the carrier is not distributive, the exhaustive
+    loop over every triple (_check_laws_exhaustively) runs and raises with
+    its first witness.
     """
     n = lattice.n
     M = np.asarray(mul, dtype=np.int64)
     I = np.asarray(inv, dtype=np.int64)
+    S = None if support is None else np.asarray(support, dtype=np.int64)
     if M.shape != (n, n) or I.shape != (n,):
         raise ValueError("table shapes do not match the carrier")
+    if S is not None and S.shape != (n,):
+        raise ValueError("support table shape does not match the carrier")
     if not (0 <= unit < n):
         raise ValueError("unit index out of range")
+    for name, table in (("multiplication", M), ("involution", I),
+                        ("support", S)):
+        if table is not None and ((table < 0) | (table >= n)).any():
+            raise ValueError(f"{name} table has an entry outside the carrier")
     J = np.asarray(lattice._join, dtype=np.int64)
     bot = lattice.bottom
     ar = np.arange(n)
 
     if not (M[bot] == bot).all() or not (M[:, bot] == bot).all():
         raise NotDistributive("multiplication does not preserve the empty join")
-    for a in range(n):
-        left = M[M[a]]
-        right = M[a][M]
-        if not (left == right).all():
-            b, c = _first(left == right)
-            raise NotAssociative(f"(a b) c != a (b c) at {(a, b, c)}")
-        la = J[np.ix_(M[a], M[a])]
-        if not (M[a][J] == la).all():
-            b, c = _first(M[a][J] == la)
-            raise NotDistributive(f"a (b v c) != a b v a c at {(a, b, c)}")
-        Ma = M[:, a]
-        ra = J[np.ix_(Ma, Ma)]
-        if not (Ma[J] == ra).all():
-            b, c = _first(Ma[J] == ra)
-            raise NotDistributive(f"(b v c) a != b a v c a at {(b, c, a)}")
+    if not _laws_hold_on_irreducibles(lattice, M, J):
+        _check_laws_exhaustively(M, J)
     if not (M[unit] == ar).all() or not (M[:, unit] == ar).all():
         a = int(np.argmax(M[unit] != ar)) if (M[unit] != ar).any() \
             else int(np.argmax(M[:, unit] != ar))
@@ -157,14 +161,106 @@ def make_quantale(lattice: FiniteSupLattice, mul: Sequence[Sequence[int]],
         raise NotInvolutive("bottom- != bottom")
 
     supp = None
-    if support is not None:
-        S = np.asarray(support, dtype=np.int64)
-        if S.shape != (n,):
-            raise ValueError("support table shape does not match the carrier")
+    if S is not None:
         _check_support(lattice, M, I, S, unit, _leq_matrix(lattice), J)
         supp = tuple(int(x) for x in S)
     return Quantale(lattice, [[int(x) for x in r] for r in M],
                     [int(x) for x in I], unit, supp, supp is not None)
+
+
+def _check_laws_exhaustively(M, J):
+    'Associativity and both distributive laws on every triple, or the first failure.'
+    n = len(M)
+    for a in range(n):
+        left = M[M[a]]
+        right = M[a][M]
+        if not (left == right).all():
+            b, c = _first(left == right)
+            raise NotAssociative(f"(a b) c != a (b c) at {(a, b, c)}")
+        la = J[np.ix_(M[a], M[a])]
+        if not (M[a][J] == la).all():
+            b, c = _first(M[a][J] == la)
+            raise NotDistributive(f"a (b v c) != a b v a c at {(a, b, c)}")
+        Ma = M[:, a]
+        ra = J[np.ix_(Ma, Ma)]
+        if not (Ma[J] == ra).all():
+            b, c = _first(Ma[J] == ra)
+            raise NotDistributive(f"(b v c) a != b a v c a at {(b, c, a)}")
+
+
+def _irreducible_ranks(lattice, J):
+    """The join-irreducibles, the order matrix and c[x] = |J(x)|, or None
+    when the carrier is not distributive.
+
+    J(x) is the set of irreducibles below x.  In every finite lattice
+    J(x ^ y) = J(x) & J(y) and J(x v y) contains J(x) | J(y), so the count
+    identity c[x v y] = c[x] + c[y] - c[x ^ y] holds exactly when
+    J(x v y) = J(x) | J(y).  That holds for all x, y iff x -> J(x), which
+    is injective since x is the join of J(x), embeds the carrier in the
+    powerset of its irreducibles, that is iff the carrier is distributive
+    (Birkhoff).  O(n^2), where is_frame is O(n^3).
+    """
+    irr = np.asarray(lattice.join_irreducibles(), dtype=np.int64)
+    leq = _leq_matrix(lattice)
+    c = leq[irr].sum(axis=0)
+    meet = np.asarray(lattice._meet, dtype=np.int64)
+    if not (c[J] == c[:, None] + c[None, :] - c[meet]).all():
+        return None
+    return irr, leq, c
+
+
+def _laws_hold_on_irreducibles(lattice, M, J) -> bool:
+    """True only if associativity and both distributive laws hold; exact
+    on distributive carriers, always False on the others.
+
+    M is known to preserve the bottom on both sides.  For each x other
+    than the bottom fix the split x = j_x v r_x, with j_x an irreducible
+    below x of largest c (so j_x is maximal in J(x), and j_x = x when x is
+    irreducible) and r_x the join of the other irreducibles below x.
+
+    Distributivity.  Let f be a row or a column of M, with f(bottom) =
+    bottom, and suppose f(x) = f(j_x) v f(r_x) for every x != bottom.
+    Induction on c[x] shows f(x) = g(x), the join of f(j) over j in J(x).
+    Irreducibles are join-prime in a distributive lattice, and j_x is
+    maximal in J(x), so J(r_x) = J(x) - {j_x} and c[r_x] = c[x] - 1;
+    by induction f(r_x) is the join of f over J(x) - {j_x}.  If x is
+    irreducible, j_x = x and the split reads f(x) >= f(r_x), so f(x) =
+    g(x).  Otherwise c[j_x] < c[x] and J(j_x) is inside J(x), so f(x) =
+    g(j_x) v f(r_x) = g(x).  Then J(x v y) = J(x) | J(y) gives f(x v y) =
+    g(x) v g(y) = f(x) v f(y).  The converse is immediate, so the split
+    test over all rows and columns is exactly the two distributive laws.
+    For an irreducible x the split is monotonicity across its one lower
+    cover r_x, which replaces a test over covering pairs of irreducibles.
+
+    Associativity.  Once both sides preserve joins, bottom included,
+    (a b) c and a (b c) preserve joins in each argument, and every element
+    is the join of the irreducibles below it, so equality on irreducible
+    triples is equality everywhere.
+    """
+    ranks = _irreducible_ranks(lattice, J)
+    if ranks is None:
+        return False
+    irr, leq, c = ranks
+    bot = lattice.bottom
+    jx = np.full(lattice.n, bot, dtype=np.int64)
+    rx = jx.copy()
+    # visiting irreducibles by increasing c leaves jx at the last, largest
+    # one below x and joins every earlier one into rx
+    for j in irr[np.argsort(c[irr], kind="stable")]:
+        above = leq[j]
+        rx = np.where(above, J[rx, jx], rx)
+        jx = np.where(above, j, jx)
+    xs = np.flatnonzero(np.arange(lattice.n) != bot)
+    jx, rx = jx[xs], rx[xs]
+    if not (M[:, xs] == J[M[:, jx], M[:, rx]]).all():
+        return False
+    if not (M[xs] == J[M[jx], M[rx]]).all():
+        return False
+    bc = M[np.ix_(irr, irr)]
+    for a in irr:
+        if not (M[np.ix_(M[a, irr], irr)] == M[a][bc]).all():
+            return False
+    return True
 
 
 def _check_support(lattice, M, I, S, unit, leq, J):
@@ -277,7 +373,7 @@ class RelationQuantale:
 
 
 def relation_quantale(worlds: Sequence) -> Quantale:
-    """The full, exhaustively validated quantale of relations on worlds.
+    """The full, validated quantale of relations on worlds.
 
     This is the groupoid quantale of the pair groupoid: element i is the
     relation with bit code i, and the lattice is the powerset of world

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import quantales.nucleus
@@ -20,6 +21,9 @@ from quantales.nucleus import (
 )
 from quantales.quantale import (
     Quantale,
+    _check_laws_exhaustively,
+    _irreducible_ranks,
+    _laws_hold_on_irreducibles,
     check_point_properties,
     group_groupoid,
     groupoid_quantale,
@@ -204,6 +208,21 @@ def test_compressed_bounds_are_joins_of_the_explicit_saturation(request, name):
         closed = [x for x in range(q.n)
                   if all(L.leq(y, x) for y, z in explicit if L.leq(z, x))]
         assert list(least_nucleus(q, pairs).closed()) == closed
+
+
+@pytest.mark.parametrize("name", ["rq1", "rq2", "locale2", "z2",
+                                  "diamond_locale"])
+def test_quotients_are_accepted_by_both_paths(request, name):
+    # the irreducible path runs exactly on distributive closed carriers
+    q = request.getfixturevalue(name)
+    for pairs in _random_relations(q, seed=name):
+        new = quotient(q, least_nucleus(q, pairs)).quantale
+        L = new.lattice
+        M = np.asarray(new.mul_table, dtype=np.int64)
+        J = np.asarray(L._join, dtype=np.int64)
+        assert (_irreducible_ranks(L, J) is not None) == L.is_frame()
+        assert _laws_hold_on_irreducibles(L, M, J) == L.is_frame()
+        _check_laws_exhaustively(M, J)
 
 
 class TestLeastNucleus:

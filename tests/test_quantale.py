@@ -1,22 +1,31 @@
 """Relation and groupoid quantales, supports, the support locale."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quantales import relations as rel
+from quantales import quantale, relations as rel
 from quantales.errors import (
     InvalidGroupoid,
     NoStableSupport,
     NotAssociative,
     NotDistributive,
     NotInvolutive,
+    QuantaleLawError,
     SupportLawFails,
     SupportLocaleLawFails,
     UnitLawFails,
 )
-from quantales.lattice import chain_lattice, powerset_lattice
+from quantales.lattice import (
+    chain_lattice,
+    closed_elements,
+    closure_from_meet_closed,
+    diamond_lattice,
+    powerset_lattice,
+)
 from quantales.quantale import (
     MODAL_SYSTEMS,
     FiniteGroupoid,
@@ -33,13 +42,18 @@ from quantales.quantale import (
     with_derived_support,
 )
 
-from conftest import m3_lattice
+from conftest import m3_lattice, n5_lattice
 import oracles
 
 
 @pytest.fixture(scope="session")
 def rq2():
     return relation_quantale("ab")
+
+
+@pytest.fixture(scope="session")
+def rq3():
+    return relation_quantale("abc")
 
 
 def enc2(*pairs):
@@ -157,6 +171,245 @@ class TestMakeQuantaleValidation:
         q = make_quantale(L, mul, list(range(L.n)), L.top,
                           support=list(range(L.n)))
         assert q.stable
+
+    @pytest.mark.parametrize("part", ["mul", "inv", "support"])
+    @pytest.mark.parametrize("value", [-1, 2])
+    def test_entries_off_the_carrier_are_rejected(self, part, value):
+        L = powerset_lattice("x")
+        tables = {"mul": [[0, 0], [0, 1]], "inv": [0, 1], "support": [0, 1]}
+        table = tables[part]
+        if part == "mul":
+            table[1][1] = value
+        else:
+            table[1] = value
+        with pytest.raises(ValueError, match="outside the carrier"):
+            make_quantale(L, tables["mul"], tables["inv"], 1,
+                          support=tables["support"])
+
+
+def _outcome(build):
+    'The exception type and message a construction raises, or None.'
+    try:
+        build()
+    except (QuantaleLawError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _both_paths(monkeypatch, lattice, mul, inv, unit, support=None,
+                memo=None):
+    """make_quantale as it is, then with the irreducible path reporting a
+    failure on every table, so that the exhaustive loop decides.  memo
+    keeps the loop's verdict per multiplication table, so trials that
+    corrupt only inv or support loop over their shared table once."""
+    memo = {} if memo is None else memo
+    loop = quantale._check_laws_exhaustively
+
+    def remembered_loop(M, J):
+        key = M.tobytes()
+        if key not in memo:
+            try:
+                memo[key] = loop(M, J)
+            except QuantaleLawError as exc:
+                memo[key] = exc
+        if memo[key] is not None:
+            raise memo[key]
+
+    def build():
+        make_quantale(lattice, mul, inv, unit, support=support)
+    fast = _outcome(build)
+    with monkeypatch.context() as m:
+        m.setattr(quantale, "_laws_hold_on_irreducibles", lambda *a: False)
+        m.setattr(quantale, "_check_laws_exhaustively", remembered_loop)
+        slow = _outcome(build)
+    return fast, slow
+
+
+def _join_extension(L, T):
+    """The table sending a, b to the join of T[i][j] over the i-th and j-th
+    irreducibles below a and b; both sides preserve joins when L is
+    distributive."""
+    irr = L.join_irreducibles()
+    J = np.asarray(L._join, dtype=np.int64)
+    up = [np.array([L.leq(x, a) for a in range(L.n)]) for x in irr]
+    M = np.full((L.n, L.n), L.bottom, dtype=np.int64)
+    for i, j in itertools.product(range(len(irr)), repeat=2):
+        M = np.where(np.outer(up[i], up[j]), J[M, T[i][j]], M)
+    return M
+
+
+def _other(rng, n, old):
+    'A random carrier element other than old.'
+    v = rng.randrange(n - 1)
+    return v + (v >= old)
+
+
+@pytest.mark.parametrize("name", ["rq2", "rq3"])
+def test_corrupted_tables_fail_alike_on_both_paths(request, monkeypatch, name):
+    q = request.getfixturevalue(name)
+    L, n = q.lattice, q.n
+    M0 = np.asarray(q.mul_table, dtype=np.int64)
+    J = np.asarray(L._join, dtype=np.int64)
+    irr = L.join_irreducibles()
+    T0 = M0[np.ix_(irr, irr)]
+    assert (_join_extension(L, T0) == M0).all()
+    rng = random.Random(name)
+    seen = set()
+    memo = {}
+    for trial in range(60):
+        mul, inv, supp = M0.copy(), list(q.inv_table), list(q.support_table)
+        part = ("mul", "irreducible product", "inv", "support")[trial % 4]
+        if part == "mul":
+            x, y = rng.randrange(1, n), rng.randrange(1, n)
+            mul[x, y] = _other(rng, n, mul[x, y])
+        elif part == "irreducible product":
+            # one product of irreducibles, extended by joins: the table
+            # still distributes, so only associativity or the unit can fail
+            T = T0.copy()
+            i, j = rng.randrange(len(irr)), rng.randrange(len(irr))
+            T[i, j] = _other(rng, n, T[i, j])
+            mul = _join_extension(L, T)
+        elif part == "inv":
+            x = rng.randrange(n)
+            inv[x] = _other(rng, n, inv[x])
+        else:
+            x = rng.randrange(n)
+            supp[x] = _other(rng, n, supp[x])
+        fast, slow = _both_paths(monkeypatch, L, mul, inv, q.unit, supp,
+                                 memo)
+        assert fast == slow
+        assert fast is not None or part == "irreducible product"
+        if fast is not None and fast[0] in (NotAssociative, NotDistributive):
+            with pytest.raises(fast[0]) as err:
+                quantale._check_laws_exhaustively(mul, J)
+            assert str(err.value) == fast[1]
+        seen.add((part, fast and fast[0]))
+    assert ("irreducible product", NotAssociative) in seen
+
+
+def _table_quantales():
+    'Every uncorrupted table quantale the tests build, bar nucleus quotients.'
+    s3 = list(itertools.permutations(range(3)))
+    s3_mul = [[s3.index(tuple(g[h[i]] for i in range(3))) for h in s3]
+              for g in s3]
+    s3_inv = [s3.index(tuple(sorted(range(3), key=g.__getitem__)))
+              for g in s3]
+    locales = [powerset_lattice("x"), powerset_lattice("xy"),
+               diamond_lattice(), *(chain_lattice(k) for k in (2, 3, 4, 5))]
+    return [
+        *(relation_quantale(w) for w in ("a", "ab", "abc")),
+        groupoid_quantale(
+            group_groupoid(["e", "g"], [[0, 1], [1, 0]], [0, 1], 0)),
+        groupoid_quantale(group_groupoid(s3, s3_mul, s3_inv, 0)),
+        lukasiewicz3(),
+        *(make_quantale(L, oracles.tables(L)[1], range(L.n), L.top,
+                        support=range(L.n)) for L in locales),
+    ]
+
+
+def test_every_table_quantale_is_accepted_by_both_paths():
+    for q in _table_quantales():
+        M = np.asarray(q.mul_table, dtype=np.int64)
+        J = np.asarray(q.lattice._join, dtype=np.int64)
+        assert quantale._laws_hold_on_irreducibles(q.lattice, M, J), q
+        quantale._check_laws_exhaustively(M, J)
+
+
+def _one_sided(L, rng):
+    """a b = h(a) for b above the bottom, with h a random idempotent map
+    keeping only the bottom at the bottom: associative, and distributive on
+    the left, but on the right only when h preserves joins."""
+    rest = [x for x in range(L.n) if x != L.bottom]
+    image = rng.sample(rest, rng.randrange(1, len(rest) + 1))
+    h = [x if x in image or x == L.bottom else rng.choice(image)
+         for x in range(L.n)]
+    return np.array([[L.bottom if b == L.bottom else h[a]
+                      for b in range(L.n)] for a in range(L.n)])
+
+
+def test_irreducible_path_is_exact_on_distributive_carriers(small_frames):
+    # the meet, random tables extended by joins, raw random tables, and
+    # associative tables distributive on one side only: the irreducible
+    # path accepts exactly the tables the loop accepts
+    rng = random.Random(6)
+    accepted = 0
+    for L in small_frames:
+        J = np.asarray(L._join, dtype=np.int64)
+        k = len(L.join_irreducibles())
+        tables = [np.asarray(L._meet, dtype=np.int64)]
+        for _ in range(30):
+            T = [[rng.randrange(L.n) for _ in range(k)] for _ in range(k)]
+            tables.append(_join_extension(L, T))
+            raw = np.array([[rng.randrange(L.n) for _ in range(L.n)]
+                            for _ in range(L.n)])
+            raw[L.bottom] = raw[:, L.bottom] = L.bottom
+            tables.append(raw)
+            if L.n > 1:
+                M = _one_sided(L, rng)
+                tables += [M, M.T]
+        for M in tables:
+            holds = _outcome(
+                lambda: quantale._check_laws_exhaustively(M, J)) is None
+            assert quantale._laws_hold_on_irreducibles(L, M, J) == holds
+            accepted += holds
+    assert accepted > len(small_frames)
+
+
+def test_carrier_check_is_is_frame(small_lattices):
+    # with the closed sets of every closure on the 3-atom powerset, 13 of
+    # which are not distributive
+    P = powerset_lattice("abc")
+    moore = [closed_elements(P, closure_from_meet_closed(P, S))
+             for S in oracles.meet_closed_subsets(P)]
+    frames = []
+    for L in [*small_lattices, P, *moore]:
+        J = np.asarray(L._join, dtype=np.int64)
+        frames.append(L.is_frame())
+        assert (quantale._irreducible_ranks(L, J) is not None) == frames[-1]
+    assert frames.count(False) == 15
+
+
+@pytest.mark.parametrize("lattice", [m3_lattice, n5_lattice])
+def test_non_distributive_carriers_take_the_exhaustive_loop(monkeypatch,
+                                                             lattice):
+    L = lattice()
+    loop = quantale._check_laws_exhaustively
+    calls = []
+    monkeypatch.setattr(quantale, "_check_laws_exhaustively",
+                        lambda *a: calls.append(a) or loop(*a))
+    # top unless a factor is bottom: associative and join-preserving on any
+    # lattice, but top is no unit
+    mul = [[L.bottom if L.bottom in (a, b) else L.top for b in range(L.n)]
+           for a in range(L.n)]
+    with pytest.raises(UnitLawFails):
+        make_quantale(L, mul, list(range(L.n)), L.top)
+    assert len(calls) == 1
+
+
+def test_relation_quantale_takes_the_irreducible_path(monkeypatch):
+    def loop(*args):
+        raise AssertionError("the exhaustive loop ran")
+    monkeypatch.setattr(quantale, "_check_laws_exhaustively", loop)
+    q = relation_quantale("abc")
+    assert q.n == 512 and q.stable
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_every_table_on_a_tiny_chain_fails_alike_on_both_paths(monkeypatch,
+                                                                size):
+    L = chain_lattice(size)
+    r = range(size)
+    outcomes = set()
+    for flat in itertools.product(r, repeat=size * size):
+        mul = [flat[i * size:(i + 1) * size] for i in r]
+        for inv in itertools.product(r, repeat=size):
+            for unit in r:
+                for support in (None, *itertools.product(r, repeat=size)):
+                    fast, slow = _both_paths(monkeypatch, L, mul, inv, unit,
+                                             support)
+                    assert fast == slow
+                    outcomes.add(fast and fast[0])
+    assert None in outcomes
 
 
 def lukasiewicz3():
