@@ -35,17 +35,25 @@ def join_preservation_witness(L: FiniteSupLattice, table: Sequence[int]):
     return None
 
 
-def check_conjugacy(L: FiniteSupLattice, dia: Sequence[int],
-                    bdia: Sequence[int]) -> LawCheck:
-    """Both conjugacy inequalities, exhaustively.
+def _require_maps(L: FiniteSupLattice, *tables: Sequence[int]) -> None:
+    'ValueError unless every table maps the carrier into itself.'
+    for t in tables:
+        if len(t) != L.n or not all(0 <= v < L.n for v in t):
+            raise ValueError("map table does not map the carrier into itself")
 
-    Join preservation is a precondition and is checked first; a bad table
-    raises NotJoinPreserving rather than reporting a conjugacy failure.
-    """
+
+def _require_join_preserving(L: FiniteSupLattice, dia, bdia) -> None:
+    'The preconditions of check_conjugacy and box_adjoints.'
+    _require_maps(L, dia, bdia)
     for name, t in (("first", dia), ("second", bdia)):
         w = join_preservation_witness(L, t)
         if w is not None:
             raise NotJoinPreserving(f"{name} map is not join-preserving at {w}")
+
+
+def _conjugacy_inequalities(L: FiniteSupLattice, dia: Sequence[int],
+                            bdia: Sequence[int]) -> LawCheck:
+    'Both conjugacy inequalities at every (x, y), for join-preserving maps.'
     for x in range(L.n):
         for y in range(L.n):
             if not L.leq(L.meet(dia[x], y), dia[L.meet(x, bdia[y])]):
@@ -55,11 +63,23 @@ def check_conjugacy(L: FiniteSupLattice, dia: Sequence[int],
     return LawCheck(True)
 
 
+def check_conjugacy(L: FiniteSupLattice, dia: Sequence[int],
+                    bdia: Sequence[int]) -> LawCheck:
+    """Both conjugacy inequalities, exhaustively.
+
+    The tables are preconditions, checked first: one that does not map the
+    carrier into itself raises ValueError, and one that does not preserve
+    joins raises NotJoinPreserving, not a conjugacy failure."""
+    _require_join_preserving(L, dia, bdia)
+    return _conjugacy_inequalities(L, dia, bdia)
+
+
 class BimodalFrame:
     'A frame with a validated conjugate pair of join-preserving diamonds.'
 
     def __init__(self, frame: FiniteSupLattice, dia: Sequence[int],
                  bdia: Sequence[int]):
+        _require_maps(frame, dia, bdia)
         if not frame.is_frame():
             raise NotAFrame("bimodal structure needs a frame")
         check = check_conjugacy(frame, dia, bdia)
@@ -97,12 +117,10 @@ def box_adjoints(L: FiniteSupLattice, dia: Sequence[int],
 
     box(y) joins everything the second diamond keeps below y, so that
     bdia(x) <= y iff x <= box(y); the black box does the same for dia.
-    The two adjunctions are verified exhaustively before returning.
+    The two adjunctions are verified exhaustively before returning; the
+    preconditions of check_conjugacy are checked first.
     """
-    for name, t in (("first", dia), ("second", bdia)):
-        w = join_preservation_witness(L, t)
-        if w is not None:
-            raise NotJoinPreserving(f"{name} map is not join-preserving at {w}")
+    _require_join_preserving(L, dia, bdia)
     box = tuple(L.join_all(x for x in range(L.n) if L.leq(bdia[x], y))
                 for y in range(L.n))
     bbox = tuple(L.join_all(x for x in range(L.n) if L.leq(dia[x], y))
@@ -138,6 +156,7 @@ def check_modal_class(L: FiniteSupLattice, dia: Sequence[int],
     """
     if cls not in MODAL_SYSTEMS:
         raise ValueError(f"unknown modal class {cls!r}")
+    _require_maps(L, dia, bdia)
     for condition in MODAL_SYSTEMS[cls]:
         for x in range(L.n):
             for law, holds in _PAIR_LAWS[condition]:
@@ -152,27 +171,21 @@ def join_preserving_endomaps(L: FiniteSupLattice) -> Iterator[tuple[int, ...]]:
     if not L.is_frame():
         raise NotAFrame("endomap enumeration relies on irreducible decomposition")
     irr = L.join_irreducibles()
+    below = [(i, k) for i, ji in enumerate(irr) for k, jk in enumerate(irr)
+             if L.leq(ji, jk)]
     for values in itertools.product(range(L.n), repeat=len(irr)):
-        ok = True
-        for i, ji in enumerate(irr):
-            for k, jk in enumerate(irr):
-                if L.leq(ji, jk) and not L.leq(values[i], values[k]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        table = tuple(
-            L.join_all(values[i] for i, ji in enumerate(irr) if L.leq(ji, x))
-            for x in range(L.n))
-        yield table
+        if all(L.leq(values[i], values[k]) for i, k in below):
+            yield tuple(L.join_all(values[i] for i, ji in enumerate(irr)
+                                   if L.leq(ji, x)) for x in range(L.n))
 
 
 def conjugate_pairs(L: FiniteSupLattice) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    'All conjugate pairs of join-preserving endomaps on a frame.'
+    """All conjugate pairs of join-preserving endomaps on a frame.
+
+    The maps are built join-preserving, so each pair runs only the
+    inequalities of check_conjugacy, not its preconditions."""
     maps = list(join_preserving_endomaps(L))
     for dia in maps:
         for bdia in maps:
-            if check_conjugacy(L, dia, bdia):
+            if _conjugacy_inequalities(L, dia, bdia):
                 yield dia, bdia

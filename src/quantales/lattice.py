@@ -13,6 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    LawCheck,
     NotAClosureOperator,
     NotACongruence,
     NotAFrame,
@@ -49,6 +50,7 @@ class FiniteSupLattice:
         self._index = {x: i for i, x in enumerate(self.labels)}
         self._frame = None
         self._irr = None
+        self._leq = None
 
     def __len__(self):
         return self.n
@@ -224,28 +226,67 @@ def diamond_lattice() -> FiniteSupLattice:
     return make_lattice(["0", "a", "b", "1"], order)
 
 
+def _leq_matrix(L: FiniteSupLattice) -> np.ndarray:
+    'The order as a read-only boolean matrix, built once per lattice.'
+    if L._leq is None:
+        out = np.zeros((L.n, L.n), dtype=bool)
+        for a in range(L.n):
+            out[a, list(_bits(L.upset(a)))] = True
+        out.flags.writeable = False
+        L._leq = out
+    return L._leq
+
+
+CLOSURE_LAWS = ("increasing", "idempotent", "monotone")
+
+
+def closure_law_check(L: FiniteSupLattice, table: Sequence[int]) -> LawCheck:
+    """The closure laws at every element: the first a where one fails and
+    the first law failing there, increasing (a <= j a), idempotent, then
+    monotone at the first b >= a with j a not <= j b.  A table that does
+    not map the carrier into itself raises ValueError."""
+    t = np.asarray(table, dtype=np.int64)
+    if t.shape != (L.n,) or ((t < 0) | (t >= L.n)).any():
+        raise ValueError("table does not map the carrier into itself")
+    leq = _leq_matrix(L)
+    increasing = leq[np.arange(L.n), t]
+    idempotent = t[t] == t
+    monotone = ~leq | leq[np.ix_(t, t)]
+    bad = ~(increasing & idempotent & monotone.all(axis=1))
+    if not bad.any():
+        return LawCheck(True)
+    a = int(np.argmax(bad))
+    if not increasing[a]:
+        return LawCheck(False, "increasing", (a,))
+    if not idempotent[a]:
+        return LawCheck(False, "idempotent", (a,))
+    return LawCheck(False, "monotone", (a, int(np.argmin(monotone[a]))))
+
+
+def closure_failure(L: FiniteSupLattice, check: LawCheck) -> NotAClosureOperator:
+    'The exception for a failed closure law, naming its witness by label.'
+    a, *b = (repr(L.labels[x]) for x in check.witness)
+    return NotAClosureOperator(
+        f"not monotone on {a} <= {b[0]}" if b else f"not {check.law} at {a}")
+
+
 @dataclass(frozen=True)
 class ClosureOperator:
-    """A monotone, increasing, idempotent endomap, stored as a value table."""
+    """A monotone, increasing, idempotent endomap, stored as a value table.
+
+    closure_law_check proves the laws once, at construction; a failure or
+    a table of the wrong size raises NotAClosureOperator."""
 
     lattice: FiniteSupLattice
     table: tuple[int, ...]
 
     def __post_init__(self):
-        L, j = self.lattice, self.table
-        object.__setattr__(self, "table", tuple(j))
-        j = self.table
-        if len(j) != L.n:
+        object.__setattr__(self, "table", tuple(self.table))
+        if len(self.table) != self.lattice.n:
             raise NotAClosureOperator("table size does not match the carrier")
-        for a in range(L.n):
-            if not L.leq(a, j[a]):
-                raise NotAClosureOperator(f"not increasing at {L.labels[a]!r}")
-            if j[j[a]] != j[a]:
-                raise NotAClosureOperator(f"not idempotent at {L.labels[a]!r}")
-            for b in _bits(L.upset(a)):
-                if not L.leq(j[a], j[b]):
-                    raise NotAClosureOperator(
-                        f"not monotone on {L.labels[a]!r} <= {L.labels[b]!r}")
+        check = closure_law_check(self.lattice, self.table)
+        if not check:
+            raise closure_failure(self.lattice, check)
 
     def __call__(self, a: int) -> int:
         return self.table[a]
@@ -286,11 +327,12 @@ def _sublattice(elems, labels, leq, join, meet, pos, bottom, top) -> FiniteSupLa
     return FiniteSupLattice(labels, up, down, join_t, meet_t, pos[bottom], pos[top])
 
 
-def closed_elements(L: FiniteSupLattice, j: ClosureOperator) -> FiniteSupLattice:
+def closed_elements(L: FiniteSupLattice, j) -> FiniteSupLattice:
     """The lattice of j-closed elements: order inherited, joins closed by j.
 
     Meets agree with those of L (closed sets are meet-closed); the bottom is
-    j(bottom of L).  Labels are carried over from L.
+    j(bottom of L).  Labels are carried over from L.  j is a ClosureOperator
+    or a Nucleus: only its table and closed() are read.
     """
     elems = j.closed()
     idx = {x: k for k, x in enumerate(elems)}

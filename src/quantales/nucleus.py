@@ -21,38 +21,29 @@ import numpy as np
 from .errors import (
     InternalValidationFailed,
     LawCheck,
+    NotAClosureOperator,
     NotANucleus,
     QuantaleLawError,
 )
-from .lattice import ClosureOperator, closed_elements, closure_from_meet_closed
-from .quantale import Quantale, _first, _leq_matrix, make_quantale
+from .lattice import (CLOSURE_LAWS, _leq_matrix, closed_elements,
+                      closure_failure, closure_from_meet_closed,
+                      closure_law_check)
+from .quantale import Quantale, _first, make_quantale
 
 
 def is_nucleus(q: Quantale, table: Sequence[int]) -> LawCheck:
     """Exhaustive check of the nucleus laws for a candidate table.
 
-    Reports the first failure: one of the closure laws (increasing, then
-    idempotent, then monotone, for the first failing element in order),
-    then j(x) j(y) <= j(x y), then j(x)- <= j(x-), then s(j(x)) <= j(s(x))
-    when the quantale carries a support.
+    Reports the first failure: one of the closure laws, from
+    closure_law_check, then j(x) j(y) <= j(x y), then j(x)- <= j(x-), then
+    s(j(x)) <= j(s(x)) when the quantale carries a support.  A table that
+    does not map the carrier into itself raises ValueError.
     """
-    n = q.n
     t = np.asarray(tuple(table), dtype=np.int64)
-    if t.shape != (n,) or ((t < 0) | (t >= n)).any():
-        raise ValueError("nucleus table does not map the carrier into itself")
+    check = closure_law_check(q.lattice, t)
+    if not check:
+        return check
     leq = _leq_matrix(q.lattice)
-    ar = np.arange(n)
-    increasing = leq[ar, t]
-    idempotent = t[t] == t
-    monotone = ~leq | leq[np.ix_(t, t)]
-    bad = ~(increasing & idempotent & monotone.all(axis=1))
-    if bad.any():
-        a = int(np.argmax(bad))
-        if not increasing[a]:
-            return LawCheck(False, "increasing", (a,))
-        if not idempotent[a]:
-            return LawCheck(False, "idempotent", (a,))
-        return LawCheck(False, "monotone", (a, int(np.argmin(monotone[a]))))
     M = np.asarray(q.mul_table, dtype=np.int64)
     holds = leq[M[np.ix_(t, t)], t[M]]
     if not holds.all():
@@ -70,24 +61,28 @@ def is_nucleus(q: Quantale, table: Sequence[int]) -> LawCheck:
 
 
 class Nucleus:
-    'A validated nucleus; callable as the underlying closure.'
+    """A validated nucleus; callable as the underlying closure.
+
+    is_nucleus proves every law once.  A closure-law failure or a table of
+    the wrong size raises NotAClosureOperator, as in ClosureOperator, and
+    any other failure NotANucleus."""
 
     def __init__(self, quantale: Quantale, table: Sequence[int]):
         self.quantale = quantale
-        self.closure = ClosureOperator(quantale.lattice, tuple(table))
-        check = is_nucleus(quantale, self.closure.table)
+        self.table = tuple(table)
+        if len(self.table) != quantale.n:
+            raise NotAClosureOperator("table size does not match the carrier")
+        check = is_nucleus(quantale, self.table)
+        if check.law in CLOSURE_LAWS:
+            raise closure_failure(quantale.lattice, check)
         if not check:
             raise NotANucleus(f"law {check.law} fails at {check.witness}")
 
-    @property
-    def table(self):
-        return self.closure.table
-
     def __call__(self, a: int) -> int:
-        return self.closure.table[a]
+        return self.table[a]
 
     def closed(self) -> tuple[int, ...]:
-        return self.closure.closed()
+        return tuple(a for a in range(self.quantale.n) if self.table[a] == a)
 
     def __repr__(self):
         return f"Nucleus(closed={len(self.closed())}/{self.quantale.n})"
@@ -216,7 +211,7 @@ def quotient(q: Quantale, nuc: Nucleus) -> Quotient:
     if nuc.quantale is not q:
         raise ValueError("nucleus belongs to a different quantale")
     L = q.lattice
-    lat = closed_elements(L, nuc.closure)
+    lat = closed_elements(L, nuc)
     closed = nuc.closed()
     idx = {x: k for k, x in enumerate(closed)}
     proj = tuple(idx[nuc(x)] for x in range(q.n))

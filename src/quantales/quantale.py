@@ -27,7 +27,8 @@ from .errors import (
     SupportLocaleLawFails,
     UnitLawFails,
 )
-from .lattice import FiniteSupLattice, _bits, _sublattice, powerset_lattice
+from .lattice import (FiniteSupLattice, _bits, _leq_matrix, _sublattice,
+                      powerset_lattice)
 
 
 class Quantale:
@@ -35,7 +36,8 @@ class Quantale:
 
     Optionally carries a support table; when present it has passed all the
     support axioms and the stability equation, so `stable` is always True
-    for a supported instance.  Use make_quantale to construct.
+    for a supported instance.  Use make_quantale (or with_derived_support)
+    to construct.
     """
 
     def __init__(self, lattice, mul, inv, unit, support, stable):
@@ -88,16 +90,6 @@ class Quantale:
             self._supp_elems = tuple(
                 x for x in range(self.n) if self.lattice.leq(x, self.unit))
         return self._supp_elems
-
-
-def _leq_matrix(lattice) -> np.ndarray:
-    n = lattice.n
-    out = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        up = lattice.upset(a)
-        for b in _bits(up):
-            out[a, b] = True
-    return out
 
 
 def _first(mask: np.ndarray):
@@ -162,7 +154,7 @@ def make_quantale(lattice: FiniteSupLattice, mul: Sequence[Sequence[int]],
 
     supp = None
     if S is not None:
-        _check_support(lattice, M, I, S, unit, _leq_matrix(lattice), J)
+        _check_support(lattice, M, I, S, unit, J)
         supp = tuple(int(x) for x in S)
     return Quantale(lattice, [[int(x) for x in r] for r in M],
                     [int(x) for x in I], unit, supp, supp is not None)
@@ -263,10 +255,10 @@ def _laws_hold_on_irreducibles(lattice, M, J) -> bool:
     return True
 
 
-def _check_support(lattice, M, I, S, unit, leq, J):
+def _check_support(lattice, M, I, S, unit, J):
     'Support axioms and stability; raises SupportLawFails with the first witness.'
-    n = lattice.n
-    ar = np.arange(n)
+    leq = _leq_matrix(lattice)
+    ar = np.arange(lattice.n)
     bad = leq[S, unit]
     if not bad.all():
         raise SupportLawFails(f"sa <= e fails at a={_first(bad)[0]}")
@@ -301,15 +293,17 @@ def derive_support(q: Quantale) -> tuple[int, ...]:
         _check_support(L, np.asarray(q.mul_table, dtype=np.int64),
                        np.asarray(q.inv_table, dtype=np.int64),
                        np.asarray(S, dtype=np.int64), q.unit,
-                       _leq_matrix(L), np.asarray(L._join, dtype=np.int64))
+                       np.asarray(L._join, dtype=np.int64))
     except SupportLawFails as exc:
         raise NoStableSupport(str(exc)) from None
     return tuple(S)
 
 
 def with_derived_support(q: Quantale) -> Quantale:
-    return make_quantale(q.lattice, q.mul_table, q.inv_table, q.unit,
-                         support=derive_support(q))
+    """q with the support of derive_support, which has just proved the
+    support laws against q's validated tables; nothing is proved again."""
+    return Quantale(q.lattice, q.mul_table, q.inv_table, q.unit,
+                    derive_support(q), True)
 
 
 # --- relation quantales ---------------------------------------------------
@@ -367,9 +361,6 @@ class RelationQuantale:
                 rel.encode(((i, i) for i in _bits(sub)), n)
                 for sub in range(1 << n)))
         return self._supp_elems
-
-    def star(self, a):
-        return rel.star(a, self.nw)
 
 
 def relation_quantale(worlds: Sequence) -> Quantale:
@@ -506,21 +497,15 @@ def groupoid_quantale(G: FiniteGroupoid) -> Quantale:
         prev = mul[a ^ low]
         hg = half[low.bit_length() - 1]
         mul[a] = [prev[b] | hg[b] for b in range(n)]
+    # the inverses, and the identities at the domains, of a's arrows
     inv = [0] * n
-    for a in range(n):
-        x = 0
-        for g in _bits(a):
-            x |= 1 << G.inv[g]
-        inv[a] = x
-    unit = 0
-    for e in G.identities:
-        unit |= 1 << e
     support = [0] * n
-    for a in range(n):
-        x = 0
-        for g in _bits(a):
-            x |= 1 << G.identities[G.dom[g]]
-        support[a] = x
+    for a in range(1, n):
+        low = a & -a
+        g = low.bit_length() - 1
+        inv[a] = inv[a ^ low] | 1 << G.inv[g]
+        support[a] = support[a ^ low] | 1 << G.identities[G.dom[g]]
+    unit = sum(1 << e for e in G.identities)
     return make_quantale(lattice, mul, inv, unit, support=support)
 
 

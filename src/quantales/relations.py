@@ -68,26 +68,3 @@ def support(a: int, n: int) -> int:
         if row(a, i, n):
             out |= pair_bit(i, i, n)
     return out
-
-
-def star(a: int, n: int) -> int:
-    'Reflexive-transitive closure.'
-    out = diagonal(n)
-    while True:
-        nxt = out | compose(out, a, n)
-        if nxt == out:
-            return out
-        out = nxt
-
-
-def is_reflexive(a: int, n: int) -> bool:
-    d = diagonal(n)
-    return a & d == d
-
-
-def is_transitive(a: int, n: int) -> bool:
-    return compose(a, a, n) & ~a == 0
-
-
-def is_symmetric(a: int, n: int) -> bool:
-    return converse(a, n) == a

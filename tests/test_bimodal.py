@@ -13,7 +13,7 @@ from quantales.bimodal import (
     join_preserving_endomaps,
 )
 from quantales.errors import LawCheck, NotConjugate, NotJoinPreserving
-from quantales.lattice import powerset_lattice
+from quantales.lattice import chain_lattice, powerset_lattice
 from quantales.nucleus import is_nucleus
 from quantales.quantale import (
     RelationQuantale,
@@ -193,3 +193,26 @@ class TestCorollaryShapedInequalities:
                 for b in range(16):
                     assert rq2.support(rq2.mul(a, rq2.mul(alpha, b))) == \
                         rq2.support(rq2.mul(a, rq2.mul(rq2.inv(alpha), b)))
+
+
+class TestMalformedMapTables:
+    # on the 3-chain: a short table, an entry n and an entry -1, which
+    # would otherwise index from the end
+    BAD = [(0, 1), (0, 1, 3), (0, -1, 2)]
+    ENTRY_POINTS = {
+        "check_conjugacy": check_conjugacy,
+        "box_adjoints": box_adjoints,
+        "check_modal_class": lambda L, d, b: check_modal_class(L, d, b, "S5"),
+        "BimodalFrame": BimodalFrame,
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", BAD)
+    def test_rejected_before_any_law(self, entry, bad):
+        L = chain_lattice(3)
+        ident = tuple(range(L.n))
+        call = self.ENTRY_POINTS[entry]
+        with pytest.raises(ValueError):
+            call(L, bad, ident)
+        with pytest.raises(ValueError):
+            call(L, ident, bad)

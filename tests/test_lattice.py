@@ -135,6 +135,16 @@ class TestClosure:
         with pytest.raises(NotAClosureOperator):
             ClosureOperator(L, (1, 2, 2))      # not idempotent at 0
 
+    @pytest.mark.parametrize("table", [(0, -1, 2), (0, 1, 3)])
+    def test_closure_entries_outside_the_carrier_rejected(self, table):
+        with pytest.raises(ValueError):
+            ClosureOperator(chain_lattice(3), table)
+
+    def test_short_closure_table_rejected(self):
+        with pytest.raises(NotAClosureOperator,
+                           match="^table size does not match the carrier$"):
+            ClosureOperator(chain_lattice(3), (1, 2))
+
     def test_closed_elements_lattice(self):
         L = powerset_lattice("ab")
         j = closure_from_meet_closed(L, [L.bottom, L.top])
