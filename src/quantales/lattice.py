@@ -297,6 +297,12 @@ class ClosureOperator:
 
 def closure_from_meet_closed(L: FiniteSupLattice, closed: Iterable[int]) -> ClosureOperator:
     'The closure sending x to the least member of the meet-closed set above x.'
+    return ClosureOperator(L, meet_closed_closure_table(L, closed))
+
+
+def meet_closed_closure_table(L: FiniteSupLattice, closed: Iterable[int]) -> tuple[int, ...]:
+    """The table of closure_from_meet_closed, for a caller that proves the
+    closure laws itself; a set that is not meet-closed raises NotMeetClosed."""
     S = sorted(set(closed))
     present = set(S)
     if L.top not in present:
@@ -306,8 +312,7 @@ def closure_from_meet_closed(L: FiniteSupLattice, closed: Iterable[int]) -> Clos
             if L.meet(a, b) not in present:
                 raise NotMeetClosed(
                     f"meet of {L.labels[a]!r} and {L.labels[b]!r} escapes the set")
-    table = [L.meet_all(y for y in S if L.leq(x, y)) for x in range(L.n)]
-    return ClosureOperator(L, tuple(table))
+    return tuple(L.meet_all(y for y in S if L.leq(x, y)) for x in range(L.n))
 
 
 def _sublattice(elems, labels, leq, join, meet, pos, bottom, top) -> FiniteSupLattice:

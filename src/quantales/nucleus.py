@@ -27,7 +27,7 @@ from .errors import (
 )
 from .lattice import (CLOSURE_LAWS, _leq_matrix, closed_elements,
                       closure_failure, closure_from_meet_closed,
-                      closure_law_check)
+                      closure_law_check, meet_closed_closure_table)
 from .quantale import Quantale, _first, make_quantale
 
 
@@ -255,6 +255,6 @@ def nucleus_join(a: Nucleus, b: Nucleus) -> Nucleus:
     'Closed sets intersect; the least nucleus above both.'
     if a.quantale is not b.quantale:
         raise ValueError("nuclei live on different quantales")
-    common = sorted(set(a.closed()) & set(b.closed()))
-    j = closure_from_meet_closed(a.quantale.lattice, common)
-    return Nucleus(a.quantale, j.table)
+    common = set(a.closed()) & set(b.closed())
+    return Nucleus(a.quantale,
+                   meet_closed_closure_table(a.quantale.lattice, common))

@@ -11,10 +11,14 @@ the untruncated algebra.
 
 The pre-support induced by a pair of diamonds is defined on pure
 tensors by the alternating meet-diamond recursion and extended to
-everything else by joins over the irreducible-tuple decomposition.  The
-law suites below exercise the support laws, the modal-system
-inequalities and the grading axioms on finite sample grids and report
-plain `LAW <name> PASS|FAIL` lines.
+everything else by joins over the irreducible-tuple decomposition.
+Because the base is a frame and the diamonds preserve joins, each
+element a acts on the base as one join-preserving map, its support
+transformer F_a (a cached table), and the pre-support of a product
+a1 ... am is F_a1(... F_am(top)).  The law suites below exercise the
+support laws, the modal-system inequalities and the grading axioms on
+finite sample grids, as table lookups over whole grids of cases, and
+report plain `LAW <name> PASS|FAIL` lines.
 """
 
 from __future__ import annotations
@@ -23,11 +27,15 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .bimodal import check_modal_class
-from .errors import AlgebraError, DepthExceeded, NotAFrame
-from .lattice import FiniteSupLattice
+from .errors import (AlgebraError, DepthExceeded, InternalValidationFailed,
+                     NotAFrame)
+from .lattice import FiniteSupLattice, _leq_matrix
 from .nucleus import Nucleus, quotient
 
 LETTERS = "aA"
@@ -88,7 +96,7 @@ class TensorAlgebra:
             tuple(p for p in range(m) if lattice.leq(self.irr[p], x))
             for x in range(lattice.n))
         self._max_cache = {}
-        self._supp_cache = {}
+        self._transformers = {}
         self.unit = self.embed(lattice.top)
         self.bottom = GradedElement(())
 
@@ -190,13 +198,40 @@ class TensorAlgebra:
 
     # --- pre-support ------------------------------------------------------
 
+    def degree(self, a: GradedElement) -> int:
+        'The length of the longest degree word of a; 0 for bottom.'
+        return len(a.parts[-1][0]) if a.parts else 0
+
+    def transformer(self, dia: tuple, bdia: tuple, a: GradedElement) -> tuple:
+        """The support transformer of a for a diamond pair, as a table F_a
+        over the base: F_a(y) is the join, over the maximal tuples t of
+        each component of a, say of degree w1...wk, of
+        t0 /\\ <w1>(t1 /\\ ... <wk>(tk /\\ y)).  Built once per element and
+        pair."""
+        cache = self._transformers.setdefault((dia, bdia), {})
+        got = cache.get(a)
+        if got is None:
+            L = self.lattice
+            table = [L.bottom] * L.n
+            for w, comp in a.parts:
+                steps = [dia if c == "a" else bdia for c in reversed(w)]
+                for t in self.maximal_tuples(comp):
+                    slots = [self.irr[p] for p in reversed(t)]
+                    for y in range(L.n):
+                        cur = L.meet(slots[0], y)
+                        for x, step in zip(slots[1:], steps):
+                            cur = L.meet(x, step[cur])
+                        table[y] = L.join(table[y], cur)
+            got = cache[a] = tuple(table)
+        return got
+
     def pre_support(self, dia: Sequence[int], bdia: Sequence[int],
                     a: GradedElement) -> int:
         """The pre-support of a graded element, as a lattice element.
 
         Pure tensors follow the recursion s(x0 (x) rest) = x0 /\\ <w1>(s rest);
         a general element is the join over the maximal tuples of each of
-        its components.
+        its components, which is its transformer at top.
         """
         return self.support_of_product(dia, bdia, (a,))
 
@@ -204,52 +239,32 @@ class TensorAlgebra:
                            elems) -> int:
         """The pre-support of a product, without materializing the product.
 
-        Each factor is decomposed into its maximal pure tensors; a
-        product of pure tensors is again pure (adjacent slots meet), and
-        on pure tensors with arbitrary slots the support recursion
-        distributes over the slotwise irreducible decomposition because
-        the base is a frame and the diamonds preserve joins.  The degree
-        bound still applies: a combination whose concatenated degree
-        exceeds the depth raises DepthExceeded, exactly as the
-        materialized product would.
+        A product of pure tensors is pure (adjacent slots meet), the base
+        is a frame and the diamonds preserve joins, so the support
+        recursion distributes over the maximal tuples of every factor:
+        the support of e1 ... em is F_e1(F_e2(... F_em(top))), a right
+        fold of transformer lookups.  A product with a bottom factor is
+        bottom.  Otherwise the degree bound applies as in the materialized
+        product: when the factors' largest degrees sum past the depth,
+        DepthExceeded names the first combination of their words, in
+        product order, that is too long.
         """
         L = self.lattice
+        elems = tuple(elems)
+        if any(e.is_bottom for e in elems):
+            return L.bottom
+        if sum(map(self.degree, elems)) > self.depth:
+            for words in itertools.product(*(e.words() for e in elems)):
+                word = "".join(words)
+                if len(word) > self.depth:
+                    raise DepthExceeded(
+                        f"product degree {word!r} exceeds depth {self.depth}")
         dia = tuple(dia)
         bdia = tuple(bdia)
-        decomps = []
-        for e in elems:
-            gens = [(w, tuple(self.irr[p] for p in t))
-                    for w, comp in e.parts
-                    for t in self.maximal_tuples(comp)]
-            if not gens:
-                return L.bottom
-            decomps.append(gens)
-        out = L.bottom
-        for combo in itertools.product(*decomps):
-            word = "".join(w for w, _ in combo)
-            if len(word) > self.depth:
-                raise DepthExceeded(
-                    f"product degree {word!r} exceeds depth {self.depth}")
-            slots = combo[0][1] if combo else (L.top,)
-            for _, more in combo[1:]:
-                slots = slots[:-1] + (L.meet(slots[-1], more[0]),) + more[1:]
-            out = L.join(out, self._support_slots(dia, bdia, word, slots))
-            if out == L.top:
-                break
-        return out
-
-    def _support_slots(self, dia, bdia, w, slots) -> int:
-        key = (dia, bdia, w, slots)
-        got = self._supp_cache.get(key)
-        if got is not None:
-            return got
-        L = self.lattice
-        cur = slots[-1]
-        for i in range(len(w) - 1, -1, -1):
-            step = dia[cur] if w[i] == "a" else bdia[cur]
-            cur = L.meet(slots[i], step)
-        self._supp_cache[key] = cur
-        return cur
+        y = L.top
+        for e in reversed(elems):
+            y = self.transformer(dia, bdia, e)[y]
+        return y
 
 
 # --- sample grids ---------------------------------------------------------
@@ -258,7 +273,7 @@ class TensorAlgebra:
 _SEED = 0
 _PRESUPPORT_PAIRS = 25000
 _LEMMA_B_PAIRS = 4000
-_TRIPLES = 4000
+_TRIPLES = 200000
 _FAMILIES = 4096
 _JOINS = 6
 
@@ -272,6 +287,18 @@ def _grid(domains, budget: int, rng: random.Random):
     else:
         for _ in range(budget):
             yield tuple(rng.choice(d) for d in domains)
+
+
+def _index_grid(k: int, arity: int, budget: int, rng: random.Random):
+    """The _grid over arity copies of range(k), as an array with one row
+    of sample indices per case, in the same order and with the same
+    draws."""
+    if k ** arity <= budget:
+        return np.indices((k,) * arity).reshape(arity, -1).T
+    draws = itertools.chain.from_iterable(
+        _grid((range(k),) * arity, budget, rng))
+    return np.fromiter(draws, dtype=np.int64,
+                       count=budget * arity).reshape(budget, arity)
 
 
 def pure_samples(algebra: TensorAlgebra, max_degree: int = 2) -> list:
@@ -358,19 +385,118 @@ def show_element(algebra: TensorAlgebra, a: GradedElement) -> str:
     return " | ".join(bits)
 
 
-def _law_suite(algebra: TensorAlgebra, dia, bdia, samples):
-    """What both law suites share: the samples, the pre-support of a
-    product (ss), its scalar embedding (sig), a sample printer (show) and
-    a printer for a pair of samples (pair)."""
-    if samples is None:
-        samples = default_samples(algebra)
-    dia = tuple(dia)
-    bdia = tuple(bdia)
-    ss = lambda *es: algebra.support_of_product(dia, bdia, es)
-    sig = lambda a: algebra.embed(ss(a))
-    show = lambda a: show_element(algebra, a)
-    pair = lambda a, b: f"a={show(a)} b={show(b)}"
-    return samples, ss, sig, show, pair
+@dataclass(frozen=True)
+class _Factor:
+    """One factor of a product, for every case of a law's grid at once:
+    case i reads row row[i] of table, a stack of transformer tables, and
+    has degree degree[i] and is nonzero where live[i]; involute holds the
+    involutes' tables, row for row.  A factor that is the same in every
+    case has scalars there."""
+
+    table: np.ndarray
+    row: object
+    degree: object
+    live: object
+    involute: np.ndarray | None
+
+
+class _Suite:
+    """What both law suites share for one diamond pair: the samples, and
+    for each sample, computed once, its transformer table, its involute's
+    table, its degree and whether it is bottom.
+
+    A law is written once, as holds(o, *factors) over a vocabulary o: ss
+    (the support of a product), sig (a support as a scalar), inv, fixed (a
+    constant element), leq, meet and ==.  law() runs it with this object
+    as o, on whole index arrays: ss is a right fold of table lookups over
+    every case, and it marks the cases whose product would raise
+    DepthExceeded.  At the first case that fails or overflows, it runs
+    holds again on the graded elements, through support_of_product: that
+    raises DepthExceeded there exactly as the element-wise scan did, and
+    anywhere else it must agree that the law fails.
+    """
+
+    def __init__(self, algebra: TensorAlgebra, dia, bdia, samples):
+        L = algebra.lattice
+        self.algebra = algebra
+        self.dia = dia = tuple(dia)
+        self.bdia = bdia = tuple(bdia)
+        self.samples = (default_samples(algebra) if samples is None
+                        else list(samples))
+        stack = lambda es: np.array(
+            [algebra.transformer(dia, bdia, e) for e in es],
+            dtype=np.int64).reshape(-1, L.n)
+        self.tables = stack(self.samples)
+        self.inv_tables = stack(map(algebra.inv, self.samples))
+        # the scalars embed(x); in a frame each is the meet row of x
+        self.scalars = stack(map(algebra.embed, range(L.n)))
+        self.degrees = np.array([algebra.degree(e) for e in self.samples],
+                                dtype=np.int64)
+        self.live = np.array([not e.is_bottom for e in self.samples],
+                             dtype=bool)
+        self._leq = _leq_matrix(L)
+        self._meet = np.asarray(L._meet, dtype=np.int64)
+        self.over = np.zeros(0, dtype=bool)
+        ss = lambda *es: algebra.support_of_product(dia, bdia, es)
+        self.elements = SimpleNamespace(
+            ss=ss, sig=lambda a: algebra.embed(ss(a)), inv=algebra.inv,
+            fixed=lambda e: e, leq=L.leq, meet=L.meet)
+
+    # --- the law vocabulary over index arrays -----------------------------
+
+    def ss(self, *factors) -> np.ndarray:
+        L = self.algebra.lattice
+        y = np.full(len(self.over), L.top, dtype=np.int64)
+        live, degree = True, 0
+        for f in reversed(factors):
+            y = f.table[f.row, y]
+            live = live & f.live
+            degree = degree + f.degree
+        self.over |= live & (degree > self.algebra.depth)
+        return np.where(live, y, L.bottom)
+
+    def sig(self, f: _Factor) -> _Factor:
+        s = self.ss(f)
+        return _Factor(self.scalars, s, 0, s != self.algebra.lattice.bottom,
+                       self.scalars)
+
+    def inv(self, f: _Factor) -> _Factor:
+        return _Factor(f.involute, f.row, f.degree, f.live, f.table)
+
+    def fixed(self, e: GradedElement) -> _Factor:
+        A = self.algebra
+        table = np.array([A.transformer(self.dia, self.bdia, e)])
+        return _Factor(table, 0, A.degree(e), not e.is_bottom, None)
+
+    def leq(self, x, y):
+        return self._leq[x, y]
+
+    def meet(self, x, y):
+        return self._meet[x, y]
+
+    # --- running a law ----------------------------------------------------
+
+    def law(self, name: str, cases: np.ndarray, holds, describe) -> LawResult:
+        'One law over the rows of cases, sample indices, in order.'
+        self.over = np.zeros(len(cases), dtype=bool)
+        ok = holds(self, *(_Factor(self.tables, rows, self.degrees[rows],
+                                   self.live[rows], self.inv_tables)
+                           for rows in cases.T))
+        bad = ~ok | self.over
+        if not bad.any():
+            return LawResult(name, True)
+        case = [self.samples[i] for i in cases[int(np.argmax(bad))]]
+        if holds(self.elements, *case):
+            raise InternalValidationFailed(
+                f"law {name}: table and element folds disagree at "
+                f"{describe(*case)}")
+        return LawResult(name, False, describe(*case))
+
+    def show(self, a: GradedElement) -> str:
+        return show_element(self.algebra, a)
+
+    def pair(self, a: GradedElement, b: GradedElement) -> str:
+        return f"a={self.show(a)} b={self.show(b)}"
 
 
 def check_presupport_laws(algebra: TensorAlgebra, dia: Sequence[int],
@@ -382,39 +508,42 @@ def check_presupport_laws(algebra: TensorAlgebra, dia: Sequence[int],
     engineered non-conjugate pair they may fail while the rest still
     pass.  Laws over one sample check every sample; the pair laws check
     every pair up to _PRESUPPORT_PAIRS = 25,000 pairs and conjugacy-c
-    every triple up to _TRIPLES = 4,000, above which they check that many
-    draws from one Random(_SEED = 0).  Products of samples can exceed the
-    configured depth, in which case DepthExceeded propagates; callers
-    wanting the default grid of degree-2 samples need depth at least 8.
+    every triple up to _TRIPLES = 200,000 (all of them on the 3-chain and
+    the diamond), above which they check that many draws from one
+    Random(_SEED = 0).  Every law reads the samples' transformer tables
+    (see _Suite).  Products of samples can exceed the configured depth,
+    in which case DepthExceeded propagates; callers wanting the default
+    grid of degree-2 samples need depth at least 8.
     """
-    L = algebra.lattice
-    samples, ss, sig, show, pair = _law_suite(algebra, dia, bdia, samples)
+    suite = _Suite(algebra, dia, bdia, samples)
+    law, show, pair = suite.law, suite.show, suite.pair
+    top = algebra.lattice.top
     rng = random.Random(_SEED)
-    inv = algebra.inv
-    each = [(a,) for a in samples]
-    pairs = lambda: _grid((samples, samples), _PRESUPPORT_PAIRS, rng)
+    k = len(suite.samples)
+    each = _index_grid(k, 1, k, rng)
+    pairs = lambda: _index_grid(k, 2, _PRESUPPORT_PAIRS, rng)
     return [
         _first_failure("unit-support", [()],
-                       lambda: ss(algebra.unit) == L.top, lambda: "unit"),
-        _first_failure("support-below-unit", each,
-                       lambda a: L.leq(ss(a), L.top), show),
-        _first_failure("support-idempotent", each,
-                       lambda a: ss(sig(a)) == ss(a), show),
-        _first_failure("support-product", pairs(),
-                       lambda a, b: ss(sig(a), b) == L.meet(ss(a), ss(b)),
-                       pair),
-        _first_failure("stability", pairs(),
-                       lambda a, b: ss(a, b) == ss(a, sig(b)), pair),
-        _first_failure("conjugacy-a", each,
-                       lambda a: L.leq(ss(a), ss(a, inv(a))), show),
-        _first_failure("conjugacy-b", pairs(),
-                       lambda a, b: L.leq(ss(sig(a), b), ss(a, inv(a), b)),
-                       pair),
-        _first_failure("conjugacy-c", _grid((samples,) * 3, _TRIPLES, rng),
-                       lambda c, a, b: L.leq(ss(c, sig(a), b),
-                                             ss(c, a, inv(a), b)),
-                       lambda c, a, b:
-                       f"c={show(c)} a={show(a)} b={show(b)}"),
+                       lambda: suite.elements.ss(algebra.unit) == top,
+                       lambda: "unit"),
+        law("support-below-unit", each,
+            lambda o, a: o.leq(o.ss(a), top), show),
+        law("support-idempotent", each,
+            lambda o, a: o.ss(o.sig(a)) == o.ss(a), show),
+        law("support-product", pairs(),
+            lambda o, a, b: o.ss(o.sig(a), b) == o.meet(o.ss(a), o.ss(b)),
+            pair),
+        law("stability", pairs(),
+            lambda o, a, b: o.ss(a, b) == o.ss(a, o.sig(b)), pair),
+        law("conjugacy-a", each,
+            lambda o, a: o.leq(o.ss(a), o.ss(a, o.inv(a))), show),
+        law("conjugacy-b", pairs(),
+            lambda o, a, b: o.leq(o.ss(o.sig(a), b), o.ss(a, o.inv(a), b)),
+            pair),
+        law("conjugacy-c", _index_grid(k, 3, _TRIPLES, rng),
+            lambda o, c, a, b: o.leq(o.ss(c, o.sig(a), b),
+                                     o.ss(c, a, o.inv(a), b)),
+            lambda c, a, b: f"c={show(c)} a={show(a)} b={show(b)}"),
     ]
 
 
@@ -425,37 +554,41 @@ def check_lemmaB_inequalities(algebra: TensorAlgebra, dia: Sequence[int],
     The defining-pair family holds for conjugate diamonds; the T, K4 and
     S5 families are included only when the diamond pair satisfies the
     corresponding modal-class axioms, since that is their hypothesis.
-    defining-pair checks every triple of samples up to _TRIPLES = 4,000
-    and the pair laws every pair up to _LEMMA_B_PAIRS = 4,000, above
-    which they check that many draws from one Random(_SEED = 0).  Sample
-    combinations whose sides would overflow the configured depth are
-    dropped from a law's grid; if nothing fits, DepthExceeded.
+    defining-pair checks every triple of samples up to _TRIPLES = 200,000
+    (all of them on the 3-chain and the diamond) and the pair laws every
+    pair up to _LEMMA_B_PAIRS = 4,000, above which they check that many
+    draws from one Random(_SEED = 0).  Every law reads the samples'
+    transformer tables (see _Suite).  Sample combinations whose sides
+    would overflow the configured depth are dropped from a law's grid; if
+    nothing fits, DepthExceeded.
     """
     L = algebra.lattice
-    samples, ss, sig, show, pair = _law_suite(algebra, dia, bdia, samples)
+    suite = _Suite(algebra, dia, bdia, samples)
+    law, show, pair = suite.law, suite.show, suite.pair
     rng = random.Random(_SEED)
+    k = len(suite.samples)
 
-    def deg(e):
-        return max((len(w) for w in e.words()), default=0)
-
-    def eligible(cases, need):
-        kept = [case for case in cases if need(*case) <= algebra.depth]
-        if not kept:
+    def eligible(cases, weights, extra_degree=0):
+        need = extra_degree + sum(w * suite.degrees[rows]
+                                  for w, rows in zip(weights, cases.T))
+        kept = cases[need <= algebra.depth]
+        if not len(kept):
             raise DepthExceeded(
                 f"no sample instance fits within depth {algebra.depth}")
         return kept
 
-    results = [_first_failure(
+    results = [law(
         "defining-pair",
-        eligible(_grid((samples,) * 3, _TRIPLES, rng),
-                 lambda a, t, b: deg(a) + 2 * deg(t) + deg(b)),
-        lambda a, t, b: L.leq(ss(a, sig(t), b), ss(a, t, algebra.inv(t), b)),
+        eligible(_index_grid(k, 3, _TRIPLES, rng), (1, 2, 1)),
+        lambda o, a, t, b: o.leq(o.ss(a, o.sig(t), b),
+                                 o.ss(a, t, o.inv(t), b)),
         lambda a, t, b: f"a={show(a)} t={show(t)} b={show(b)}")]
 
-    eps_only = [(s,) for s in samples if all(w == "" for w in s.words())]
+    eps_only = [(s,) for s in suite.samples if all(w == "" for w in s.words())]
     results.append(_first_failure(
         "eps-selfproduct", eps_only,
-        lambda e: algebra.mul(e, algebra.inv(e)) == sig(e), show))
+        lambda e: algebra.mul(e, algebra.inv(e)) == suite.elements.sig(e),
+        show))
 
     t_class, k4_class, s5_class = (check_modal_class(L, dia, bdia, cls).ok
                                    for cls in ("T", "K4", "S5"))
@@ -463,21 +596,23 @@ def check_lemmaB_inequalities(algebra: TensorAlgebra, dia: Sequence[int],
     abar_inv = algebra.alpha_bar("A")
 
     def pairlaw(name, extra_degree, holds):
-        cases = eligible(_grid((samples, samples), _LEMMA_B_PAIRS, rng),
-                         lambda a, b: deg(a) + deg(b) + extra_degree)
-        results.append(_first_failure(name, cases, holds, pair))
+        cases = eligible(_index_grid(k, 2, _LEMMA_B_PAIRS, rng), (1, 1),
+                         extra_degree)
+        results.append(law(name, cases, holds, pair))
 
     if t_class:
         for name, mid in (("t-alpha", abar), ("t-alpha-inv", abar_inv)):
-            pairlaw(name, 1, lambda a, b, mid=mid:
-                    L.leq(ss(a, b), ss(a, mid, b)))
+            pairlaw(name, 1, lambda o, a, b, mid=mid:
+                    o.leq(o.ss(a, b), o.ss(a, o.fixed(mid), b)))
     if k4_class:
         for name, mid in (("k4-alpha", abar), ("k4-alpha-inv", abar_inv)):
-            pairlaw(name, 2, lambda a, b, mid=mid:
-                    L.leq(ss(a, mid, mid, b), ss(a, mid, b)))
+            pairlaw(name, 2, lambda o, a, b, mid=mid:
+                    o.leq(o.ss(a, o.fixed(mid), o.fixed(mid), b),
+                          o.ss(a, o.fixed(mid), b)))
     if s5_class:
         pairlaw("s5-exchange", 1,
-                lambda a, b: ss(a, abar, b) == ss(a, abar_inv, b))
+                lambda o, a, b: o.ss(a, o.fixed(abar), b)
+                == o.ss(a, o.fixed(abar_inv), b))
     return results
 
 

@@ -98,6 +98,44 @@ def order_ideals(points, leq):
     return sorted(ideals, key=lambda s: (len(s), sorted(s)))
 
 
+# --- tensor pre-support of a product, by enumeration --------------------
+
+def support_by_combinations(algebra, dia, bdia, elems):
+    """The pre-support of a product of graded elements, from the
+    definition: the join, over every combination of one tuple from each
+    factor's components, of the pure-tensor recursion
+    x0 ^ <w1>(x1 ^ ... <wk>(xk)) on the combined slots, where the last
+    slot of one factor meets the first slot of the next.  Every tuple of
+    a down-set is enumerated, not only the maximal ones.  A bottom factor
+    gives bottom; otherwise the first combination, in product order,
+    whose word exceeds the depth raises DepthExceeded.
+    """
+    from quantales.errors import DepthExceeded
+
+    L = algebra.lattice
+    decomps = []
+    for e in elems:
+        gens = [(w, tuple(algebra.irr[p] for p in t))
+                for w, comp in e.parts for t in sorted(comp)]
+        if not gens:
+            return L.bottom
+        decomps.append(gens)
+    out = L.bottom
+    for combo in itertools.product(*decomps):
+        word = "".join(w for w, _ in combo)
+        if len(word) > algebra.depth:
+            raise DepthExceeded(
+                f"product degree {word!r} exceeds depth {algebra.depth}")
+        slots = combo[0][1] if combo else (L.top,)
+        for _, more in combo[1:]:
+            slots = slots[:-1] + (L.meet(slots[-1], more[0]),) + more[1:]
+        cur = slots[-1]
+        for i in range(len(word) - 1, -1, -1):
+            cur = L.meet(slots[i], (dia if word[i] == "a" else bdia)[cur])
+        out = L.join(out, cur)
+    return out
+
+
 # --- relation algebra on explicit pair sets, for cross-checking bitset code ---
 
 def rel_compose(r, s):

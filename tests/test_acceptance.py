@@ -51,6 +51,7 @@ from quantales.semantics import (
     valid_in_model,
 )
 from quantales.tensor import (
+    _TRIPLES,
     GradingWitness,
     TensorAlgebra,
     check_graded_nucleus,
@@ -382,6 +383,8 @@ def test_c07_tensor_law_suites_on_the_full_pure_grid():
     for L in (chain_lattice(2), chain_lattice(3), diamond_lattice()):
         algebra = TensorAlgebra(L, depth=8)
         samples = pure_samples(algebra, 2)
+        # the triple laws see every triple, not a sample of them
+        assert len(samples) ** 3 <= _TRIPLES
         count = 0
         for dia, bdia in conjugate_pairs(L):
             results = check_presupport_laws(algebra, dia, bdia,

@@ -45,6 +45,7 @@ VAL p x
 """
 
 CHAIN2_FRAME = "ELEMENTS bot top\nLEQ (bot,top)\n"
+DIAMOND_FRAME = "ELEMENTS b x y t\nLEQ (b,x) (b,y) (x,t) (y,t)\n"
 
 S5_SCHEME = "<>p /\\ q -> <>(p /\\ <>q)"
 
@@ -193,6 +194,16 @@ def test_tensor_verify_covers_every_conjugate_pair(files, capsys):
     assert all(l.endswith("PASS") for l in lines if l.startswith("LAW"))
     assert "LAW s5-exchange PASS" in lines
     assert "LAW stability PASS" in lines
+
+
+def test_tensor_verify_on_the_diamond_frame(files, capsys):
+    code, out, _ = run(capsys, "tensor-verify",
+                       "--frame", files("d.frame", DIAMOND_FRAME))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "INFO conjugate-pairs 16"
+    assert sum(l.startswith("PAIR") for l in lines) == 16
+    assert not any("FAIL" in l for l in lines)
 
 
 def test_tensor_verify_reports_depth_exhaustion(files, capsys):

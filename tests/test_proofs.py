@@ -29,7 +29,7 @@ from quantales.lattice import (
     diamond_lattice,
     powerset_lattice,
 )
-from quantales.nucleus import Nucleus, is_nucleus, least_nucleus
+from quantales.nucleus import Nucleus, is_nucleus, least_nucleus, nucleus_join
 from quantales.parsing import document_quantale, parse_model
 from quantales.quantale import (
     Quantale,
@@ -155,6 +155,16 @@ def test_least_nucleus_checks_each_of_its_two_results_once(rq2,
     alpha = 1 << 1
     least_nucleus(rq2, system_pairs(rq2, alpha, "S4"))
     assert len(closure_checks) == 2
+
+
+def test_nucleus_join_checks_its_result_once(rq2, closure_checks):
+    alpha = 1 << 1
+    a = least_nucleus(rq2, system_pairs(rq2, alpha, "T"))
+    b = least_nucleus(rq2, system_pairs(rq2, alpha, "K4"))
+    closure_checks.clear()
+    j = nucleus_join(a, b)
+    assert len(closure_checks) == 1
+    assert set(j.closed()) == set(a.closed()) & set(b.closed())
 
 
 def test_closure_from_meet_closed_checks_once(closure_checks):

@@ -8,13 +8,19 @@ the down-set components are required to be order-isomorphic to that.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import m3_lattice
-from quantales.bimodal import check_conjugacy, diamonds_from_point
+import quantales.tensor
+from quantales.bimodal import (
+    check_conjugacy,
+    conjugate_pairs,
+    diamonds_from_point,
+)
 from quantales.errors import DepthExceeded, NotAFrame
 from quantales.lattice import (
     chain_lattice,
@@ -36,6 +42,7 @@ from quantales.tensor import (
     InvolutiveMonoid,
     LawResult,
     TensorAlgebra,
+    _first_failure,
     _grid,
     check_graded_nucleus,
     check_grading,
@@ -67,7 +74,13 @@ A_CH3 = TensorAlgebra(CH3, depth=3)
 A_P2 = TensorAlgebra(P2, depth=4)
 
 
-from oracles import irr_below, join_reversing_maps, order_ideals, tables
+from oracles import (
+    irr_below,
+    join_reversing_maps,
+    order_ideals,
+    support_by_combinations,
+    tables,
+)
 
 
 def identity(L):
@@ -393,6 +406,76 @@ def test_product_support_agrees_with_materialized_product():
         assert direct == A.pre_support(bf.dia, bf.bdia, A.mul(a, b))
 
 
+def test_product_support_checks_every_combination_against_the_depth():
+    # the first combination, e.e, reaches top; the overflowing aa.aa comes
+    # later, and the materialized product raises on it
+    A = TensorAlgebra(CH2, depth=2)
+    ident = identity(CH2)
+    e = A.join(A.embed(CH2.top), A.alpha_bar("aa"))
+    message = "product degree 'aaaa' exceeds depth 2"
+    with pytest.raises(DepthExceeded, match=message):
+        A.mul(e, e)
+    with pytest.raises(DepthExceeded, match=message):
+        A.support_of_product(ident, ident, (e, e))
+    # a bottom factor makes the product bottom, as mul does
+    assert A.mul(A.bottom, e).is_bottom
+    assert A.support_of_product(ident, ident, (A.bottom, e, e)) == CH2.bottom
+
+
+def test_scalar_transformers_are_meet_rows():
+    # the join over irreducibles j <= x of j ^ y is x ^ y in a frame
+    for L in (CH3, P2, diamond_lattice()):
+        A = TensorAlgebra(L, depth=1)
+        ident = tuple(identity(L))
+        for x in range(L.n):
+            assert A.transformer(ident, ident, A.embed(x)) == tuple(
+                L.meet(x, y) for y in range(L.n))
+
+
+def outcome(f, *args):
+    'The value of f(*args), or the DepthExceeded message it raises.'
+    try:
+        return f(*args)
+    except DepthExceeded as exc:
+        return f"raises {exc}"
+
+
+@pytest.mark.parametrize("L", [CH2, CH3, diamond_lattice(),
+                               powerset_lattice("abc")],
+                         ids=["chain2", "chain3", "diamond", "powerset3"])
+def test_transformer_fold_matches_the_combination_oracle(L):
+    deep = TensorAlgebra(L, depth=8)
+    shallow = TensorAlgebra(L, depth=4)
+    rng = random.Random(23)
+    samples = default_samples(deep)
+    pool = (samples
+            + [deep.join(rng.choice(samples), rng.choice(samples))
+               for _ in range(20)]
+            + [deep.bottom] + [deep.embed(x) for x in range(L.n)])
+    pairs = list(conjugate_pairs(L))
+    per_pair = max(4, 2000 // len(pairs))
+    checked = mismatches = raised = 0
+    for dia, bdia in pairs:
+        done = 0
+        while done < per_pair:
+            factors = tuple(rng.choice(pool)
+                            for _ in range(rng.randint(1, 4)))
+            combinations = math.prod(sum(len(c) for _, c in e.parts)
+                                     for e in factors)
+            if combinations > 3000:
+                continue   # keeps the oracle's enumeration small
+            done += 1
+            for A in (deep, shallow):
+                got = outcome(A.support_of_product, dia, bdia, factors)
+                want = outcome(support_by_combinations, A, dia, bdia, factors)
+                mismatches += got != want
+                raised += isinstance(want, str)
+                checked += 1
+    assert mismatches == 0
+    assert checked == 2 * per_pair * len(pairs)
+    assert raised > 0
+
+
 # --- law suites -----------------------------------------------------------
 
 PRESUPPORT_NAMES = [
@@ -445,6 +528,79 @@ def test_non_conjugate_pair_fails_only_the_conjugacy_laws():
     assert by_name["conjugacy-a"].witness
     assert any(line.startswith("LAW conjugacy-a FAIL")
                for line in law_lines(results))
+
+
+def scalar_triple_laws(A, dia, bdia, samples):
+    """conjugacy-c and defining-pair as the element-wise scans over _grid
+    that the array scans replaced, one support_of_product call per side."""
+    L = A.lattice
+    ss = lambda *es: A.support_of_product(dia, bdia, es)
+    sig = lambda a: A.embed(ss(a))
+    show = lambda a: show_element(A, a)
+    triples = lambda: _grid((samples,) * 3, quantales.tensor._TRIPLES,
+                            random.Random(0))
+    fits = [(a, t, b) for a, t, b in triples()
+            if A.degree(a) + 2 * A.degree(t) + A.degree(b) <= A.depth]
+    return [
+        _first_failure("conjugacy-c", triples(),
+                       lambda c, a, b: L.leq(ss(c, sig(a), b),
+                                             ss(c, a, A.inv(a), b)),
+                       lambda c, a, b:
+                       f"c={show(c)} a={show(a)} b={show(b)}"),
+        _first_failure("defining-pair", fits,
+                       lambda a, t, b: L.leq(ss(a, sig(t), b),
+                                             ss(a, t, A.inv(t), b)),
+                       lambda a, t, b:
+                       f"a={show(a)} t={show(t)} b={show(b)}"),
+    ]
+
+
+def array_triple_laws(A, dia, bdia):
+    by_name = {r.name: r for r in check_presupport_laws(A, dia, bdia)
+               + check_lemmaB_inequalities(A, dia, bdia)}
+    return [by_name["conjugacy-c"], by_name["defining-pair"]]
+
+
+P2_NON_CONJUGATE = ([P2.bottom if x == P2.bottom else P2.top
+                     for x in range(P2.n)], identity(P2))
+CH3_NON_CONJUGATE = ((0, 1, 1), (0, 1, 2))
+
+
+@pytest.mark.parametrize("L,pair", [(P2, P2_NON_CONJUGATE),
+                                    (CH3, CH3_NON_CONJUGATE)],
+                         ids=["powerset2", "chain3"])
+def test_array_triple_scan_gives_the_scalar_verdicts(L, pair):
+    A = TensorAlgebra(L, depth=8)
+    samples = default_samples(A)
+    assert len(samples) ** 3 <= quantales.tensor._TRIPLES   # exhaustive
+    assert not check_conjugacy(L, *pair).ok
+    got = array_triple_laws(A, *pair)
+    assert not any(got)
+    assert got == scalar_triple_laws(A, *pair, samples)
+
+
+@pytest.mark.parametrize("L,pair", [(P2, P2_NON_CONJUGATE),
+                                    (CH3, CH3_NON_CONJUGATE),
+                                    (CH3, (identity(CH3),) * 2)],
+                         ids=["powerset2", "chain3", "chain3-identity"])
+def test_array_triple_scan_on_a_sampled_grid(L, pair, monkeypatch):
+    monkeypatch.setattr(quantales.tensor, "_TRIPLES", 300)
+    A = TensorAlgebra(L, depth=8)
+    samples = default_samples(A)
+    assert len(samples) ** 3 > 300
+    got = array_triple_laws(A, *pair)
+    assert got == scalar_triple_laws(A, *pair, samples)
+
+
+def test_array_triple_scan_raises_where_the_scalar_scan_raises():
+    A = TensorAlgebra(CH3, depth=6)
+    ident = identity(CH3)
+    samples = default_samples(A)
+    with pytest.raises(DepthExceeded) as want:
+        scalar_triple_laws(A, ident, ident, samples)
+    with pytest.raises(DepthExceeded) as got:
+        check_presupport_laws(A, ident, ident)
+    assert str(got.value) == str(want.value)
 
 
 def test_scalar_selfproduct_is_the_support():
