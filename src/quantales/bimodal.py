@@ -19,7 +19,7 @@ from .errors import (
     NotConjugate,
     NotJoinPreserving,
 )
-from .lattice import FiniteSupLattice
+from .lattice import FiniteSupLattice, right_adjoint
 from .quantale import MODAL_SYSTEMS, SupportLocale, supports_locale
 
 
@@ -115,16 +115,15 @@ def box_adjoints(L: FiniteSupLattice, dia: Sequence[int],
                  bdia: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Right adjoints: box to the second diamond, black box to the first.
 
-    box(y) joins everything the second diamond keeps below y, so that
-    bdia(x) <= y iff x <= box(y); the black box does the same for dia.
+    box(y) joins the irreducibles the second diamond keeps below y, so
+    that bdia(x) <= y iff x <= box(y); the black box does the same for dia.
     The two adjunctions are verified exhaustively before returning; the
-    preconditions of check_conjugacy are checked first.
+    preconditions of check_conjugacy, join preservation, are checked first.
     """
     _require_join_preserving(L, dia, bdia)
-    box = tuple(L.join_all(x for x in range(L.n) if L.leq(bdia[x], y))
-                for y in range(L.n))
-    bbox = tuple(L.join_all(x for x in range(L.n) if L.leq(dia[x], y))
-                 for y in range(L.n))
+    irr = L.join_irreducibles()
+    box = tuple(right_adjoint(L, irr, bdia.__getitem__, y) for y in range(L.n))
+    bbox = tuple(right_adjoint(L, irr, dia.__getitem__, y) for y in range(L.n))
     for x in range(L.n):
         for y in range(L.n):
             if L.leq(bdia[x], y) != L.leq(x, box[y]):

@@ -128,7 +128,16 @@ class FiniteSupLattice:
         'Heyting residual: the largest c with b meet c <= a.  Frames only.'
         if not self.is_frame():
             raise NotAFrame("residuals need a frame; meet fails to distribute")
-        return self.join_all(c for c in range(self.n) if self.leq(self._meet[b][c], a))
+        return right_adjoint(self, self.join_irreducibles(), self._meet[b].__getitem__, a)
+
+
+def right_adjoint(L, irreducibles: Iterable[int], f, y: int) -> int:
+    """The largest x with f(x) <= y, for f preserving all joins on a
+    join-closed down-set of L with these join-irreducibles: the join r of
+    the j with f(j) <= y.  Proof: f(r) is the join of those f(j), so x <= r
+    gives f(x) <= f(r) <= y; if f(x) <= y, every irreducible j <= x has
+    f(j) <= y, and x is their join, so x <= r (Davey & Priestley, ch. 7)."""
+    return L.join_all(j for j in irreducibles if L.leq(f(j), y))
 
 
 def make_lattice(elements: Sequence, leq: Iterable[tuple]) -> FiniteSupLattice:

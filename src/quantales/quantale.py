@@ -51,6 +51,8 @@ class Quantale:
         self.bottom = lattice.bottom
         self.top = lattice.top
         self._supp_elems = None
+        self.support_irreducibles = tuple(
+            j for j in lattice.join_irreducibles() if lattice.leq(j, unit))
 
     def __repr__(self):
         return f"Quantale(n={self.n}, supported={self.has_support})"
@@ -323,6 +325,7 @@ class RelationQuantale:
         self.top = rel.full(self.nw)
         self.stable = True
         self._supp_elems = None
+        self.support_irreducibles = tuple(1 << b for b in _bits(self.unit))
 
     def __repr__(self):
         return f"RelationQuantale(worlds={self.nw})"

@@ -8,8 +8,8 @@ complements in the support locale, failing with NotComplemented (naming
 the offending subformula) when one is missing, and read conjunction,
 implication, the box and the A-forms as abbreviations; intuitionistic
 mode reads conjunction as multiplication, implication and negation as
-the Heyting residual and the box as a right adjoint, and needs no
-complements.
+the Heyting residual and the box as a right adjoint.  These and complements
+are joins over the locale's irreducibles, one per world (lattice.right_adjoint).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .formulas import (
     Temporal,
     to_text,
 )
+from .lattice import right_adjoint
 
 
 @dataclass
@@ -78,21 +79,15 @@ class PointedModel:
         return self.programs.get(name, self.quantale.bottom)
 
 
+def _residual(q, a: int, b: int) -> int:
+    'Heyting residual a -> b: the right adjoint of c |-> a ^ c below the unit.'
+    return right_adjoint(q, q.support_irreducibles, lambda c: q.meet(a, c), b)
+
+
 def complement_in_locale(q, b: int):
-    'The complement of b below the unit, or None: join of everything disjoint.'
-    c = q.join_all(x for x in q.support_elements()
-                   if q.meet(x, b) == q.bottom)
-    if q.join(b, c) != q.unit or q.meet(b, c) != q.bottom:
-        return None
-    return c
-
-
-def _complement(q, b: int, node: Formula) -> int:
-    c = complement_in_locale(q, b)
-    if c is None:
-        raise NotComplemented(
-            f"value of {to_text(node)!r} has no complement below the unit", node)
-    return c
+    'The complement of b below the unit, or None: b -> bottom, if it joins b to e.'
+    c = _residual(q, b, q.bottom)
+    return c if q.join(b, c) == q.unit else None
 
 
 def op_star(q, a: int) -> int:
@@ -164,21 +159,23 @@ def evaluate(model: PointedModel, f: Formula) -> int:
             return q.support(q.mul(model.alpha, ev(f.sub)))
         if isinstance(f, ProgDiamond):
             return q.support(q.mul(_eval_prog(model, f.prog), ev(f.sub)))
+        if isinstance(f, Not):
+            v = ev(f.sub)
+            c = _residual(q, v, q.bottom)
+            if heyting or q.join(v, c) == q.unit:
+                return c
+            raise NotComplemented(f"value of {to_text(f.sub)!r} has no "
+                                  "complement below the unit", f.sub)
         if heyting:
             if isinstance(f, And):
                 # conjunction is multiplication, which is meet below the unit
                 return q.mul(ev(f.left), ev(f.right))
             if isinstance(f, Implies):
                 return _residual(q, ev(f.left), ev(f.right))
-            if isinstance(f, Not):
-                return _residual(q, ev(f.sub), q.bottom)
             # Box: the right adjoint of the diamond along the converse point
-            y = ev(f.sub)
             ainv = q.inv(model.alpha)
-            return q.join_all(x for x in q.support_elements()
-                              if q.leq(q.support(q.mul(ainv, x)), y))
-        if isinstance(f, Not):
-            return _complement(q, ev(f.sub), f.sub)
+            return right_adjoint(q, q.support_irreducibles,
+                                 lambda x: q.support(q.mul(ainv, x)), ev(f.sub))
         if isinstance(f, Temporal) and f.op not in _DUALS:
             v = ev(f.sub)
             if f.op == "EX":
@@ -197,12 +194,6 @@ def evaluate(model: PointedModel, f: Formula) -> int:
     return ev(f)
 
 
-def _residual(q, a: int, b: int) -> int:
-    'Heyting residual inside the support locale.'
-    return q.join_all(c for c in q.support_elements()
-                      if q.leq(q.meet(a, c), b))
-
-
 def _eval_prog(model, p):
     q = model.quantale
     if isinstance(p, PAtom):
@@ -218,8 +209,6 @@ def _eval_prog(model, p):
     raise TypeError(f"not a program: {p!r}")
 
 
-def valid_in_model(model: PointedModel, f: Formula, mode: Mode | None = None) -> bool:
+def valid_in_model(model: PointedModel, f: Formula) -> bool:
     'A formula is valid when its value is the whole unit.'
-    if mode is not None:
-        _in_mode(model, mode)
     return evaluate(model, f) == model.quantale.unit

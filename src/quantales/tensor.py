@@ -97,8 +97,8 @@ class TensorAlgebra:
             for x in range(lattice.n))
         self._max_cache = {}
         self._transformers = {}
-        self.unit = self.embed(lattice.top)
         self.bottom = GradedElement(())
+        self.unit = self.embed(lattice.top)
 
     # --- construction -----------------------------------------------------
 

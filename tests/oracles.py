@@ -136,6 +136,42 @@ def support_by_combinations(algebra, dia, bdia, elems):
     return out
 
 
+# --- right adjoints as joins over every element -------------------------
+# The reference for lattice.right_adjoint, which joins irreducibles only.
+
+def lattice_residual_by_joins(L, b, a):
+    'The largest c with b ^ c <= a: the join of every such c.'
+    return L.join_all(c for c in range(L.n) if L.leq(L.meet(b, c), a))
+
+
+def box_adjoints_by_joins(L, dia, bdia):
+    'box(y) joins every x with bdia(x) <= y; bbox(y) every x with dia(x) <= y.'
+    return tuple(tuple(L.join_all(x for x in range(L.n) if L.leq(t[x], y))
+                       for y in range(L.n)) for t in (bdia, dia))
+
+
+def locale_residual_by_joins(q, a, b):
+    'The Heyting residual a -> b: the join of every c <= e with a ^ c <= b.'
+    return q.join_all(c for c in q.support_elements()
+                      if q.leq(q.meet(a, c), b))
+
+
+def locale_complement_by_joins(q, b):
+    'The join of every x <= e disjoint from b, if it complements b; else None.'
+    c = q.join_all(x for x in q.support_elements()
+                   if q.meet(x, b) == q.bottom)
+    if q.join(b, c) != q.unit or q.meet(b, c) != q.bottom:
+        return None
+    return c
+
+
+def locale_box_by_joins(q, alpha, y):
+    'The join of every x <= e with s(alpha- x) <= y.'
+    ainv = q.inv(alpha)
+    return q.join_all(x for x in q.support_elements()
+                      if q.leq(q.support(q.mul(ainv, x)), y))
+
+
 # --- relation algebra on explicit pair sets, for cross-checking bitset code ---
 
 def rel_compose(r, s):

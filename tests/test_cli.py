@@ -206,6 +206,17 @@ def test_tensor_verify_on_the_diamond_frame(files, capsys):
     assert not any("FAIL" in l for l in lines)
 
 
+def test_tensor_verify_on_the_one_element_frame(files, capsys):
+    code, out, err = run(capsys, "tensor-verify",
+                         "--frame", files("one.frame", "ELEMENTS 0\n"))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "INFO conjugate-pairs 1"
+    assert sum(l.startswith("PAIR") for l in lines) == 1
+    laws = [l for l in lines if l.startswith("LAW")]
+    assert len(laws) == 15 and all(l.endswith(" PASS") for l in laws)
+
+
 def test_tensor_verify_reports_depth_exhaustion(files, capsys):
     code, out, err = run(capsys, "tensor-verify",
                          "--frame", files("c2.frame", CHAIN2_FRAME),

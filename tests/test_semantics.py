@@ -388,7 +388,7 @@ def test_mode_mismatch_rejected():
     with pytest.raises(ValueError):
         eval_ctl(m, Atom("p"))
     with pytest.raises(ValueError):
-        valid_in_model(m, Atom("p"), mode=Mode.PDL)
+        eval_pdl(m, Atom("p"))
 
 
 def test_atom_value_above_unit_rejected():

@@ -229,6 +229,12 @@ def test_base_must_be_a_frame():
         TensorAlgebra(CH3, depth=-1)
 
 
+def test_the_one_element_frame_has_unit_equal_to_bottom():
+    A = TensorAlgebra(chain_lattice(1))
+    assert A.unit == A.bottom and A.unit.is_bottom
+    assert A.eps_value(A.unit) == 0
+
+
 def test_word_involution():
     assert word_inv("") == ""
     assert word_inv("a") == "A"
