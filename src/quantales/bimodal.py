@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import (
     InternalValidationFailed,
     LawCheck,
@@ -24,15 +26,13 @@ from .quantale import MODAL_SYSTEMS, SupportLocale, supports_locale
 
 
 def join_preservation_witness(L: FiniteSupLattice, table: Sequence[int]):
-    'None, or the pair of elements where f(a v b) != f(a) v f(b).'
-    t = tuple(table)
+    'None, or the first pair of elements where f(a v b) != f(a) v f(b).'
+    t = np.asarray(table, dtype=np.int64)
     if t[L.bottom] != L.bottom:
         return (L.bottom, L.bottom)
-    for a in range(L.n):
-        for b in range(L.n):
-            if t[L.join(a, b)] != L.join(t[a], t[b]):
-                return (a, b)
-    return None
+    J = L.join_matrix
+    bad = t[J] != J[np.ix_(t, t)]
+    return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
 
 
 def _require_maps(L: FiniteSupLattice, *tables: Sequence[int]) -> None:
@@ -54,11 +54,13 @@ def _require_join_preserving(L: FiniteSupLattice, dia, bdia) -> None:
 def _conjugacy_inequalities(L: FiniteSupLattice, dia: Sequence[int],
                             bdia: Sequence[int]) -> LawCheck:
     'Both conjugacy inequalities at every (x, y), for join-preserving maps.'
+    # a scalar scan, so that a failing pair stops at its first bad cell
+    leq, meet = L.leq_matrix.item, L.meet_matrix.item
     for x in range(L.n):
         for y in range(L.n):
-            if not L.leq(L.meet(dia[x], y), dia[L.meet(x, bdia[y])]):
+            if not leq(meet(dia[x], y), dia[meet(x, bdia[y])]):
                 return LawCheck(False, "forward", (x, y))
-            if not L.leq(L.meet(bdia[x], y), bdia[L.meet(x, dia[y])]):
+            if not leq(meet(bdia[x], y), bdia[meet(x, dia[y])]):
                 return LawCheck(False, "backward", (x, y))
     return LawCheck(True)
 

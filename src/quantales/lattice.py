@@ -1,8 +1,10 @@
 """Finite complete lattices with precomputed join/meet tables.
 
-Elements are integer indices into a label tuple.  The order is stored as
-bitmask rows (bit j of up[i] set iff i <= j), joins and meets are tabulated
-once at construction, and every object here is immutable after validation.
+Elements are integer indices into a label tuple.  The order, joins and
+meets are stored once, at construction, as read-only numpy arrays; a
+sub-lattice, such as the closed elements of a closure, is cut from its
+parent's arrays by indexing.  Every object here is immutable after
+validation.
 """
 
 from __future__ import annotations
@@ -31,26 +33,33 @@ def _bits(mask: int):
         mask ^= low
 
 
+def frozen(table, dtype=np.int64) -> np.ndarray:
+    'A read-only copy of table: the one stored form of every validated table.'
+    out = np.array(table, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 class FiniteSupLattice:
     """A finite lattice, hence complete: all joins and meets exist.
 
-    Do not call the constructor directly; use make_lattice or one of the
+    The order, join and meet are read-only arrays, copied at construction;
+    the scalar methods read the same arrays and return Python values.  Do
+    not call the constructor directly; use make_lattice or one of the
     shape helpers, which validate the order and realize the tables.
     """
 
-    def __init__(self, labels, up, down, join_t, meet_t, bottom, top):
+    def __init__(self, labels, leq, join, meet, bottom, top):
         self.labels = tuple(labels)
         self.n = len(self.labels)
-        self._up = tuple(up)
-        self._down = tuple(down)
-        self._join = tuple(tuple(row) for row in join_t)
-        self._meet = tuple(tuple(row) for row in meet_t)
-        self.bottom = bottom
-        self.top = top
+        self.leq_matrix = frozen(leq, bool)
+        self.join_matrix = frozen(join)
+        self.meet_matrix = frozen(meet)
+        self.bottom = int(bottom)
+        self.top = int(top)
         self._index = {x: i for i, x in enumerate(self.labels)}
         self._frame = None
         self._irr = None
-        self._leq = None
 
     def __len__(self):
         return self.n
@@ -69,29 +78,25 @@ class FiniteSupLattice:
         return self.labels[i]
 
     def leq(self, a: int, b: int) -> bool:
-        return bool(self._up[a] >> b & 1)
+        return self.leq_matrix.item(a, b)
 
     def join(self, a: int, b: int) -> int:
-        return self._join[a][b]
+        return self.join_matrix.item(a, b)
 
     def meet(self, a: int, b: int) -> int:
-        return self._meet[a][b]
+        return self.meet_matrix.item(a, b)
 
     def join_all(self, xs: Iterable[int]) -> int:
         out = self.bottom
         for x in xs:
-            out = self._join[out][x]
+            out = self.join_matrix.item(out, x)
         return out
 
     def meet_all(self, xs: Iterable[int]) -> int:
         out = self.top
         for x in xs:
-            out = self._meet[out][x]
+            out = self.meet_matrix.item(out, x)
         return out
-
-    def upset(self, a: int) -> int:
-        'Bitmask of elements above a.'
-        return self._up[a]
 
     def is_frame(self) -> bool:
         'Meet distributes over joins; with finiteness, binary joins suffice.'
@@ -101,10 +106,9 @@ class FiniteSupLattice:
 
     def _frame_witness(self):
         'The first (x, a, b) with x ^ (a v b) != (x ^ a) v (x ^ b), or None.'
-        mt = np.asarray(self._meet, dtype=np.int64)
-        jn = np.asarray(self._join, dtype=np.int64)
+        jn = self.join_matrix
         for x in range(self.n):
-            mx = mt[x]
+            mx = self.meet_matrix[x]
             holds = mx[jn] == jn[np.ix_(mx, mx)]
             if not holds.all():
                 a, b = np.argwhere(~holds)[0]
@@ -112,23 +116,23 @@ class FiniteSupLattice:
         return None
 
     def join_irreducibles(self) -> tuple[int, ...]:
-        'Elements other than bottom that are not joins of strictly smaller ones.'
+        """Elements other than bottom that are not joins of strictly smaller
+        ones.  A join of smaller elements that reaches x reaches it at one
+        binary step, so x is reducible iff x = a v b with a, b < x."""
         if self._irr is None:
-            out = []
-            for x in range(self.n):
-                if x == self.bottom:
-                    continue
-                below = self.join_all(b for b in _bits(self._down[x]) if b != x)
-                if below != x:
-                    out.append(x)
-            self._irr = tuple(out)
+            jn, ar = self.join_matrix, np.arange(self.n)
+            reducible = np.zeros(self.n, dtype=bool)
+            reducible[jn[(jn != ar[:, None]) & (jn != ar)]] = True
+            reducible[self.bottom] = True
+            self._irr = tuple(np.flatnonzero(~reducible).tolist())
         return self._irr
 
     def residual(self, b: int, a: int) -> int:
         'Heyting residual: the largest c with b meet c <= a.  Frames only.'
         if not self.is_frame():
             raise NotAFrame("residuals need a frame; meet fails to distribute")
-        return right_adjoint(self, self.join_irreducibles(), self._meet[b].__getitem__, a)
+        return right_adjoint(self, self.join_irreducibles(),
+                             self.meet_matrix[b].item, a)
 
 
 def right_adjoint(L, irreducibles: Iterable[int], f, y: int) -> int:
@@ -187,7 +191,8 @@ def _from_order(labels, up, down) -> FiniteSupLattice:
     full = (1 << n) - 1
     bottom = next(i for i in range(n) if up[i] == full)
     top = next(i for i in range(n) if down[i] == full)
-    return FiniteSupLattice(labels, up, down, join_t, meet_t, bottom, top)
+    leq = [[up[a] >> b & 1 for b in range(n)] for a in range(n)]
+    return FiniteSupLattice(labels, leq, join_t, meet_t, bottom, top)
 
 
 def _extremum(labels, toward, bounds, a, b, kind):
@@ -204,23 +209,11 @@ def _extremum(labels, toward, bounds, a, b, kind):
 def powerset_lattice(items: Sequence) -> FiniteSupLattice:
     'Powerset of items under inclusion; element i is the subset coded by bits of i.'
     items = tuple(items)
-    k = len(items)
-    n = 1 << k
+    n = 1 << len(items)
     labels = tuple(frozenset(items[b] for b in _bits(code)) for code in range(n))
-    up = [0] * n
-    for a in range(n):
-        mask = 0
-        for b in range(n):
-            if a & ~b == 0:
-                mask |= 1 << b
-        up[a] = mask
-    down = [0] * n
-    for a in range(n):
-        for b in _bits(up[a]):
-            down[b] |= 1 << a
-    join_t = [[a | b for b in range(n)] for a in range(n)]
-    meet_t = [[a & b for b in range(n)] for a in range(n)]
-    return FiniteSupLattice(labels, up, down, join_t, meet_t, 0, n - 1)
+    a = np.arange(n)[:, None]
+    b = np.arange(n)
+    return FiniteSupLattice(labels, a & ~b == 0, a | b, a & b, 0, n - 1)
 
 
 def chain_lattice(n: int) -> FiniteSupLattice:
@@ -235,17 +228,6 @@ def diamond_lattice() -> FiniteSupLattice:
     return make_lattice(["0", "a", "b", "1"], order)
 
 
-def _leq_matrix(L: FiniteSupLattice) -> np.ndarray:
-    'The order as a read-only boolean matrix, built once per lattice.'
-    if L._leq is None:
-        out = np.zeros((L.n, L.n), dtype=bool)
-        for a in range(L.n):
-            out[a, list(_bits(L.upset(a)))] = True
-        out.flags.writeable = False
-        L._leq = out
-    return L._leq
-
-
 CLOSURE_LAWS = ("increasing", "idempotent", "monotone")
 
 
@@ -257,7 +239,7 @@ def closure_law_check(L: FiniteSupLattice, table: Sequence[int]) -> LawCheck:
     t = np.asarray(table, dtype=np.int64)
     if t.shape != (L.n,) or ((t < 0) | (t >= L.n)).any():
         raise ValueError("table does not map the carrier into itself")
-    leq = _leq_matrix(L)
+    leq = L.leq_matrix
     increasing = leq[np.arange(L.n), t]
     idempotent = t[t] == t
     monotone = ~leq | leq[np.ix_(t, t)]
@@ -311,34 +293,36 @@ def closure_from_meet_closed(L: FiniteSupLattice, closed: Iterable[int]) -> Clos
 
 def meet_closed_closure_table(L: FiniteSupLattice, closed: Iterable[int]) -> tuple[int, ...]:
     """The table of closure_from_meet_closed, for a caller that proves the
-    closure laws itself; a set that is not meet-closed raises NotMeetClosed."""
+    closure laws itself.  A member outside the carrier raises ValueError,
+    and a set that is not meet-closed NotMeetClosed."""
     S = sorted(set(closed))
-    present = set(S)
-    if L.top not in present:
+    if S and not (0 <= S[0] and S[-1] < L.n):
+        raise ValueError("closed set has a member outside the carrier")
+    present = np.zeros(L.n, dtype=bool)
+    present[S] = True
+    if not present[L.top]:
         raise NotMeetClosed("top (the empty meet) is missing")
-    for a in S:
-        for b in S:
-            if L.meet(a, b) not in present:
-                raise NotMeetClosed(
-                    f"meet of {L.labels[a]!r} and {L.labels[b]!r} escapes the set")
-    return tuple(L.meet_all(y for y in S if L.leq(x, y)) for x in range(L.n))
+    S = np.array(S)
+    escapes = ~present[L.meet_matrix[np.ix_(S, S)]]
+    if escapes.any():
+        a, b = S[np.argwhere(escapes)[0]].tolist()
+        raise NotMeetClosed(
+            f"meet of {L.labels[a]!r} and {L.labels[b]!r} escapes the set")
+    # the members above x are meet-closed, so their meet is the least of
+    # them: the one with the fewest elements below it
+    above = L.leq_matrix[:, S]
+    size = np.where(above, above.sum(axis=0), L.n + 1)
+    return tuple(S[np.argmin(size, axis=1)].tolist())
 
 
-def _sublattice(elems, labels, leq, join, meet, pos, bottom, top) -> FiniteSupLattice:
-    """The lattice on elems under leq, with the tables pos[join(x, y)] and
-    pos[meet(x, y)]; pos sends every element a join or meet of members
-    can reach to the index of the member it stands for."""
-    m = len(elems)
-    up = [0] * m
-    down = [0] * m
-    for a, x in enumerate(elems):
-        for b, y in enumerate(elems):
-            if leq(x, y):
-                up[a] |= 1 << b
-                down[b] |= 1 << a
-    join_t = [[pos[join(x, y)] for y in elems] for x in elems]
-    meet_t = [[pos[meet(x, y)] for y in elems] for x in elems]
-    return FiniteSupLattice(labels, up, down, join_t, meet_t, pos[bottom], pos[top])
+def closed_positions(table: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The closed elements c of a closure table, ascending, and the array
+    sending every element x to the index in c of its closure."""
+    t = np.asarray(table)
+    c = np.flatnonzero(t == np.arange(len(t)))
+    index = np.zeros(len(t), dtype=np.int64)
+    index[c] = np.arange(len(c))
+    return c, index[t]
 
 
 def closed_elements(L: FiniteSupLattice, j) -> FiniteSupLattice:
@@ -346,14 +330,14 @@ def closed_elements(L: FiniteSupLattice, j) -> FiniteSupLattice:
 
     Meets agree with those of L (closed sets are meet-closed); the bottom is
     j(bottom of L).  Labels are carried over from L.  j is a ClosureOperator
-    or a Nucleus: only its table and closed() are read.
+    or a Nucleus: only its table is read, and the tables of L are cut to
+    the closed elements by indexing.
     """
-    elems = j.closed()
-    idx = {x: k for k, x in enumerate(elems)}
-    # the index of j(x) for every x, so a join is closed by one lookup
-    pos = [idx[c] for c in j.table]
-    return _sublattice(elems, tuple(L.labels[x] for x in elems),
-                       L.leq, L.join, L.meet, pos, L.bottom, L.top)
+    c, pos = closed_positions(j.table)
+    cut = np.ix_(c, c)
+    return FiniteSupLattice([L.labels[x] for x in c.tolist()],
+                            L.leq_matrix[cut], pos[L.join_matrix[cut]],
+                            pos[L.meet_matrix[cut]], pos[L.bottom], pos[L.top])
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,9 @@ from .errors import (
     NotANucleus,
     QuantaleLawError,
 )
-from .lattice import (CLOSURE_LAWS, _leq_matrix, closed_elements,
-                      closure_failure, closure_from_meet_closed,
-                      closure_law_check, meet_closed_closure_table)
+from .lattice import (CLOSURE_LAWS, closed_elements, closed_positions,
+                      closure_failure, closure_law_check,
+                      meet_closed_closure_table)
 from .quantale import Quantale, _first, make_quantale
 
 
@@ -43,17 +43,15 @@ def is_nucleus(q: Quantale, table: Sequence[int]) -> LawCheck:
     check = closure_law_check(q.lattice, t)
     if not check:
         return check
-    leq = _leq_matrix(q.lattice)
-    M = np.asarray(q.mul_table, dtype=np.int64)
+    leq, M, I = q.lattice.leq_matrix, q.mul_matrix, q.inv_vector
     holds = leq[M[np.ix_(t, t)], t[M]]
     if not holds.all():
         return LawCheck(False, "mul", _first(holds))
-    I = np.asarray(q.inv_table, dtype=np.int64)
     holds = leq[I[t], t[I]]
     if not holds.all():
         return LawCheck(False, "inv", _first(holds))
     if q.has_support:
-        S = np.asarray(q.support_table, dtype=np.int64)
+        S = q.support_vector
         holds = leq[S[t], t[S]]
         if not holds.all():
             return LawCheck(False, "support", _first(holds))
@@ -129,33 +127,31 @@ def saturated_bounds(q: Quantale, pairs: Iterable[tuple[int, int]]) -> list[int]
     closed under all four, and so equal to the least solution of all four.
     """
     L = q.lattice
-    jn = L._join
-    cols = tuple(zip(*q.mul_table))
-    inv = q.inv_table
-    supp = q.support_table
-    bound = [L.bottom] * q.n
+    J = L.join_matrix
+    # row r of targets is where the rules send z: r < n multiplies by r
+    # on the left, then the involution and the support
+    targets = np.vstack([q.mul_matrix, q.inv_vector]
+                        + ([q.support_vector] if q.has_support else []))
+    bound = np.full(q.n, L.bottom, dtype=np.int64)
     for y, z in pairs:
-        bound[z] = jn[bound[z]][y]
-    work = [z for z in range(q.n) if bound[z] != L.bottom]
-    queued = [False] * q.n
-    for z in work:
-        queued[z] = True
+        bound[z] = J[bound[z], y]
+    queued = bound != L.bottom
+    work = np.flatnonzero(queued).tolist()
     while work:
         z = work.pop()
         queued[z] = False
-        y = bound[z]
-        targets = [*zip(cols[z], cols[y]), (inv[z], inv[y])]
-        if supp is not None:
-            targets.append((supp[z], supp[y]))
-        for tz, ty in targets:
-            old = bound[tz]
-            new = jn[old][ty]
-            if new != old:
-                bound[tz] = new
-                if not queued[tz]:
-                    queued[tz] = True
-                    work.append(tz)
-    return bound
+        tz, ty = targets[:, z], targets[:, bound[z]]
+        # only the targets that grow need the scalar pass, which joins
+        # repeated targets one at a time
+        for k in np.flatnonzero(J[bound[tz], ty] != bound[tz]).tolist():
+            t = tz.item(k)
+            new = J.item(bound.item(t), ty.item(k))
+            if new != bound[t]:
+                bound[t] = new
+                if not queued[t]:
+                    queued[t] = True
+                    work.append(t)
+    return bound.tolist()
 
 
 def least_nucleus(q: Quantale, pairs: Iterable[tuple[int, int]]) -> Nucleus:
@@ -169,16 +165,11 @@ def least_nucleus(q: Quantale, pairs: Iterable[tuple[int, int]]) -> Nucleus:
     """
     pairs = [tuple(p) for p in pairs]
     L = q.lattice
-    bound = saturated_bounds(q, pairs)
-    # x is closed iff z <= x implies Y(z) <= x; a z with Y(z) <= z never
-    # excludes anything
-    closed_mask = (1 << q.n) - 1
-    for z in range(q.n):
-        if not L.leq(bound[z], z):
-            closed_mask &= ~L.upset(z) | L.upset(bound[z])
-    closed = [x for x in range(q.n) if closed_mask >> x & 1]
-    j = closure_from_meet_closed(L, closed)
-    nuc = Nucleus(q, j.table)
+    leq = L.leq_matrix
+    # x is excluded by z when z <= x but Y(z) is not below x
+    excluded = leq & ~leq[saturated_bounds(q, pairs)]
+    closed = np.flatnonzero(~excluded.any(axis=0)).tolist()
+    nuc = Nucleus(q, meet_closed_closure_table(L, closed))
     for y, z in pairs:
         if not L.leq(nuc(y), nuc(z)):
             raise InternalValidationFailed(
@@ -210,26 +201,19 @@ def quotient(q: Quantale, nuc: Nucleus) -> Quotient:
     """
     if nuc.quantale is not q:
         raise ValueError("nucleus belongs to a different quantale")
-    L = q.lattice
-    lat = closed_elements(L, nuc)
-    closed = nuc.closed()
-    idx = {x: k for k, x in enumerate(closed)}
-    proj = tuple(idx[nuc(x)] for x in range(q.n))
-    mul = [[proj[q.mul(x, y)] for y in closed] for x in closed]
-    inv = [proj[q.inv(x)] for x in closed]
-    support = [proj[q.support(x)] for x in closed] if q.has_support else None
+    M, I, S = q.mul_matrix, q.inv_vector, q.support_vector
+    C, P = closed_positions(nuc.table)
     try:
-        new = make_quantale(lat, mul, inv, proj[q.unit], support=support)
+        new = make_quantale(closed_elements(q.lattice, nuc),
+                            P[M[np.ix_(C, C)]], P[I[C]], P[q.unit],
+                            support=None if S is None else P[S[C]])
     except QuantaleLawError as exc:
         raise InternalValidationFailed(f"quotient law failure: {exc}") from exc
-    P = np.asarray(proj, dtype=np.int64)
-    M = np.asarray(q.mul_table, dtype=np.int64)
-    J = np.asarray(L._join, dtype=np.int64)
-    inv_ok = np.asarray(new.inv_table)[P] == P[np.asarray(q.inv_table)]
-    supp_ok = (np.asarray(new.support_table)[P] == P[np.asarray(q.support_table)]
-               if q.has_support else np.ones(q.n, dtype=bool))
-    mul_ok = np.asarray(new.mul_table)[np.ix_(P, P)] == P[M]
-    join_ok = np.asarray(new.lattice._join)[np.ix_(P, P)] == P[J]
+    inv_ok = new.inv_vector[P] == P[I]
+    supp_ok = (new.support_vector[P] == P[S] if q.has_support
+               else np.ones(q.n, dtype=bool))
+    mul_ok = new.mul_matrix[np.ix_(P, P)] == P[M]
+    join_ok = new.lattice.join_matrix[np.ix_(P, P)] == P[q.lattice.join_matrix]
     bad = ~(inv_ok & supp_ok & mul_ok.all(axis=1) & join_ok.all(axis=1))
     if bad.any():
         a = int(np.argmax(bad))
@@ -240,7 +224,7 @@ def quotient(q: Quantale, nuc: Nucleus) -> Quotient:
         b = int(np.argmin(mul_ok[a] & join_ok[a]))
         law = "multiplication" if not mul_ok[a, b] else "joins"
         raise InternalValidationFailed(f"projection breaks {law} at {(a, b)}")
-    return Quotient(new, proj, closed)
+    return Quotient(new, tuple(P.tolist()), tuple(C.tolist()))
 
 
 def nucleus_meet(a: Nucleus, b: Nucleus) -> Nucleus:

@@ -27,14 +27,14 @@ from .errors import (
     SupportLocaleLawFails,
     UnitLawFails,
 )
-from .lattice import (FiniteSupLattice, _bits, _leq_matrix, _sublattice,
-                      powerset_lattice)
+from .lattice import FiniteSupLattice, _bits, frozen, powerset_lattice
 
 
 class Quantale:
     """Explicit multiplication/involution tables over a FiniteSupLattice.
 
-    Optionally carries a support table; when present it has passed all the
+    The tables are read-only arrays, copied at construction: mul_matrix,
+    inv_vector and, when present, support_vector, which has passed all the
     support axioms and the stability equation, so `stable` is always True
     for a supported instance.  Use make_quantale (or with_derived_support)
     to construct.
@@ -43,10 +43,10 @@ class Quantale:
     def __init__(self, lattice, mul, inv, unit, support, stable):
         self.lattice = lattice
         self.n = lattice.n
-        self.mul_table = tuple(tuple(r) for r in mul)
-        self.inv_table = tuple(inv)
-        self.unit = unit
-        self.support_table = None if support is None else tuple(support)
+        self.mul_matrix = frozen(mul)
+        self.inv_vector = frozen(inv)
+        self.unit = int(unit)
+        self.support_vector = None if support is None else frozen(support)
         self.stable = stable
         self.bottom = lattice.bottom
         self.top = lattice.top
@@ -59,20 +59,34 @@ class Quantale:
 
     @property
     def has_support(self) -> bool:
-        return self.support_table is not None
+        return self.support_vector is not None
 
     @property
     def elements(self) -> range:
         return range(self.n)
 
+    # tuple views of the tables, for callers outside the library
+    @property
+    def mul_table(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.mul_matrix.tolist()))
+
+    @property
+    def inv_table(self) -> tuple[int, ...]:
+        return tuple(self.inv_vector.tolist())
+
+    @property
+    def support_table(self) -> tuple[int, ...] | None:
+        S = self.support_vector
+        return None if S is None else tuple(S.tolist())
+
     def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
+        return self.mul_matrix.item(a, b)
 
     def inv(self, a: int) -> int:
-        return self.inv_table[a]
+        return self.inv_vector.item(a)
 
     def support(self, a: int) -> int:
-        return self.support_table[a]
+        return self.support_vector.item(a)
 
     def join(self, a: int, b: int) -> int:
         return self.lattice.join(a, b)
@@ -90,7 +104,7 @@ class Quantale:
         'Elements below the unit, ascending.'
         if self._supp_elems is None:
             self._supp_elems = tuple(
-                x for x in range(self.n) if self.lattice.leq(x, self.unit))
+                np.flatnonzero(self.lattice.leq_matrix[:, self.unit]).tolist())
         return self._supp_elems
 
 
@@ -131,7 +145,7 @@ def make_quantale(lattice: FiniteSupLattice, mul: Sequence[Sequence[int]],
                         ("support", S)):
         if table is not None and ((table < 0) | (table >= n)).any():
             raise ValueError(f"{name} table has an entry outside the carrier")
-    J = np.asarray(lattice._join, dtype=np.int64)
+    J = lattice.join_matrix
     bot = lattice.bottom
     ar = np.arange(n)
 
@@ -154,12 +168,9 @@ def make_quantale(lattice: FiniteSupLattice, mul: Sequence[Sequence[int]],
     if I[bot] != bot:
         raise NotInvolutive("bottom- != bottom")
 
-    supp = None
     if S is not None:
-        _check_support(lattice, M, I, S, unit, J)
-        supp = tuple(int(x) for x in S)
-    return Quantale(lattice, [[int(x) for x in r] for r in M],
-                    [int(x) for x in I], unit, supp, supp is not None)
+        _check_support(lattice, M, I, S, unit)
+    return Quantale(lattice, M, I, unit, S, S is not None)
 
 
 def _check_laws_exhaustively(M, J):
@@ -195,10 +206,9 @@ def _irreducible_ranks(lattice, J):
     (Birkhoff).  O(n^2), where is_frame is O(n^3).
     """
     irr = np.asarray(lattice.join_irreducibles(), dtype=np.int64)
-    leq = _leq_matrix(lattice)
+    leq = lattice.leq_matrix
     c = leq[irr].sum(axis=0)
-    meet = np.asarray(lattice._meet, dtype=np.int64)
-    if not (c[J] == c[:, None] + c[None, :] - c[meet]).all():
+    if not (c[J] == c[:, None] + c[None, :] - c[lattice.meet_matrix]).all():
         return None
     return irr, leq, c
 
@@ -257,9 +267,9 @@ def _laws_hold_on_irreducibles(lattice, M, J) -> bool:
     return True
 
 
-def _check_support(lattice, M, I, S, unit, J):
+def _check_support(lattice, M, I, S, unit):
     'Support axioms and stability; raises SupportLawFails with the first witness.'
-    leq = _leq_matrix(lattice)
+    leq, J = lattice.leq_matrix, lattice.join_matrix
     ar = np.arange(lattice.n)
     bad = leq[S, unit]
     if not bad.all():
@@ -289,22 +299,19 @@ def derive_support(q: Quantale) -> tuple[int, ...]:
     quantale has no stable support of this shape and NoStableSupport is
     raised with the offending law.
     """
-    L = q.lattice
-    S = [L.meet(q.unit, q.mul(a, q.inv(a))) for a in range(q.n)]
+    M, I = q.mul_matrix, q.inv_vector
+    S = q.lattice.meet_matrix[q.unit, M[np.arange(q.n), I]]
     try:
-        _check_support(L, np.asarray(q.mul_table, dtype=np.int64),
-                       np.asarray(q.inv_table, dtype=np.int64),
-                       np.asarray(S, dtype=np.int64), q.unit,
-                       np.asarray(L._join, dtype=np.int64))
+        _check_support(q.lattice, M, I, S, q.unit)
     except SupportLawFails as exc:
         raise NoStableSupport(str(exc)) from None
-    return tuple(S)
+    return tuple(S.tolist())
 
 
 def with_derived_support(q: Quantale) -> Quantale:
     """q with the support of derive_support, which has just proved the
     support laws against q's validated tables; nothing is proved again."""
-    return Quantale(q.lattice, q.mul_table, q.inv_table, q.unit,
+    return Quantale(q.lattice, q.mul_matrix, q.inv_vector, q.unit,
                     derive_support(q), True)
 
 
@@ -553,8 +560,11 @@ def supports_locale(q) -> SupportLocale:
                 raise SupportLocaleLawFails(
                     f"multiplication is not meet below the unit at {(b, c)}")
     idx = {x: i for i, x in enumerate(elems)}
-    lat = _sublattice(elems, elems, q.leq, q.join, q.meet, idx,
-                      q.bottom, q.unit)
+    join = [[idx[q.join(b, c)] for c in elems] for b in elems]
+    meet = np.array([[idx[q.meet(b, c)] for c in elems] for b in elems])
+    # b <= c iff b ^ c = b
+    leq = meet == np.arange(len(elems))[:, None]
+    lat = FiniteSupLattice(elems, leq, join, meet, idx[q.bottom], idx[q.unit])
     if not lat.is_frame():
         raise SupportLocaleLawFails("the elements below the unit are not a frame")
     return SupportLocale(lat, elems, idx)

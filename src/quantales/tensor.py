@@ -35,7 +35,7 @@ import numpy as np
 from .bimodal import check_modal_class
 from .errors import (AlgebraError, DepthExceeded, InternalValidationFailed,
                      NotAFrame)
-from .lattice import FiniteSupLattice, _leq_matrix
+from .lattice import FiniteSupLattice
 from .nucleus import Nucleus, quotient
 
 LETTERS = "aA"
@@ -434,8 +434,6 @@ class _Suite:
                                 dtype=np.int64)
         self.live = np.array([not e.is_bottom for e in self.samples],
                              dtype=bool)
-        self._leq = _leq_matrix(L)
-        self._meet = np.asarray(L._meet, dtype=np.int64)
         self.over = np.zeros(0, dtype=bool)
         ss = lambda *es: algebra.support_of_product(dia, bdia, es)
         self.elements = SimpleNamespace(
@@ -469,10 +467,10 @@ class _Suite:
         return _Factor(table, 0, A.degree(e), not e.is_bottom, None)
 
     def leq(self, x, y):
-        return self._leq[x, y]
+        return self.algebra.lattice.leq_matrix[x, y]
 
     def meet(self, x, y):
-        return self._meet[x, y]
+        return self.algebra.lattice.meet_matrix[x, y]
 
     # --- running a law ----------------------------------------------------
 

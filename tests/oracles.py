@@ -51,6 +51,61 @@ def meet_closed_subsets(L):
                 yield frozenset(S)
 
 
+# --- closed sub-lattices and powersets, pair by pair ----------------------
+# The references for the constructions that cut a lattice's arrays by
+# indexing: every entry here comes from a scalar call or a set operation.
+
+def lattice_tables(L):
+    'A lattice as plain values: labels, order, join, meet, bottom, top.'
+    return (L.labels, L.leq_matrix.tolist(), L.join_matrix.tolist(),
+            L.meet_matrix.tolist(), L.bottom, L.top)
+
+
+def closed_lattice_by_pairs(L, table):
+    """The lattice_tables of the closed elements of a closure table: the
+    order inherited, joins closed by the table, meets inherited."""
+    elems = [x for x in range(L.n) if table[x] == x]
+    idx = {x: k for k, x in enumerate(elems)}
+    pos = [idx[c] for c in table]
+    return (tuple(L.labels[x] for x in elems),
+            [[L.leq(x, y) for y in elems] for x in elems],
+            [[pos[L.join(x, y)] for y in elems] for x in elems],
+            [[pos[L.meet(x, y)] for y in elems] for x in elems],
+            pos[L.bottom], pos[L.top])
+
+
+def meet_closed_table_by_meets(L, closed):
+    """The closure of a meet-closed set: x goes to the meet of every member
+    above it.  A set missing the top, or with two members whose meet
+    escapes it (the first pair in ascending order), raises NotMeetClosed."""
+    from quantales.errors import NotMeetClosed
+
+    S = sorted(set(closed))
+    present = set(S)
+    if L.top not in present:
+        raise NotMeetClosed("top (the empty meet) is missing")
+    for a in S:
+        for b in S:
+            if L.meet(a, b) not in present:
+                raise NotMeetClosed(
+                    f"meet of {L.labels[a]!r} and {L.labels[b]!r} escapes the set")
+    return tuple(L.meet_all(y for y in S if L.leq(x, y)) for x in range(L.n))
+
+
+def powerset_by_subsets(items):
+    """The lattice_tables of the powerset of items, element i the subset
+    coded by the bits of i, from set operations on the labels."""
+    k = len(items)
+    labels = tuple(frozenset(items[b] for b in range(k) if code >> b & 1)
+                   for code in range(1 << k))
+    index = {x: i for i, x in enumerate(labels)}
+    return (labels,
+            [[x <= y for y in labels] for x in labels],
+            [[index[x | y] for y in labels] for x in labels],
+            [[index[x & y] for y in labels] for x in labels],
+            index[frozenset()], index[frozenset(items)])
+
+
 # --- sup-lattice tensor as a map space, for the representation tests ------
 
 def tables(L):

@@ -15,6 +15,7 @@ from quantales.errors import (
 from quantales.lattice import (
     ClosureOperator,
     Congruence,
+    FiniteSupLattice,
     chain_lattice,
     closed_elements,
     closure_from_congruence,
@@ -22,6 +23,7 @@ from quantales.lattice import (
     congruence_from_closure,
     diamond_lattice,
     make_lattice,
+    meet_closed_closure_table,
     powerset_lattice,
 )
 
@@ -29,7 +31,11 @@ from conftest import grid_lattice, m3_lattice, n5_lattice
 from oracles import (
     all_closure_tables,
     assert_tables_realize_bounds,
+    closed_lattice_by_pairs,
+    lattice_tables,
     meet_closed_subsets,
+    meet_closed_table_by_meets,
+    powerset_by_subsets,
 )
 
 
@@ -162,6 +168,98 @@ class TestClosure:
         ca = C.index("a")
         assert C.join(ca, C.index("0")) == ca
         assert_tables_realize_bounds(C)
+
+
+    @pytest.mark.parametrize("closed", [[-1, 2], [2, 5], [3], [0, 1, 2, 3]])
+    def test_closed_members_outside_the_carrier_rejected(self, closed):
+        L = chain_lattice(3)
+        for build in (closure_from_meet_closed, meet_closed_closure_table):
+            with pytest.raises(ValueError, match="outside the carrier"):
+                build(L, closed)
+
+
+def _outcome(f, *args):
+    'The result of f, or the type and message of the exception it raised.'
+    try:
+        return f(*args)
+    except NotMeetClosed as exc:
+        return type(exc), str(exc)
+
+
+class TestCutByIndexing:
+    """The closed lattice, the closure of a meet-closed set and the powerset
+    against their pair-by-pair references in tests/oracles.py."""
+
+    def test_every_subset_of_the_small_lattices(self, small_lattices):
+        # the Moore families give tables and closed lattices; every other
+        # subset gives the same NotMeetClosed message
+        families = 0
+        for L in small_lattices:
+            for r in range(L.n + 1):
+                for S in itertools.combinations(range(L.n), r):
+                    got = _outcome(meet_closed_closure_table, L, S)
+                    assert got == _outcome(meet_closed_table_by_meets, L, S)
+                    if isinstance(got[0], type):
+                        continue
+                    families += 1
+                    C = closed_elements(L, ClosureOperator(L, got))
+                    assert lattice_tables(C) == closed_lattice_by_pairs(L, got)
+        assert families == sum(len(list(meet_closed_subsets(L)))
+                               for L in small_lattices)
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_powerset_lattice(self, k):
+        items = "abcdefghi"[:k]
+        assert lattice_tables(powerset_lattice(items)) == powerset_by_subsets(items)
+
+    def test_no_scalar_call_cuts_a_lattice(self, monkeypatch):
+        L = powerset_lattice("abc")
+        S = [0, 1, 2, 3, 7]
+        want = meet_closed_table_by_meets(L, S)
+        ref = closed_lattice_by_pairs(L, want)
+
+        def scalar(*args):
+            raise AssertionError("scalar lattice call")
+
+        for name in ("leq", "join", "meet"):
+            monkeypatch.setattr(FiniteSupLattice, name, scalar)
+        table = meet_closed_closure_table(L, S)
+        with pytest.raises(NotMeetClosed):
+            meet_closed_closure_table(L, [1, 2, 7])
+        C = closed_elements(L, ClosureOperator(L, table))
+        monkeypatch.undo()
+        assert table == want and lattice_tables(C) == ref
+
+
+class TestStoredTables:
+    def test_tables_are_read_only(self):
+        L = diamond_lattice()
+        for table in (L.leq_matrix, L.join_matrix, L.meet_matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = table[1, 1]
+
+    def test_constructor_copies_its_input(self):
+        L = diamond_lattice()
+        before = lattice_tables(L)
+        leq, join, meet = (t.copy() for t in
+                           (L.leq_matrix, L.join_matrix, L.meet_matrix))
+        M = FiniteSupLattice(L.labels, leq, join, meet, L.bottom, L.top)
+        leq[:] = True
+        join[:] = 0
+        meet[:] = 3
+        assert lattice_tables(M) == before
+
+    def test_scalars_are_python_values(self, small_lattices):
+        P = powerset_lattice("ab")
+        cut = closed_elements(P, closure_from_meet_closed(P, [0, 1, 3]))
+        for L in (*small_lattices, cut):
+            assert type(L.leq(0, L.top)) is bool
+            assert type(L.join(0, L.top)) is int
+            assert type(L.meet(0, L.top)) is int
+            assert type(L.bottom) is int and type(L.top) is int
+            assert all(type(j) is int for j in L.join_irreducibles())
+            assert type(L.join_all(range(L.n))) is int
+            assert type(L.meet_all(range(L.n))) is int
 
 
 class TestRoundTrips:

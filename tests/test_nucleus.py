@@ -8,7 +8,8 @@ import pytest
 import quantales.nucleus
 from quantales import relations as rel
 from quantales.errors import InternalValidationFailed, NotANucleus
-from quantales.lattice import FiniteSupLattice, diamond_lattice, powerset_lattice
+from quantales.lattice import (FiniteSupLattice, closed_elements, diamond_lattice,
+                               meet_closed_closure_table, powerset_lattice)
 from quantales.nucleus import (
     Nucleus,
     is_nucleus,
@@ -29,9 +30,11 @@ from quantales.quantale import (
     groupoid_quantale,
     make_quantale,
     relation_quantale,
+    system_pairs,
 )
 
-from oracles import all_closure_tables, tables
+from oracles import (all_closure_tables, closed_lattice_by_pairs,
+                     lattice_tables, meet_closed_table_by_meets, tables)
 
 
 @pytest.fixture(scope="session")
@@ -219,7 +222,7 @@ def test_quotients_are_accepted_by_both_paths(request, name):
         new = quotient(q, least_nucleus(q, pairs)).quantale
         L = new.lattice
         M = np.asarray(new.mul_table, dtype=np.int64)
-        J = np.asarray(L._join, dtype=np.int64)
+        J = L.join_matrix
         assert (_irreducible_ranks(L, J) is not None) == L.is_frame()
         assert _laws_hold_on_irreducibles(L, M, J) == L.is_frame()
         _check_laws_exhaustively(M, J)
@@ -290,6 +293,22 @@ class TestQuotient:
                 assert new.join(pi[a], pi[b]) == pi[rq2.join(a, b)]
 
 
+@pytest.mark.parametrize("shape", ["identity", "one loop"])
+def test_512_element_quotients_match_the_pairwise_references(shape):
+    # the two 3-world shapes of the quotient benchmark: closed 512 of 512,
+    # and closed 1 of 512
+    q = relation_quantale("abc")
+    alpha = q.unit if shape == "identity" else rel.encode([(0, 0)], 3)
+    nuc = least_nucleus(q, system_pairs(q, alpha, "T"))
+    assert len(nuc.closed()) == (512 if shape == "identity" else 1)
+    L = q.lattice
+    assert (meet_closed_closure_table(L, nuc.closed())
+            == meet_closed_table_by_meets(L, nuc.closed()) == nuc.table)
+    want = closed_lattice_by_pairs(L, nuc.table)
+    assert lattice_tables(closed_elements(L, nuc)) == want
+    assert lattice_tables(quotient(q, nuc).quantale.lattice) == want
+
+
 def _loop_projection_break(q, new, proj):
     'The first homomorphism failure of proj, checked pair by pair.'
     for a in range(q.n):
@@ -312,7 +331,7 @@ def _corrupt(new, part, cells):
     inv = list(new.inv_table)
     support = list(new.support_table)
     L = new.lattice
-    join = [list(r) for r in L._join]
+    join = L.join_matrix.copy()
     for x, y in cells:
         if part == "inv":
             inv[x] = y
@@ -322,7 +341,7 @@ def _corrupt(new, part, cells):
             mul[x][y] = L.top if mul[x][y] != L.top else L.bottom
         if part in ("join", "both"):
             join[x][y] = L.top if join[x][y] != L.top else L.bottom
-    lat = FiniteSupLattice(L.labels, L._up, L._down, join, L._meet,
+    lat = FiniteSupLattice(L.labels, L.leq_matrix, join, L.meet_matrix,
                            L.bottom, L.top)
     return Quantale(lat, mul, inv, new.unit, support, True)
 

@@ -26,6 +26,7 @@ from quantales.lattice import (
     diamond_lattice,
     powerset_lattice,
 )
+from quantales.nucleus import least_nucleus, quotient
 from quantales.quantale import (
     MODAL_SYSTEMS,
     FiniteGroupoid,
@@ -224,7 +225,7 @@ def _join_extension(L, T):
     irreducibles below a and b; both sides preserve joins when L is
     distributive."""
     irr = L.join_irreducibles()
-    J = np.asarray(L._join, dtype=np.int64)
+    J = L.join_matrix
     up = [np.array([L.leq(x, a) for a in range(L.n)]) for x in irr]
     M = np.full((L.n, L.n), L.bottom, dtype=np.int64)
     for i, j in itertools.product(range(len(irr)), repeat=2):
@@ -243,7 +244,7 @@ def test_corrupted_tables_fail_alike_on_both_paths(request, monkeypatch, name):
     q = request.getfixturevalue(name)
     L, n = q.lattice, q.n
     M0 = np.asarray(q.mul_table, dtype=np.int64)
-    J = np.asarray(L._join, dtype=np.int64)
+    J = L.join_matrix
     irr = L.join_irreducibles()
     T0 = M0[np.ix_(irr, irr)]
     assert (_join_extension(L, T0) == M0).all()
@@ -304,7 +305,7 @@ def _table_quantales():
 def test_every_table_quantale_is_accepted_by_both_paths():
     for q in _table_quantales():
         M = np.asarray(q.mul_table, dtype=np.int64)
-        J = np.asarray(q.lattice._join, dtype=np.int64)
+        J = q.lattice.join_matrix
         assert quantale._laws_hold_on_irreducibles(q.lattice, M, J), q
         quantale._check_laws_exhaustively(M, J)
 
@@ -328,9 +329,9 @@ def test_irreducible_path_is_exact_on_distributive_carriers(small_frames):
     rng = random.Random(6)
     accepted = 0
     for L in small_frames:
-        J = np.asarray(L._join, dtype=np.int64)
+        J = L.join_matrix
         k = len(L.join_irreducibles())
-        tables = [np.asarray(L._meet, dtype=np.int64)]
+        tables = [L.meet_matrix]
         for _ in range(30):
             T = [[rng.randrange(L.n) for _ in range(k)] for _ in range(k)]
             tables.append(_join_extension(L, T))
@@ -357,7 +358,7 @@ def test_carrier_check_is_is_frame(small_lattices):
              for S in oracles.meet_closed_subsets(P)]
     frames = []
     for L in [*small_lattices, P, *moore]:
-        J = np.asarray(L._join, dtype=np.int64)
+        J = L.join_matrix
         frames.append(L.is_frame())
         assert (quantale._irreducible_ranks(L, J) is not None) == frames[-1]
     assert frames.count(False) == 15
@@ -447,6 +448,36 @@ class TestDeriveSupport:
             if ok:
                 survivors.append(tuple(table))
         assert survivors == [rq2.support_table]
+
+
+class TestStoredTables:
+    def test_tables_are_read_only(self, rq2):
+        for table in (rq2.mul_matrix, rq2.inv_vector, rq2.support_vector):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = table[1]
+
+    def test_make_quantale_copies_its_input(self, rq2):
+        mul, inv, supp = (np.array(t) for t in
+                          (rq2.mul_table, rq2.inv_table, rq2.support_table))
+        q = make_quantale(rq2.lattice, mul, inv, rq2.unit, support=supp)
+        for t in (mul, inv, supp):
+            t[...] = 0
+        assert q.mul_table == rq2.mul_table
+        assert q.inv_table == rq2.inv_table
+        assert q.support_table == rq2.support_table
+
+    def test_scalars_are_python_values(self, rq2):
+        quo = quotient(rq2, least_nucleus(rq2, [(rq2.unit, 1 << 1)]))
+        bare = make_quantale(rq2.lattice, rq2.mul_matrix, rq2.inv_vector,
+                             rq2.unit)
+        for q in (rq2, quo.quantale, with_derived_support(bare)):
+            a, b = q.top, q.n - 1
+            values = [q.mul(a, b), q.inv(a), q.support(a), q.unit, q.bottom,
+                      q.top, *q.support_elements(), *q.support_irreducibles]
+            assert all(type(v) is int for v in values)
+            assert type(q.leq(a, b)) is bool
+        assert all(type(v) is int for v in (*quo.projection, *quo.closed))
+        assert all(type(v) is int for v in derive_support(bare))
 
 
 class TestGroupoids:
