@@ -4,7 +4,10 @@ The two diamonds of a supported quantale with a chosen point act on the
 support locale; this module works with that shape abstractly: a frame, two
 join-preserving endomaps, and the conjugacy inequalities tying them.
 Endomaps are stored as full value tables but are determined by their
-action on join-irreducibles, which is how the sweep helpers enumerate them.
+action on join-irreducibles, which is how the sweep helpers enumerate them
+and where join preservation and conjugacy are decided.  The diamonds of a
+RelationQuantale's point are never tabulated: they are functions extended
+from the n one-world diagonals (lazy_point_diamonds).
 """
 
 from __future__ import annotations
@@ -22,15 +25,30 @@ from .errors import (
     NotJoinPreserving,
 )
 from .lattice import FiniteSupLattice, right_adjoint
-from .quantale import MODAL_SYSTEMS, SupportLocale, supports_locale
+from .quantale import (
+    MODAL_SYSTEMS,
+    RelationQuantale,
+    SupportLocale,
+    check_locale_laws,
+    irreducible_split,
+    supports_locale,
+)
 
 
 def join_preservation_witness(L: FiniteSupLattice, table: Sequence[int]):
-    'None, or the first pair of elements where f(a v b) != f(a) v f(b).'
+    """None, or the first pair of elements where f(a v b) != f(a) v f(b).
+
+    On a distributive carrier the split lemma of irreducible_split accepts
+    in n tests; a failure there, or any other carrier, scans every pair."""
     t = np.asarray(table, dtype=np.int64)
     if t[L.bottom] != L.bottom:
         return (L.bottom, L.bottom)
     J = L.join_matrix
+    split = irreducible_split(L)
+    if split is not None:
+        _, xs, jx, rx = split
+        if (t[xs] == J[t[jx], t[rx]]).all():
+            return None
     bad = t[J] != J[np.ix_(t, t)]
     return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
 
@@ -49,6 +67,36 @@ def _require_join_preserving(L: FiniteSupLattice, dia, bdia) -> None:
         w = join_preservation_witness(L, t)
         if w is not None:
             raise NotJoinPreserving(f"{name} map is not join-preserving at {w}")
+
+
+def conjugacy_witness_on_irreducibles(L, irreducibles, dia, bdia):
+    """None when both conjugacy inequalities hold on every pair of
+    join-irreducibles, else the first failure as (law, (x, y)).
+
+    L is anything with join, meet and leq that is a frame, such as a
+    FiniteSupLattice that is one, or the support locale of a
+    RelationQuantale; dia and bdia are join-preserving maps on it, given
+    as functions.  Lemma (Jonsson & Tarski, 1951): the forward inequality
+    dia(x) ^ y <= dia(x ^ bdia(y)) holds for all x, y iff it holds for
+    join-irreducible x and y.
+    - In x, both sides preserve joins: the meet distributes over joins in
+      a frame, and dia preserves them.
+    - In y, the left side preserves joins and the right side is monotone,
+      so the inequality at y1 and at y2 gives it at y1 v y2.
+    - The bottom is trivial: at x or y bottom the left side is the bottom.
+    Every element is the join of the irreducibles below it.  The backward
+    inequality is the same with the maps swapped.  So k^2 cells decide
+    what the scan over all n^2 pairs decides.
+    """
+    leq, meet = L.leq, L.meet
+    for x in irreducibles:
+        dx, bx = dia(x), bdia(x)
+        for y in irreducibles:
+            if not leq(meet(dx, y), dia(meet(x, bdia(y)))):
+                return "forward", (x, y)
+            if not leq(meet(bx, y), bdia(meet(x, dia(y)))):
+                return "backward", (x, y)
+    return None
 
 
 def _conjugacy_inequalities(L: FiniteSupLattice, dia: Sequence[int],
@@ -71,8 +119,16 @@ def check_conjugacy(L: FiniteSupLattice, dia: Sequence[int],
 
     The tables are preconditions, checked first: one that does not map the
     carrier into itself raises ValueError, and one that does not preserve
-    joins raises NotJoinPreserving, not a conjugacy failure."""
+    joins raises NotJoinPreserving, not a conjugacy failure.  On a frame
+    the inequalities are decided on the join-irreducibles
+    (conjugacy_witness_on_irreducibles); a failure there, or a lattice
+    that is not a frame, runs the scan over every pair, which names the
+    first failing (x, y)."""
     _require_join_preserving(L, dia, bdia)
+    if L.is_frame() and conjugacy_witness_on_irreducibles(
+            L, L.join_irreducibles(), dia.__getitem__,
+            bdia.__getitem__) is None:
+        return LawCheck(True)
     return _conjugacy_inequalities(L, dia, bdia)
 
 
@@ -111,6 +167,57 @@ def diamonds_from_point(q, alpha: int,
         return BimodalFrame(loc.lattice, dia, bdia)
     except NotConjugate as exc:
         raise InternalValidationFailed(f"point diamonds not conjugate: {exc}") from exc
+
+
+def lazy_point_diamonds(q: RelationQuantale, alpha: int):
+    """The two diamonds of a point on the support locale of a
+    RelationQuantale, as functions on the elements below the unit; the
+    2^n-element locale is never tabulated.
+
+    dia maps a one-world diagonal x to s(alpha x), and bdia maps it to
+    s(alpha- x); any other v goes to the join of the values at the
+    diagonals below v.  That is s(alpha v) because relations.compose and
+    relations.support preserve joins in each argument, as their row-wise
+    definitions make them do.  The tests check this assumption against
+    the explicit tables of diamonds_from_point at up to 6 worlds.
+    """
+    atoms = q.support_irreducibles
+
+    def extend(a):
+        values = [(x, q.support(q.mul(a, x))) for x in atoms]
+        return lambda v: q.join_all(fx for x, fx in values if q.leq(x, v))
+
+    return extend(alpha), extend(q.inv(alpha))
+
+
+def check_point_diamonds(q, alpha: int) -> None:
+    """Raise unless the elements below the unit form a locale on which the
+    point's two diamonds are conjugate.
+
+    A table quantale builds its locale and its diamonds explicitly
+    (diamonds_from_point).  A RelationQuantale does not: its locale is the
+    powerset of the n one-world diagonals under | and &, so it is a frame
+    by construction.  check_locale_laws runs on the diagonals, and
+    conjugacy_witness_on_irreducibles on pairs of them with the maps of
+    lazy_point_diamonds, in O(n^2) products.  The reduction assumes that
+    relations.compose, converse and support preserve joins in each
+    argument; their row-wise definitions make that so, and the tests hold
+    both steps to the scan over every element at up to 6 worlds.  A
+    locale law failure raises SupportLocaleLawFails; a conjugacy failure,
+    a theorem broken, raises InternalValidationFailed naming the two
+    diagonals.
+    """
+    if not isinstance(q, RelationQuantale):
+        diamonds_from_point(q, alpha)
+        return
+    atoms = q.support_irreducibles
+    check_locale_laws(q, atoms)
+    failure = conjugacy_witness_on_irreducibles(
+        q, atoms, *lazy_point_diamonds(q, alpha))
+    if failure is not None:
+        law, witness = failure
+        raise InternalValidationFailed(
+            f"point diamonds not conjugate: {law} conjugacy fails at {witness}")
 
 
 def box_adjoints(L: FiniteSupLattice, dia: Sequence[int],
@@ -183,10 +290,13 @@ def join_preserving_endomaps(L: FiniteSupLattice) -> Iterator[tuple[int, ...]]:
 def conjugate_pairs(L: FiniteSupLattice) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All conjugate pairs of join-preserving endomaps on a frame.
 
-    The maps are built join-preserving, so each pair runs only the
-    inequalities of check_conjugacy, not its preconditions."""
+    The maps are built join-preserving, so each pair is decided by
+    conjugacy_witness_on_irreducibles alone, without the preconditions of
+    check_conjugacy."""
     maps = list(join_preserving_endomaps(L))
+    irr = L.join_irreducibles()
     for dia in maps:
         for bdia in maps:
-            if _conjugacy_inequalities(L, dia, bdia):
+            if conjugacy_witness_on_irreducibles(
+                    L, irr, dia.__getitem__, bdia.__getitem__) is None:
                 yield dia, bdia

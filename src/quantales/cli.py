@@ -16,7 +16,9 @@ import random
 import sys
 from pathlib import Path
 
-from .bimodal import conjugate_pairs, diamonds_from_point
+import numpy as np
+
+from .bimodal import check_point_diamonds, conjugate_pairs
 from .errors import AlgebraError, FrontendError, ModelFormatError
 from .formulas import Mode, atoms_of
 from .nucleus import least_nucleus, quotient
@@ -83,13 +85,42 @@ def _cmd_valid(args):
 
 _SAMPLE_ELEMENTS = 150
 
-# Each support law: its name, its arity and when it fails at a witness.
+
+def _matrices(codes, n):
+    'Relation codes as stacked n x n boolean matrices; bit i*n + j is (i, j).'
+    size = (n * n + 7) // 8
+    raw = np.frombuffer(b"".join(c.to_bytes(size, "little") for c in codes),
+                        dtype=np.uint8).reshape(len(codes), size)
+    bits = np.unpackbits(raw, axis=1, bitorder="little")[:, :n * n]
+    return bits.reshape(len(codes), n, n).astype(bool)
+
+
+def _product(a, b):
+    """Relational products of stacked matrices, broadcast as numpy matmul.
+    The path counts are exact in float32 below 2^24 worlds."""
+    return np.matmul(a, b, dtype=np.float32) > 0
+
+
+def _support(a):
+    'Each domain, placed on the diagonal.'
+    return a.any(axis=-1)[..., None] & np.eye(a.shape[-1], dtype=bool)
+
+
+# Each support law: its name, its arity and where it fails, as a boolean
+# array that is true somewhere in each failing element's n x n block.  The
+# arguments are the unit e, then a and sa = s(a), then for a law on pairs b
+# and sb; a is one element and b the whole sample, or, for a law on
+# elements, a is the whole sample.
 _SUPPORT_LAWS = (
-    ("support-join", 2, lambda q, s, a, b: s(q.join(a, b)) != q.join(s(a), s(b))),
-    ("support-unit", 1, lambda q, s, a: not q.leq(s(a), q.unit)),
-    ("support-selfproduct", 1, lambda q, s, a: not q.leq(s(a), q.mul(a, q.inv(a)))),
-    ("support-restores", 1, lambda q, s, a: not q.leq(a, q.mul(s(a), a))),
-    ("support-stable", 2, lambda q, s, a, b: s(q.mul(a, b)) != s(q.mul(a, s(b)))),
+    ("support-join", 2,
+     lambda e, a, sa, b, sb: _support(a | b) != (sa | sb)),
+    ("support-unit", 1, lambda e, a, sa: sa & ~e),
+    ("support-selfproduct", 1,
+     lambda e, a, sa: sa & ~_product(a, a.swapaxes(-1, -2))),
+    ("support-restores", 1, lambda e, a, sa: a & ~_product(sa, a)),
+    ("support-stable", 2,
+     lambda e, a, sa, b, sb:
+         _support(_product(a, b)) != _support(_product(a, sb))),
 )
 
 
@@ -97,7 +128,13 @@ def _support_checks(q, alpha):
     """Each support law with its first failing witness, or None.
 
     make_quantale proved all five over every element and pair of a table
-    quantale, so only the lazy quantale runs them, on a seeded sample."""
+    quantale, so only the lazy quantale runs them, on a seeded sample of
+    150 elements and their 22,500 pairs.  The sample is decoded once into
+    boolean matrices, and every compared value is read off a product,
+    transpose (the converse) or support computed on them.  A law on pairs
+    takes one first element at a time against the whole sample, which
+    bounds memory.  The witness is the first in itertools.product order of
+    the sample."""
     if not isinstance(q, RelationQuantale):
         return [(name, None) for name, _, _ in _SUPPORT_LAWS]
     rng = random.Random(0)
@@ -105,10 +142,24 @@ def _support_checks(q, alpha):
     while len(elems) < _SAMPLE_ELEMENTS:
         elems.add(rng.getrandbits(q.nw * q.nw))
     elems = sorted(elems)
-    tuples = {1: [(a,) for a in elems], 2: list(itertools.product(elems, repeat=2))}
-    s = q.support
-    return [(name, next((p for p in tuples[arity] if bad(q, s, *p)), None))
-            for name, arity, bad in _SUPPORT_LAWS]
+    A = _matrices(elems, q.nw)
+    S = _support(A)
+    e = _matrices([q.unit], q.nw)
+    results = []
+    for name, arity, fails in _SUPPORT_LAWS:
+        if arity == 1:
+            blocks = [((), fails(e, A, S))]
+        else:
+            blocks = (((a,), fails(e, A[i], S[i], A, S))
+                      for i, a in enumerate(elems))
+        witness = None
+        for first, bad in blocks:
+            hit = np.flatnonzero(bad.any(axis=(1, 2)))
+            if hit.size:
+                witness = (*first, elems[hit[0]])
+                break
+        results.append((name, witness))
+    return results
 
 
 def _print_flags(q, alpha):
@@ -128,7 +179,7 @@ def _cmd_axioms(args):
             failed = True
             print(f"CHECK {name} FAIL at {witness}")
     try:
-        diamonds_from_point(q, alpha)
+        check_point_diamonds(q, alpha)
         print("CHECK conjugacy PASS")
     except AlgebraError as exc:
         failed = True

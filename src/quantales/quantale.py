@@ -213,37 +213,34 @@ def _irreducible_ranks(lattice, J):
     return irr, leq, c
 
 
-def _laws_hold_on_irreducibles(lattice, M, J) -> bool:
-    """True only if associativity and both distributive laws hold; exact
-    on distributive carriers, always False on the others.
+def irreducible_split(lattice):
+    """The join-irreducibles irr and, for the elements xs other than the
+    bottom, the split x = j_x v r_x; None when the carrier is not
+    distributive.
 
-    M is known to preserve the bottom on both sides.  For each x other
-    than the bottom fix the split x = j_x v r_x, with j_x an irreducible
-    below x of largest c (so j_x is maximal in J(x), and j_x = x when x is
-    irreducible) and r_x the join of the other irreducibles below x.
+    j_x is an irreducible below x of largest c (so j_x is maximal in J(x),
+    and j_x = x when x is irreducible), and r_x is the join of the other
+    irreducibles below x.
 
-    Distributivity.  Let f be a row or a column of M, with f(bottom) =
-    bottom, and suppose f(x) = f(j_x) v f(r_x) for every x != bottom.
-    Induction on c[x] shows f(x) = g(x), the join of f(j) over j in J(x).
+    Split lemma.  Let f map the carrier to itself with f(bottom) = bottom,
+    and suppose f(x) = f(j_x) v f(r_x) for every x != bottom.  Induction
+    on c[x] shows f(x) = g(x), the join of f(j) over j in J(x).
     Irreducibles are join-prime in a distributive lattice, and j_x is
     maximal in J(x), so J(r_x) = J(x) - {j_x} and c[r_x] = c[x] - 1;
     by induction f(r_x) is the join of f over J(x) - {j_x}.  If x is
     irreducible, j_x = x and the split reads f(x) >= f(r_x), so f(x) =
     g(x).  Otherwise c[j_x] < c[x] and J(j_x) is inside J(x), so f(x) =
     g(j_x) v f(r_x) = g(x).  Then J(x v y) = J(x) | J(y) gives f(x v y) =
-    g(x) v g(y) = f(x) v f(y).  The converse is immediate, so the split
-    test over all rows and columns is exactly the two distributive laws.
-    For an irreducible x the split is monotonicity across its one lower
-    cover r_x, which replaces a test over covering pairs of irreducibles.
-
-    Associativity.  Once both sides preserve joins, bottom included,
-    (a b) c and a (b c) preserve joins in each argument, and every element
-    is the join of the irreducibles below it, so equality on irreducible
-    triples is equality everywhere.
+    g(x) v g(y) = f(x) v f(y).  The converse is immediate, so f preserves
+    joins exactly when the split holds at every x != bottom: n tests, not
+    n^2.  For an irreducible x the split is monotonicity across its one
+    lower cover r_x, which replaces a test over covering pairs of
+    irreducibles.
     """
+    J = lattice.join_matrix
     ranks = _irreducible_ranks(lattice, J)
     if ranks is None:
-        return False
+        return None
     irr, leq, c = ranks
     bot = lattice.bottom
     jx = np.full(lattice.n, bot, dtype=np.int64)
@@ -255,7 +252,28 @@ def _laws_hold_on_irreducibles(lattice, M, J) -> bool:
         rx = np.where(above, J[rx, jx], rx)
         jx = np.where(above, j, jx)
     xs = np.flatnonzero(np.arange(lattice.n) != bot)
-    jx, rx = jx[xs], rx[xs]
+    return irr, xs, jx[xs], rx[xs]
+
+
+def _laws_hold_on_irreducibles(lattice, M, J) -> bool:
+    """True only if associativity and both distributive laws hold; exact
+    on distributive carriers, always False on the others.
+
+    Distributivity.  M is known to preserve the bottom on both sides, so
+    by the split lemma of irreducible_split, a row or a column f of M
+    preserves joins exactly when f(x) = f(j_x) v f(r_x) for every x !=
+    bottom.  So the split test over all rows and columns is exactly the
+    two distributive laws.
+
+    Associativity.  Once both sides preserve joins, bottom included,
+    (a b) c and a (b c) preserve joins in each argument, and every element
+    is the join of the irreducibles below it, so equality on irreducible
+    triples is equality everywhere.
+    """
+    split = irreducible_split(lattice)
+    if split is None:
+        return False
+    irr, xs, jx, rx = split
     if not (M[:, xs] == J[M[:, jx], M[:, rx]]).all():
         return False
     if not (M[xs] == J[M[jx], M[rx]]).all():
@@ -544,11 +562,34 @@ def supports_locale(q) -> SupportLocale:
     """Check that the elements below the unit form a locale under the
     quantale operations, and return it as an explicit lattice.
 
-    Verifies b = b b = b- for every b below the unit, that multiplication
-    restricted there is the meet, and that the resulting lattice is a
-    frame; any failure raises SupportLocaleLawFails.
+    Verifies the locale laws (check_locale_laws) on every element below
+    the unit, and that the resulting lattice is a frame; any failure
+    raises SupportLocaleLawFails.
     """
     elems = tuple(q.support_elements())
+    check_locale_laws(q, elems)
+    idx = {x: i for i, x in enumerate(elems)}
+    join = [[idx[q.join(b, c)] for c in elems] for b in elems]
+    meet = np.array([[idx[q.meet(b, c)] for c in elems] for b in elems])
+    # b <= c iff b ^ c = b
+    leq = meet == np.arange(len(elems))[:, None]
+    lat = FiniteSupLattice(elems, leq, join, meet, idx[q.bottom], idx[q.unit])
+    if not lat.is_frame():
+        raise SupportLocaleLawFails("the elements below the unit are not a frame")
+    return SupportLocale(lat, elems, idx)
+
+
+def check_locale_laws(q, elems: Sequence[int]) -> None:
+    """b b = b and b- = b for every b of elems, and b c = b ^ c for every
+    pair; the first failure raises SupportLocaleLawFails.
+
+    supports_locale passes every element below the unit.  On a
+    RelationQuantale the one-world diagonals, support_irreducibles, are
+    enough: every element below the unit is a join of them, and below the
+    unit the product, the meet and the involution preserve joins in each
+    argument, so b c = b ^ c on diagonal pairs gives it on all pairs, b b =
+    b among them, and b- = b on the diagonals gives it everywhere.
+    """
     for b in elems:
         if q.mul(b, b) != b:
             raise SupportLocaleLawFails(f"b b != b below the unit at {b}")
@@ -559,15 +600,6 @@ def supports_locale(q) -> SupportLocale:
             if q.mul(b, c) != q.meet(b, c):
                 raise SupportLocaleLawFails(
                     f"multiplication is not meet below the unit at {(b, c)}")
-    idx = {x: i for i, x in enumerate(elems)}
-    join = [[idx[q.join(b, c)] for c in elems] for b in elems]
-    meet = np.array([[idx[q.meet(b, c)] for c in elems] for b in elems])
-    # b <= c iff b ^ c = b
-    leq = meet == np.arange(len(elems))[:, None]
-    lat = FiniteSupLattice(elems, leq, join, meet, idx[q.bottom], idx[q.unit])
-    if not lat.is_frame():
-        raise SupportLocaleLawFails("the elements below the unit are not a frame")
-    return SupportLocale(lat, elems, idx)
 
 
 @dataclass(frozen=True)

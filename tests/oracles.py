@@ -7,6 +7,7 @@ own derived tables and fixed-point loops wherever a dual route exists.
 from __future__ import annotations
 
 import itertools
+import random
 
 
 def assert_tables_realize_bounds(L):
@@ -225,6 +226,49 @@ def locale_box_by_joins(q, alpha, y):
     ainv = q.inv(alpha)
     return q.join_all(x for x in q.support_elements()
                       if q.leq(q.support(q.mul(ainv, x)), y))
+
+
+# --- join preservation, pair by pair -------------------------------------
+# The reference for bimodal.join_preservation_witness, which accepts on the
+# irreducible split.
+
+def join_preservation_witness_by_pairs(L, t):
+    'None, or (bottom, bottom) if f moves the bottom, else the first bad pair.'
+    if t[L.bottom] != L.bottom:
+        return (L.bottom, L.bottom)
+    return next(((a, b) for a in range(L.n) for b in range(L.n)
+                 if t[L.join(a, b)] != L.join(t[a], t[b])), None)
+
+
+# --- the sampled support laws of `axioms`, one scalar call at a time ---
+# The reference for cli._support_checks, which scans the same sample as
+# batched boolean matrix products.
+
+SUPPORT_LAWS = (
+    ("support-join", 2, lambda q, s, a, b: s(q.join(a, b)) != q.join(s(a), s(b))),
+    ("support-unit", 1, lambda q, s, a: not q.leq(s(a), q.unit)),
+    ("support-selfproduct", 1, lambda q, s, a: not q.leq(s(a), q.mul(a, q.inv(a)))),
+    ("support-restores", 1, lambda q, s, a: not q.leq(a, q.mul(s(a), a))),
+    ("support-stable", 2, lambda q, s, a, b: s(q.mul(a, b)) != s(q.mul(a, s(b)))),
+)
+
+
+def support_checks_by_scalars(q, alpha):
+    """Each support law with its first failing witness, or None, over the
+    seeded sample of `axioms` on a RelationQuantale: the bottom, the unit,
+    the top and the point, then random codes from Random(0) up to 150
+    elements, ascending, and every pair of them in itertools.product
+    order."""
+    rng = random.Random(0)
+    elems = {q.bottom, q.unit, q.top, alpha}
+    while len(elems) < 150:
+        elems.add(rng.getrandbits(q.nw * q.nw))
+    elems = sorted(elems)
+    tuples = {1: [(a,) for a in elems],
+              2: list(itertools.product(elems, repeat=2))}
+    s = q.support
+    return [(name, next((p for p in tuples[arity] if bad(q, s, *p)), None))
+            for name, arity, bad in SUPPORT_LAWS]
 
 
 # --- relation algebra on explicit pair sets, for cross-checking bitset code ---

@@ -1,0 +1,283 @@
+"""Conjugacy and join preservation decided on join-irreducibles, the lazy
+point check of a RelationQuantale, and the batched support-law scan of
+`axioms`, each against the full scan or the scalar reference."""
+
+import random
+import time
+
+import numpy as np
+import pytest
+
+import oracles
+import quantales.bimodal
+import quantales.cli
+import quantales.quantale
+from conftest import grid_lattice, m3_lattice, n5_lattice
+from quantales import relations as rel
+from quantales.bimodal import (
+    _conjugacy_inequalities,
+    check_point_diamonds,
+    conjugacy_witness_on_irreducibles,
+    diamonds_from_point,
+    join_preservation_witness,
+    join_preserving_endomaps,
+    lazy_point_diamonds,
+)
+from quantales.cli import _support_checks, main
+from quantales.errors import InternalValidationFailed, SupportLocaleLawFails
+from quantales.lattice import chain_lattice, diamond_lattice, powerset_lattice
+from quantales.quantale import (
+    RelationQuantale,
+    check_locale_laws,
+    supports_locale,
+)
+
+FRAMES = {
+    "chain3": lambda: chain_lattice(3),
+    "chain4": lambda: chain_lattice(4),
+    "chain5": lambda: chain_lattice(5),
+    "diamond": diamond_lattice,
+    "powerset2": lambda: powerset_lattice("ab"),
+    "powerset3": lambda: powerset_lattice("abc"),
+}
+
+
+# --- the lemma ------------------------------------------------------------
+
+@pytest.mark.parametrize("name", list(FRAMES))
+def test_irreducible_decision_is_the_full_scan(name):
+    L = FRAMES[name]()
+    irr = L.join_irreducibles()
+    maps = list(join_preserving_endomaps(L))
+    conjugate = 0
+    for dia in maps:
+        for bdia in maps:
+            fast = conjugacy_witness_on_irreducibles(
+                L, irr, dia.__getitem__, bdia.__getitem__) is None
+            assert fast == bool(_conjugacy_inequalities(L, dia, bdia)), \
+                (dia, bdia)
+            conjugate += fast
+    assert 0 < conjugate < len(maps) ** 2
+
+
+def test_join_preservation_is_decided_on_the_split():
+    # random tables, tables extended from the irreducibles, and carriers
+    # that are not distributive, where only the scan over pairs runs
+    rng = random.Random(11)
+    lattices = [*(f() for f in FRAMES.values()), grid_lattice(),
+                m3_lattice(), n5_lattice()]
+    preserving = 0
+    for L in lattices:
+        tables = [tuple(range(L.n)), (L.bottom,) * L.n, (L.top,) * L.n]
+        tables += [tuple(rng.randrange(L.n) for _ in range(L.n))
+                   for _ in range(40)]
+        if L.is_frame():
+            maps = list(join_preserving_endomaps(L))
+            tables += rng.sample(maps, min(20, len(maps)))
+        for t in tables:
+            want = oracles.join_preservation_witness_by_pairs(L, t)
+            assert join_preservation_witness(L, t) == want, (L, t)
+            preserving += want is None
+    assert preserving > len(lattices)
+
+
+# --- the lazy point check -------------------------------------------------
+
+def _codes(q, pairs):
+    return rel.encode(pairs, q.nw)
+
+
+def _pairs(q, code):
+    return rel.decode(code, q.nw)
+
+
+def _points(n):
+    'Every point at up to 2 worlds, and 12 seeded points above that.'
+    if n <= 2:
+        return range(1 << (n * n))
+    rng = random.Random(n)
+    return [0, rel.full(n), rel.diagonal(n),
+            *(rng.getrandbits(n * n) for _ in range(9))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_lazy_diamonds_are_the_explicit_ones(n):
+    q = RelationQuantale(tuple(range(n)))
+    loc = supports_locale(q)
+    for alpha in _points(n):
+        explicit = diamonds_from_point(q, alpha, loc)
+        lazy = lazy_point_diamonds(q, alpha)
+        point = _pairs(q, alpha)
+        for table, f, r in zip((explicit.dia, explicit.bdia), lazy,
+                               (point, oracles.rel_converse(point))):
+            for v in loc.q_elements:
+                assert f(v) == loc.to_q(table[loc.from_q(v)]), (alpha, v)
+                by_pairs = oracles.rel_support(
+                    oracles.rel_compose(r, _pairs(q, v)))
+                assert f(v) == _codes(q, by_pairs), (alpha, v)
+        check_point_diamonds(q, alpha)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_locale_laws_on_the_diagonals_are_the_all_pairs_scan(n):
+    # the lazy check tests the laws on the n diagonals only; below the
+    # unit, products and converses agree with the pair-set operations
+    # everywhere, and the scan over all pairs accepts too
+    q = RelationQuantale(tuple(range(n)))
+    elems = q.support_elements()
+    for b in elems:
+        assert q.inv(b) == _codes(q, oracles.rel_converse(_pairs(q, b)))
+        for c in elems:
+            assert q.mul(b, c) == _codes(q, oracles.rel_compose(
+                _pairs(q, b), _pairs(q, c)))
+    check_locale_laws(q, q.support_irreducibles)
+    check_locale_laws(q, elems)
+
+
+def test_a_broken_locale_law_raises(monkeypatch):
+    q = RelationQuantale("abcd")
+    real = RelationQuantale.mul
+    # the product of the diagonals at worlds 1 and 2 is no longer empty
+    d1, d2 = q.support_irreducibles[1:3]
+    monkeypatch.setattr(
+        RelationQuantale, "mul",
+        lambda self, a, b: d1 if (a, b) == (d1, d2) else real(self, a, b))
+    with pytest.raises(SupportLocaleLawFails, match="not meet"):
+        check_point_diamonds(q, rel.full(4))
+
+
+def test_a_failing_conjugacy_raises(monkeypatch):
+    # a first diamond moving world 0 to world 1, against the identity
+    q = RelationQuantale("ab")
+    d0, d1 = q.support_irreducibles
+    dia = lambda v: d1 if q.leq(d0, v) else q.bottom
+    monkeypatch.setattr(quantales.bimodal, "lazy_point_diamonds",
+                        lambda q, alpha: (dia, lambda v: v))
+    with pytest.raises(InternalValidationFailed, match="backward"):
+        check_point_diamonds(q, 0)
+
+
+# --- the batched support-law scan -----------------------------------------
+
+def _sample_point(n, seed):
+    return random.Random(seed).getrandbits(n * n)
+
+
+@pytest.mark.parametrize("n", [4, 8, 10])
+def test_batched_scan_is_the_scalar_reference(n):
+    q = RelationQuantale(tuple(range(n)))
+    alpha = _sample_point(n, n)
+    got = _support_checks(q, alpha)
+    assert got == oracles.support_checks_by_scalars(q, alpha)
+    assert [name for name, _ in got] == [
+        "support-join", "support-unit", "support-selfproduct",
+        "support-restores", "support-stable"]
+
+
+def _cell(n, i, j):
+    'The n x n boolean matrix with only (i, j) set.'
+    m = np.zeros((n, n), dtype=bool)
+    m[i, j] = True
+    return m
+
+
+# Each corruption breaks one operation the same way twice: as the scalar
+# RelationQuantale method the reference calls, and as the batched cli
+# function.  Each takes both real operations and the world count, and
+# returns both broken ones.
+
+def _support_drops_last_world(real_scalar, real_batched, n):
+    return (lambda self, a: real_scalar(self, a) & ~rel.pair_bit(n - 1, n - 1, n),
+            lambda a: real_batched(a) & ~_cell(n, n - 1, n - 1))
+
+
+def _support_leaves_the_diagonal(real_scalar, real_batched, n):
+    # (0, 1) joins the support whenever world 0 has a successor
+    def scalar(self, a):
+        out = real_scalar(self, a)
+        return out | rel.pair_bit(0, 1, n) if rel.row(a, 0, n) else out
+
+    def batched(a):
+        has = a[..., 0, :].any(axis=-1)[..., None, None]
+        return real_batched(a) | (has & _cell(n, 0, 1))
+
+    return scalar, batched
+
+
+def _support_forgets_joins(real_scalar, real_batched, n):
+    # world 0 leaves the support whenever world 1 has a successor too
+    def scalar(self, a):
+        out = real_scalar(self, a)
+        return out & ~rel.pair_bit(0, 0, n) if rel.row(a, 1, n) else out
+
+    def batched(a):
+        has = a[..., 1, :].any(axis=-1)[..., None, None]
+        return real_batched(a) & ~(has & _cell(n, 0, 0))
+
+    return scalar, batched
+
+
+def _product_drops_a_pair(real_scalar, real_batched, n):
+    return (lambda self, a, b: real_scalar(self, a, b) & ~rel.pair_bit(0, 0, n),
+            lambda a, b: real_batched(a, b) & ~_cell(n, 0, 0))
+
+
+def _product_skips_last_world(real_scalar, real_batched, n):
+    # no path through the last world: its column of the left factor is lost
+    column = rel.encode(((i, n - 1) for i in range(n)), n)
+    keep = np.ones((n, n), dtype=bool)
+    keep[:, n - 1] = False
+    return (lambda self, a, b: real_scalar(self, a & ~column, b),
+            lambda a, b: real_batched(a & keep, b))
+
+
+CORRUPTIONS = {
+    "support-drops-last-world": ("support", "_support", _support_drops_last_world),
+    "support-leaves-the-diagonal": ("support", "_support", _support_leaves_the_diagonal),
+    "support-forgets-joins": ("support", "_support", _support_forgets_joins),
+    "product-drops-a-pair": ("mul", "_product", _product_drops_a_pair),
+    "product-skips-last-world": ("mul", "_product", _product_skips_last_world),
+}
+
+
+@pytest.mark.parametrize("name", list(CORRUPTIONS))
+@pytest.mark.parametrize("n", [4, 5])
+def test_both_scans_name_the_same_witness_of_a_broken_law(monkeypatch, name, n):
+    scalar, batched, corrupt = CORRUPTIONS[name]
+    bad_scalar, bad_batched = corrupt(getattr(RelationQuantale, scalar),
+                                      getattr(quantales.cli, batched), n)
+    monkeypatch.setattr(RelationQuantale, scalar, bad_scalar)
+    monkeypatch.setattr(quantales.cli, batched, bad_batched)
+    q = RelationQuantale(tuple(range(n)))
+    alpha = _sample_point(n, 3)
+    got = _support_checks(q, alpha)
+    assert got == oracles.support_checks_by_scalars(q, alpha)
+    assert any(witness is not None for _, witness in got), got
+
+
+# --- axioms at 14 worlds --------------------------------------------------
+
+def test_axioms_never_tabulates_the_support_locale(tmp_path, capsys,
+                                                   monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the support locale was tabulated")
+
+    monkeypatch.setattr(RelationQuantale, "support_elements", refuse)
+    monkeypatch.setattr(quantales.quantale, "supports_locale", refuse)
+    monkeypatch.setattr(quantales.bimodal, "supports_locale", refuse)
+    rng = random.Random(14)
+    worlds = [f"w{i}" for i in range(14)]
+    pairs = sorted({(rng.choice(worlds), rng.choice(worlds))
+                    for _ in range(40)})
+    model = tmp_path / "m.model"
+    model.write_text("MODE classical\nWORLDS " + " ".join(worlds) + "\n"
+                     "REL alpha " + " ".join(f"({u},{v})" for u, v in pairs)
+                     + "\n")
+    t0 = time.perf_counter()
+    assert main(["axioms", str(model)]) == 0
+    assert time.perf_counter() - t0 < 60.0
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split()[-1] for l in lines if l.startswith("CHECK")] == \
+        ["PASS"] * 6
+    assert [l.split()[1] for l in lines if l.startswith("FLAG")] == \
+        ["reflexive", "transitive", "symmetric", "total-support"]
