@@ -5,9 +5,9 @@ support locale; this module works with that shape abstractly: a frame, two
 join-preserving endomaps, and the conjugacy inequalities tying them.
 Endomaps are stored as full value tables but are determined by their
 action on join-irreducibles, which is how the sweep helpers enumerate them
-and where join preservation and conjugacy are decided.  The diamonds of a
-RelationQuantale's point are never tabulated: they are functions extended
-from the n one-world diagonals (lazy_point_diamonds).
+and where join preservation and conjugacy are decided.  check_point_diamonds
+never tabulates a point's diamonds: they are functions extended from the
+join-irreducibles below the unit (lazy_point_diamonds).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import (
 from .lattice import FiniteSupLattice, right_adjoint
 from .quantale import (
     MODAL_SYSTEMS,
-    RelationQuantale,
     SupportLocale,
     check_locale_laws,
     irreducible_split,
@@ -169,17 +168,18 @@ def diamonds_from_point(q, alpha: int,
         raise InternalValidationFailed(f"point diamonds not conjugate: {exc}") from exc
 
 
-def lazy_point_diamonds(q: RelationQuantale, alpha: int):
-    """The two diamonds of a point on the support locale of a
-    RelationQuantale, as functions on the elements below the unit; the
-    2^n-element locale is never tabulated.
+def lazy_point_diamonds(q, alpha: int):
+    """The two diamonds of a point on the support locale, as functions on
+    the elements below the unit; the locale is never tabulated.
 
-    dia maps a one-world diagonal x to s(alpha x), and bdia maps it to
-    s(alpha- x); any other v goes to the join of the values at the
-    diagonals below v.  That is s(alpha v) because relations.compose and
-    relations.support preserve joins in each argument, as their row-wise
-    definitions make them do.  The tests check this assumption against
-    the explicit tables of diamonds_from_point at up to 6 worlds.
+    dia maps a join-irreducible x below the unit (a one-world diagonal of
+    a RelationQuantale) to s(alpha x), and bdia maps it to s(alpha- x);
+    any other v goes to the join of the values at the irreducibles below
+    v.  That is s(alpha v) because the product and the support preserve
+    joins in each argument: make_quantale proves it for a table, and the
+    row-wise definitions of relations.compose and relations.support make
+    it so for a RelationQuantale.  The tests check this against the
+    explicit tables of diamonds_from_point.
     """
     atoms = q.support_irreducibles
 
@@ -194,22 +194,24 @@ def check_point_diamonds(q, alpha: int) -> None:
     """Raise unless the elements below the unit form a locale on which the
     point's two diamonds are conjugate.
 
-    A table quantale builds its locale and its diamonds explicitly
-    (diamonds_from_point).  A RelationQuantale does not: its locale is the
-    powerset of the n one-world diagonals under | and &, so it is a frame
-    by construction.  check_locale_laws runs on the diagonals, and
-    conjugacy_witness_on_irreducibles on pairs of them with the maps of
-    lazy_point_diamonds, in O(n^2) products.  The reduction assumes that
-    relations.compose, converse and support preserve joins in each
-    argument; their row-wise definitions make that so, and the tests hold
-    both steps to the scan over every element at up to 6 worlds.  A
-    locale law failure raises SupportLocaleLawFails; a conjugacy failure,
-    a theorem broken, raises InternalValidationFailed naming the two
-    diagonals.
+    Nothing is tabulated, for a table Quantale or a RelationQuantale:
+    check_locale_laws runs on the join-irreducibles below the unit,
+    support_irreducibles, and conjugacy_witness_on_irreducibles on pairs of
+    them with the maps of lazy_point_diamonds, in O(k^2) products.  Below
+    the unit e the support laws make the product the meet: for b, c <= e,
+    b <= (sb) b <= sb <= b b- <= b-, so b- = b, and then b ^ c <= s(b ^ c)
+    <= b c <= b ^ c.  The product distributes over joins, so the elements
+    below e form a frame, and the diamonds preserve joins; these are the
+    conditions of the lemma.  make_quantale proved the support laws and
+    distributivity at every element of a table, so the reduction is exact
+    there.  A RelationQuantale's locale is the powerset of its n one-world
+    diagonals under | and &; the reduction assumes that relations.compose,
+    converse and support preserve joins in each argument, as their
+    row-wise definitions make them do, and the tests hold both steps to
+    the scan over every element at up to 6 worlds.  A locale law failure
+    raises SupportLocaleLawFails; a conjugacy failure, a theorem broken,
+    raises InternalValidationFailed naming the two irreducibles.
     """
-    if not isinstance(q, RelationQuantale):
-        diamonds_from_point(q, alpha)
-        return
     atoms = q.support_irreducibles
     check_locale_laws(q, atoms)
     failure = conjugacy_witness_on_irreducibles(

@@ -12,11 +12,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
-import random
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .bimodal import check_point_diamonds, conjugate_pairs
 from .errors import AlgebraError, FrontendError, ModelFormatError
@@ -35,8 +32,10 @@ from .quantale import (
     POINT_CONDITIONS,
     RelationQuantale,
     check_point_properties,
+    support_law_witnesses,
     system_pairs,
 )
+from .relations import decode, pair_bit
 from .semantics import PointedModel, evaluate, valid_in_model
 from .tensor import (
     TensorAlgebra,
@@ -83,85 +82,6 @@ def _cmd_valid(args):
 
 # --- axioms ---------------------------------------------------------------
 
-_SAMPLE_ELEMENTS = 150
-
-
-def _matrices(codes, n):
-    'Relation codes as stacked n x n boolean matrices; bit i*n + j is (i, j).'
-    size = (n * n + 7) // 8
-    raw = np.frombuffer(b"".join(c.to_bytes(size, "little") for c in codes),
-                        dtype=np.uint8).reshape(len(codes), size)
-    bits = np.unpackbits(raw, axis=1, bitorder="little")[:, :n * n]
-    return bits.reshape(len(codes), n, n).astype(bool)
-
-
-def _product(a, b):
-    """Relational products of stacked matrices, broadcast as numpy matmul.
-    The path counts are exact in float32 below 2^24 worlds."""
-    return np.matmul(a, b, dtype=np.float32) > 0
-
-
-def _support(a):
-    'Each domain, placed on the diagonal.'
-    return a.any(axis=-1)[..., None] & np.eye(a.shape[-1], dtype=bool)
-
-
-# Each support law: its name, its arity and where it fails, as a boolean
-# array that is true somewhere in each failing element's n x n block.  The
-# arguments are the unit e, then a and sa = s(a), then for a law on pairs b
-# and sb; a is one element and b the whole sample, or, for a law on
-# elements, a is the whole sample.
-_SUPPORT_LAWS = (
-    ("support-join", 2,
-     lambda e, a, sa, b, sb: _support(a | b) != (sa | sb)),
-    ("support-unit", 1, lambda e, a, sa: sa & ~e),
-    ("support-selfproduct", 1,
-     lambda e, a, sa: sa & ~_product(a, a.swapaxes(-1, -2))),
-    ("support-restores", 1, lambda e, a, sa: a & ~_product(sa, a)),
-    ("support-stable", 2,
-     lambda e, a, sa, b, sb:
-         _support(_product(a, b)) != _support(_product(a, sb))),
-)
-
-
-def _support_checks(q, alpha):
-    """Each support law with its first failing witness, or None.
-
-    make_quantale proved all five over every element and pair of a table
-    quantale, so only the lazy quantale runs them, on a seeded sample of
-    150 elements and their 22,500 pairs.  The sample is decoded once into
-    boolean matrices, and every compared value is read off a product,
-    transpose (the converse) or support computed on them.  A law on pairs
-    takes one first element at a time against the whole sample, which
-    bounds memory.  The witness is the first in itertools.product order of
-    the sample."""
-    if not isinstance(q, RelationQuantale):
-        return [(name, None) for name, _, _ in _SUPPORT_LAWS]
-    rng = random.Random(0)
-    elems = {q.bottom, q.unit, q.top, alpha}
-    while len(elems) < _SAMPLE_ELEMENTS:
-        elems.add(rng.getrandbits(q.nw * q.nw))
-    elems = sorted(elems)
-    A = _matrices(elems, q.nw)
-    S = _support(A)
-    e = _matrices([q.unit], q.nw)
-    results = []
-    for name, arity, fails in _SUPPORT_LAWS:
-        if arity == 1:
-            blocks = [((), fails(e, A, S))]
-        else:
-            blocks = (((a,), fails(e, A[i], S[i], A, S))
-                      for i, a in enumerate(elems))
-        witness = None
-        for first, bad in blocks:
-            hit = np.flatnonzero(bad.any(axis=(1, 2)))
-            if hit.size:
-                witness = (*first, elems[hit[0]])
-                break
-        results.append((name, witness))
-    return results
-
-
 def _print_flags(q, alpha):
     flags = check_point_properties(q, alpha)
     for name in ("reflexive", "transitive", "symmetric", "total_support"):
@@ -172,7 +92,7 @@ def _print_flags(q, alpha):
 def _cmd_axioms(args):
     alpha, q = document_quantale(parse_model(_read(args.model)))
     failed = False
-    for name, witness in _support_checks(q, alpha):
+    for name, witness in support_law_witnesses(q, alpha):
         if witness is None:
             print(f"CHECK {name} PASS")
         else:
@@ -261,11 +181,10 @@ def _cmd_sweep(args):
                 model = PointedModel(q, alpha, dict(zip(atoms, choice)),
                                      Mode.CLASSICAL, world_atoms=worlds)
                 if not valid_in_model(model, scheme):
-                    pairs = [f"({i // n},{i % n})"
-                             for i in range(n * n) if alpha >> i & 1]
+                    pairs = [f"({i},{j})" for i, j in sorted(decode(alpha, n))]
                     vals = {a: "{%s}" % ",".join(
                                 str(i) for i in range(n)
-                                if v >> (i * n + i) & 1)
+                                if v & pair_bit(i, i, n))
                             for a, v in zip(atoms, choice)}
                     print(f"INFO worlds={n} alpha={' '.join(pairs)} "
                           + " ".join(f"{a}={s}" for a, s in vals.items()))

@@ -67,10 +67,6 @@ class FiniteSupLattice:
     def __repr__(self):
         return f"FiniteSupLattice(n={self.n})"
 
-    @property
-    def elements(self) -> range:
-        return range(self.n)
-
     def index(self, label) -> int:
         return self._index[label]
 

@@ -47,7 +47,7 @@ from .quantale import (
     groupoid_quantale,
     relation_quantale,
 )
-from .relations import encode
+from .relations import encode, pair_bit
 from .semantics import PointedModel
 
 _ALIASES = {
@@ -481,7 +481,7 @@ def _relation_codes(doc: ModelDocument):
     idx = {w: i for i, w in enumerate(doc.worlds)}
     codes = {name: encode(((idx[u], idx[v]) for u, v in pairs), nw)
              for name, pairs in doc.relations.items()}
-    vals = {atom: sum(1 << (idx[w] * nw + idx[w]) for w in members)
+    vals = {atom: encode(((idx[w], idx[w]) for w in members), nw)
             for atom, members in doc.valuations.items()}
     return codes, vals
 
@@ -539,7 +539,7 @@ def world_elements(doc: ModelDocument):
         return tuple((name, 1 << G.identities[i])
                      for i, name in enumerate(G.objects))
     nw = len(doc.worlds)
-    return tuple((name, 1 << (i * nw + i))
+    return tuple((name, pair_bit(i, i, nw))
                  for i, name in enumerate(doc.worlds))
 
 

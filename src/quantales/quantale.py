@@ -6,12 +6,16 @@ and distributivity are decided on the join-irreducibles in O(n^2); any
 other carrier, and any table that fails, goes through the exhaustive loop
 over all triples, which names the first failure.  RelationQuantale is the
 lazy counterpart for world sets too large to tabulate, computing the same
-operations on bitmask codes directly.
+operations on bitmask codes directly.  The five support laws are written
+once: make_quantale proves them on a table's index arrays, and
+support_law_witnesses scans them on a seeded sample of a RelationQuantale.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,19 +39,17 @@ class Quantale:
 
     The tables are read-only arrays, copied at construction: mul_matrix,
     inv_vector and, when present, support_vector, which has passed all the
-    support axioms and the stability equation, so `stable` is always True
-    for a supported instance.  Use make_quantale (or with_derived_support)
-    to construct.
+    support axioms and the stability equation.  Use make_quantale (or
+    with_derived_support) to construct.
     """
 
-    def __init__(self, lattice, mul, inv, unit, support, stable):
+    def __init__(self, lattice, mul, inv, unit, support):
         self.lattice = lattice
         self.n = lattice.n
         self.mul_matrix = frozen(mul)
         self.inv_vector = frozen(inv)
         self.unit = int(unit)
         self.support_vector = None if support is None else frozen(support)
-        self.stable = stable
         self.bottom = lattice.bottom
         self.top = lattice.top
         self._supp_elems = None
@@ -60,24 +62,6 @@ class Quantale:
     @property
     def has_support(self) -> bool:
         return self.support_vector is not None
-
-    @property
-    def elements(self) -> range:
-        return range(self.n)
-
-    # tuple views of the tables, for callers outside the library
-    @property
-    def mul_table(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.mul_matrix.tolist()))
-
-    @property
-    def inv_table(self) -> tuple[int, ...]:
-        return tuple(self.inv_vector.tolist())
-
-    @property
-    def support_table(self) -> tuple[int, ...] | None:
-        S = self.support_vector
-        return None if S is None else tuple(S.tolist())
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_matrix.item(a, b)
@@ -170,7 +154,7 @@ def make_quantale(lattice: FiniteSupLattice, mul: Sequence[Sequence[int]],
 
     if S is not None:
         _check_support(lattice, M, I, S, unit)
-    return Quantale(lattice, M, I, unit, S, S is not None)
+    return Quantale(lattice, M, I, unit, S)
 
 
 def _check_laws_exhaustively(M, J):
@@ -285,29 +269,48 @@ def _laws_hold_on_irreducibles(lattice, M, J) -> bool:
     return True
 
 
+# The five support laws, each written once as holds(o, a, sa[, b, sb]) over
+# a vocabulary o: mul, inv, s, join, le, eq and the unit e.  sa and sb are
+# the supports of a and b, computed once per element.  Beside each law are
+# its name, its arity and the SupportLawFails message, which the witness
+# fills in.  This is the order `axioms` reports them in.
+_SUPPORT_LAWS = (
+    ("support-join", 2,
+     lambda o, a, sa, b, sb: o.eq(o.s(o.join(a, b)), o.join(sa, sb)),
+     "s(a v b) != sa v sb at ({}, {})"),
+    ("support-unit", 1, lambda o, a, sa: o.le(sa, o.e),
+     "sa <= e fails at a={}"),
+    ("support-selfproduct", 1,
+     lambda o, a, sa: o.le(sa, o.mul(a, o.inv(a))),
+     "sa <= a a- fails at a={}"),
+    ("support-restores", 1, lambda o, a, sa: o.le(a, o.mul(sa, a)),
+     "a <= (sa) a fails at a={}"),
+    ("support-stable", 2,
+     lambda o, a, sa, b, sb: o.eq(o.s(o.mul(a, b)), o.s(o.mul(a, sb))),
+     "s(a b) != s(a sb) at ({}, {})"),
+)
+
+
 def _check_support(lattice, M, I, S, unit):
-    'Support axioms and stability; raises SupportLawFails with the first witness.'
+    """The support laws at every element and every pair of a table, as
+    index arrays; raises SupportLawFails with the first witness.
+
+    The laws on elements run first, then the laws on pairs.  s(bottom) =
+    bottom needs no check of its own: make_quantale has checked that the
+    product and the involution keep the bottom, so support-selfproduct at
+    a = bottom already forces s(bottom) <= bottom . bottom- = bottom, and
+    derive_support only runs on a quantale make_quantale validated.
+    """
     leq, J = lattice.leq_matrix, lattice.join_matrix
     ar = np.arange(lattice.n)
-    bad = leq[S, unit]
-    if not bad.all():
-        raise SupportLawFails(f"sa <= e fails at a={_first(bad)[0]}")
-    aai = M[ar, I]
-    bad = leq[S, aai]
-    if not bad.all():
-        raise SupportLawFails(f"sa <= a a- fails at a={_first(bad)[0]}")
-    saa = M[S, ar]
-    bad = leq[ar, saa]
-    if not bad.all():
-        raise SupportLawFails(f"a <= (sa) a fails at a={_first(bad)[0]}")
-    if S[lattice.bottom] != lattice.bottom:
-        raise SupportLawFails("s(bottom) != bottom")
-    bad = S[J] == J[np.ix_(S, S)]
-    if not bad.all():
-        raise SupportLawFails(f"s(a v b) != sa v sb at {_first(bad)}")
-    bad = S[M] == S[M[:, S]]
-    if not bad.all():
-        raise SupportLawFails(f"s(a b) != s(a sb) at {_first(bad)}")
+    o = SimpleNamespace(mul=lambda a, b: M[a, b], inv=I.__getitem__,
+                        s=S.__getitem__, join=lambda a, b: J[a, b],
+                        le=lambda a, b: leq[a, b], eq=np.equal, e=unit)
+    grids = {1: (ar, S), 2: (ar[:, None], S[:, None], ar[None, :], S[None, :])}
+    for _, arity, holds, message in sorted(_SUPPORT_LAWS, key=lambda law: law[1]):
+        ok = holds(o, *grids[arity])
+        if not ok.all():
+            raise SupportLawFails(message.format(*_first(ok)))
 
 
 def derive_support(q: Quantale) -> tuple[int, ...]:
@@ -330,7 +333,78 @@ def with_derived_support(q: Quantale) -> Quantale:
     """q with the support of derive_support, which has just proved the
     support laws against q's validated tables; nothing is proved again."""
     return Quantale(q.lattice, q.mul_matrix, q.inv_vector, q.unit,
-                    derive_support(q), True)
+                    derive_support(q))
+
+
+# --- the sampled support laws -------------------------------------------
+
+_SAMPLE_ELEMENTS = 150
+
+
+def _matrices(codes, n):
+    'Relation codes as stacked n x n boolean matrices; bit i*n + j is (i, j).'
+    size = (n * n + 7) // 8
+    raw = np.frombuffer(b"".join(c.to_bytes(size, "little") for c in codes),
+                        dtype=np.uint8).reshape(len(codes), size)
+    bits = np.unpackbits(raw, axis=1, bitorder="little")[:, :n * n]
+    return bits.reshape(len(codes), n, n).astype(bool)
+
+
+def _product(a, b):
+    """Relational products of stacked matrices, broadcast as numpy matmul.
+    The path counts are exact in float32 below 2^24 worlds."""
+    return np.matmul(a, b, dtype=np.float32) > 0
+
+
+def _support(a):
+    'Each domain, placed on the diagonal.'
+    return a.any(axis=-1)[..., None] & np.eye(a.shape[-1], dtype=bool)
+
+
+def support_law_witnesses(q, alpha):
+    """Each support law with its first failing witness, or None, in the
+    order `axioms` reports them.
+
+    make_quantale proved all five over every element and pair of a table
+    Quantale, so there every witness is None.  A RelationQuantale runs them
+    on a seeded sample: the bottom, the unit, the top and alpha, then codes
+    from Random(0) up to 150 elements, or every element at 1 or 2 worlds,
+    ascending, and all their pairs.  The sample is decoded once into
+    boolean matrices, and every compared value is read off a product,
+    transpose (the converse) or support computed on them.  A law on pairs
+    takes one first element at a time against the whole sample, which
+    bounds memory.  The witness is the first in itertools.product order of
+    the sample."""
+    if isinstance(q, Quantale):
+        return [(name, None) for name, *_ in _SUPPORT_LAWS]
+    bits = q.nw * q.nw
+    rng = random.Random(0)
+    elems = {q.bottom, q.unit, q.top, alpha}
+    while len(elems) < min(_SAMPLE_ELEMENTS, 2 ** bits):
+        elems.add(rng.getrandbits(bits))
+    elems = sorted(elems)
+    A = _matrices(elems, q.nw)
+    S = _support(A)
+    o = SimpleNamespace(mul=_product, inv=lambda a: a.swapaxes(-1, -2),
+                        s=_support, join=np.bitwise_or,
+                        le=lambda a, b: ~(a & ~b).any(axis=(-2, -1)),
+                        eq=lambda a, b: (a == b).all(axis=(-2, -1)),
+                        e=_matrices([q.unit], q.nw))
+    results = []
+    for name, arity, holds, _ in _SUPPORT_LAWS:
+        if arity == 1:
+            blocks = [((), holds(o, A, S))]
+        else:
+            blocks = (((a,), holds(o, A[i], S[i], A, S))
+                      for i, a in enumerate(elems))
+        witness = None
+        for first, ok in blocks:
+            hit = np.flatnonzero(~ok)
+            if hit.size:
+                witness = (*first, elems[hit[0]])
+                break
+        results.append((name, witness))
+    return results
 
 
 # --- relation quantales ---------------------------------------------------
@@ -348,7 +422,6 @@ class RelationQuantale:
         self.unit = rel.diagonal(self.nw)
         self.bottom = 0
         self.top = rel.full(self.nw)
-        self.stable = True
         self._supp_elems = None
         self.support_irreducibles = tuple(1 << b for b in _bits(self.unit))
 
@@ -583,12 +656,14 @@ def check_locale_laws(q, elems: Sequence[int]) -> None:
     """b b = b and b- = b for every b of elems, and b c = b ^ c for every
     pair; the first failure raises SupportLocaleLawFails.
 
-    supports_locale passes every element below the unit.  On a
-    RelationQuantale the one-world diagonals, support_irreducibles, are
-    enough: every element below the unit is a join of them, and below the
-    unit the product, the meet and the involution preserve joins in each
-    argument, so b c = b ^ c on diagonal pairs gives it on all pairs, b b =
-    b among them, and b- = b on the diagonals gives it everywhere.
+    supports_locale passes every element below the unit.  The
+    join-irreducibles below it, support_irreducibles, are enough: every
+    element below the unit is a join of them, and below the unit the
+    product, the meet and the involution preserve joins in each argument
+    (on a table because the support laws make the product the meet there,
+    see bimodal.check_point_diamonds), so b c = b ^ c on irreducible pairs
+    gives it on all pairs, b b = b among them, and b- = b on the
+    irreducibles gives it everywhere.
     """
     for b in elems:
         if q.mul(b, b) != b:

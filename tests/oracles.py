@@ -241,8 +241,8 @@ def join_preservation_witness_by_pairs(L, t):
 
 
 # --- the sampled support laws of `axioms`, one scalar call at a time ---
-# The reference for cli._support_checks, which scans the same sample as
-# batched boolean matrix products.
+# The reference for quantale.support_law_witnesses, which scans the same
+# sample as batched boolean matrix products.
 
 SUPPORT_LAWS = (
     ("support-join", 2, lambda q, s, a, b: s(q.join(a, b)) != q.join(s(a), s(b))),
@@ -257,11 +257,11 @@ def support_checks_by_scalars(q, alpha):
     """Each support law with its first failing witness, or None, over the
     seeded sample of `axioms` on a RelationQuantale: the bottom, the unit,
     the top and the point, then random codes from Random(0) up to 150
-    elements, ascending, and every pair of them in itertools.product
-    order."""
+    elements, or every element at 1 or 2 worlds, ascending, and every pair
+    of them in itertools.product order."""
     rng = random.Random(0)
     elems = {q.bottom, q.unit, q.top, alpha}
-    while len(elems) < 150:
+    while len(elems) < min(150, 2 ** (q.nw * q.nw)):
         elems.add(rng.getrandbits(q.nw * q.nw))
     elems = sorted(elems)
     tuples = {1: [(a,) for a in elems],
@@ -269,6 +269,42 @@ def support_checks_by_scalars(q, alpha):
     s = q.support
     return [(name, next((p for p in tuples[arity] if bad(q, s, *p)), None))
             for name, arity, bad in SUPPORT_LAWS]
+
+
+# --- the support proof of make_quantale, law by law ---
+# The reference for quantale._check_support, which runs the one support-law
+# table on index grids.
+
+def check_support_law_by_law(lattice, M, I, S, unit):
+    'Support axioms and stability; raises SupportLawFails with the first witness.'
+    import numpy as np
+
+    from quantales.errors import SupportLawFails
+    leq, J = lattice.leq_matrix, lattice.join_matrix
+    ar = np.arange(lattice.n)
+
+    def first(ok):
+        return tuple(int(v) for v in np.argwhere(~ok)[0])
+
+    bad = leq[S, unit]
+    if not bad.all():
+        raise SupportLawFails(f"sa <= e fails at a={first(bad)[0]}")
+    aai = M[ar, I]
+    bad = leq[S, aai]
+    if not bad.all():
+        raise SupportLawFails(f"sa <= a a- fails at a={first(bad)[0]}")
+    saa = M[S, ar]
+    bad = leq[ar, saa]
+    if not bad.all():
+        raise SupportLawFails(f"a <= (sa) a fails at a={first(bad)[0]}")
+    if S[lattice.bottom] != lattice.bottom:
+        raise SupportLawFails("s(bottom) != bottom")
+    bad = S[J] == J[np.ix_(S, S)]
+    if not bad.all():
+        raise SupportLawFails(f"s(a v b) != sa v sb at {first(bad)}")
+    bad = S[M] == S[M[:, S]]
+    if not bad.all():
+        raise SupportLawFails(f"s(a b) != s(a sb) at {first(bad)}")
 
 
 # --- relation algebra on explicit pair sets, for cross-checking bitset code ---

@@ -184,6 +184,26 @@ def test_groupoid_document_via_eval(files, capsys):
     assert code == 0 and "FLAG symmetric YES" in out
 
 
+REPEATED_VAL_MODEL = """
+MODE classical
+WORLDS u v w
+REL alpha (u,v) (v,w) (w,w)
+VAL p {members}
+VAL q v
+"""
+
+
+@pytest.mark.parametrize("command,formula", [
+    ("eval", "p"), ("eval", "<>p"), ("eval", "p | []q"),
+    ("valid", "p -> <>p"), ("valid", "p | ~p")])
+def test_a_valuation_that_repeats_a_world_reads_as_the_set(files, capsys,
+                                                           command, formula):
+    once = files("once.model", REPEATED_VAL_MODEL.format(members="u w"))
+    twice = files("twice.model", REPEATED_VAL_MODEL.format(members="u w u w"))
+    assert run(capsys, command, twice, formula) == \
+        run(capsys, command, once, formula)
+
+
 def test_tensor_verify_covers_every_conjugate_pair(files, capsys):
     code, out, _ = run(capsys, "tensor-verify",
                        "--frame", files("c2.frame", CHAIN2_FRAME))
@@ -388,6 +408,16 @@ def test_cli_imports_no_private_library_names():
                and (node.level or node.module.startswith("quantales"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_cli_imports_no_numerics():
+    # the CLI parses and prints; sampling and array work live in the library
+    tree = ast.parse(Path(quantales.cli.__file__).read_text())
+    modules = {alias.name.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and not node.level}
+    assert modules & {"numpy", "random"} == set()
 
 
 def test_every_traced_span_resolves():

@@ -133,9 +133,9 @@ class TestIsNucleus:
                            for x in range(q.n)]
             def scrambled():
                 return [rng.randrange(q.n) for _ in range(q.n)]
-            copies = [Quantale(q.lattice, q.mul_table, scrambled(), q.unit,
-                               support, True)
-                      for support in (q.support_table, scrambled())]
+            copies = [Quantale(q.lattice, q.mul_matrix, scrambled(), q.unit,
+                               support)
+                      for support in (q.support_vector, scrambled())]
             for p in (q, *copies):
                 for t in candidates:
                     check = is_nucleus(p, t)
@@ -221,7 +221,7 @@ def test_quotients_are_accepted_by_both_paths(request, name):
     for pairs in _random_relations(q, seed=name):
         new = quotient(q, least_nucleus(q, pairs)).quantale
         L = new.lattice
-        M = np.asarray(new.mul_table, dtype=np.int64)
+        M = new.mul_matrix
         J = L.join_matrix
         assert (_irreducible_ranks(L, J) is not None) == L.is_frame()
         assert _laws_hold_on_irreducibles(L, M, J) == L.is_frame()
@@ -264,7 +264,7 @@ class TestQuotient:
         alpha = rel.encode([(0, 1)], 2)
         nuc = least_nucleus(rq2, [(rq2.unit, alpha)])
         quo = quotient(rq2, nuc)
-        assert quo.quantale.stable
+        assert quo.quantale.has_support
         # the image of the point is reflexive in the quotient
         flags = check_point_properties(quo.quantale, quo.projection[alpha])
         assert flags.reflexive
@@ -273,7 +273,7 @@ class TestQuotient:
         nuc = least_nucleus(rq2, [(rq2.unit, rq2.top)])
         quo = quotient(rq2, nuc)
         new = quo.quantale
-        assert new.has_support and new.stable
+        assert new.has_support
         for a in range(new.n):
             for b in range(new.n):
                 assert new.support(new.mul(a, b)) == \
@@ -327,9 +327,9 @@ def _loop_projection_break(q, new, proj):
 def _corrupt(new, part, cells):
     """A copy of new, unvalidated, with the entries at cells changed in one
     table, or in both the multiplication and the join table."""
-    mul = [list(r) for r in new.mul_table]
-    inv = list(new.inv_table)
-    support = list(new.support_table)
+    mul = new.mul_matrix.tolist()
+    inv = new.inv_vector.tolist()
+    support = new.support_vector.tolist()
     L = new.lattice
     join = L.join_matrix.copy()
     for x, y in cells:
@@ -343,7 +343,7 @@ def _corrupt(new, part, cells):
             join[x][y] = L.top if join[x][y] != L.top else L.bottom
     lat = FiniteSupLattice(L.labels, L.leq_matrix, join, L.meet_matrix,
                            L.bottom, L.top)
-    return Quantale(lat, mul, inv, new.unit, support, True)
+    return Quantale(lat, mul, inv, new.unit, support)
 
 
 @pytest.mark.parametrize("part", ["inv", "support", "mul", "join", "both"])

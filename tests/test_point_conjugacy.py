@@ -1,16 +1,21 @@
 """Conjugacy and join preservation decided on join-irreducibles, the lazy
-point check of a RelationQuantale, and the batched support-law scan of
+point check of every quantale, and the batched support-law scan of
 `axioms`, each against the full scan or the scalar reference."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import quantales
 import quantales.bimodal
-import quantales.cli
 import quantales.quantale
 from conftest import grid_lattice, m3_lattice, n5_lattice
 from quantales import relations as rel
@@ -23,12 +28,17 @@ from quantales.bimodal import (
     join_preserving_endomaps,
     lazy_point_diamonds,
 )
-from quantales.cli import _support_checks, main
+from quantales.cli import main
 from quantales.errors import InternalValidationFailed, SupportLocaleLawFails
 from quantales.lattice import chain_lattice, diamond_lattice, powerset_lattice
 from quantales.quantale import (
+    FiniteGroupoid,
     RelationQuantale,
     check_locale_laws,
+    group_groupoid,
+    groupoid_quantale,
+    relation_quantale,
+    support_law_witnesses,
     supports_locale,
 )
 
@@ -100,21 +110,66 @@ def _points(n):
             *(rng.getrandbits(n * n) for _ in range(9))]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_lazy_diamonds_are_the_explicit_ones(n):
-    q = RelationQuantale(tuple(range(n)))
+def s3_quantale():
+    'The symmetric group on three letters as a one-object groupoid.'
+    perms = list(itertools.permutations(range(3)))
+    idx = {p: i for i, p in enumerate(perms)}
+    mul = [[idx[tuple(g[f[i]] for i in range(3))] for g in perms]
+           for f in perms]
+    inv = [idx[tuple(sorted(range(3), key=f.__getitem__))] for f in perms]
+    return groupoid_quantale(group_groupoid(perms, mul, inv, idx[(0, 1, 2)]))
+
+
+def pair2_z2_quantale():
+    'The pair groupoid on objects 0 and 1 beside the group Z2 at object 2.'
+    arrows = [(0, 0), (0, 1), (1, 0), (1, 1), "z0", "z1"]
+    dom, cod = [0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 2, 2]
+    idx = {a: i for i, a in enumerate(arrows)}
+
+    def compose(f, g):
+        if isinstance(f, tuple):
+            return idx[(f[0], g[1])]
+        return idx["z0" if f == g else "z1"]
+
+    comp = {(i, j): compose(f, g) for i, f in enumerate(arrows)
+            for j, g in enumerate(arrows) if cod[i] == dom[j]}
+    inv = [idx[a[::-1]] if isinstance(a, tuple) else i
+           for i, a in enumerate(arrows)]
+    return groupoid_quantale(FiniteGroupoid(range(3), arrows, dom, cod, comp,
+                                            inv))
+
+
+# Table quantales and their points: every point of the relation quantale
+# on two worlds and of the groupoid quantales, seeded points at 3 worlds.
+TABLES = {
+    "table-ab": (lambda: relation_quantale("ab"), _points(2)),
+    "table-abc": (lambda: relation_quantale("abc"), _points(3)),
+    "s3": (s3_quantale, range(64)),
+    "pair2-z2": (pair2_z2_quantale, range(64)),
+}
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4, 5, 6, *TABLES])
+def test_lazy_diamonds_are_the_explicit_ones(case):
+    if case in TABLES:
+        make, points = TABLES[case]
+        q = make()
+    else:
+        q, points = RelationQuantale(tuple(range(case))), _points(case)
     loc = supports_locale(q)
-    for alpha in _points(n):
+    for alpha in points:
         explicit = diamonds_from_point(q, alpha, loc)
         lazy = lazy_point_diamonds(q, alpha)
-        point = _pairs(q, alpha)
-        for table, f, r in zip((explicit.dia, explicit.bdia), lazy,
-                               (point, oracles.rel_converse(point))):
+        for table, f in zip((explicit.dia, explicit.bdia), lazy):
             for v in loc.q_elements:
                 assert f(v) == loc.to_q(table[loc.from_q(v)]), (alpha, v)
-                by_pairs = oracles.rel_support(
-                    oracles.rel_compose(r, _pairs(q, v)))
-                assert f(v) == _codes(q, by_pairs), (alpha, v)
+        if isinstance(q, RelationQuantale):
+            point = _pairs(q, alpha)
+            for f, r in zip(lazy, (point, oracles.rel_converse(point))):
+                for v in loc.q_elements:
+                    by_pairs = oracles.rel_support(
+                        oracles.rel_compose(r, _pairs(q, v)))
+                    assert f(v) == _codes(q, by_pairs), (alpha, v)
         check_point_diamonds(q, alpha)
 
 
@@ -147,14 +202,19 @@ def test_a_broken_locale_law_raises(monkeypatch):
 
 
 def test_a_failing_conjugacy_raises(monkeypatch):
-    # a first diamond moving world 0 to world 1, against the identity
-    q = RelationQuantale("ab")
-    d0, d1 = q.support_irreducibles
-    dia = lambda v: d1 if q.leq(d0, v) else q.bottom
-    monkeypatch.setattr(quantales.bimodal, "lazy_point_diamonds",
-                        lambda q, alpha: (dia, lambda v: v))
-    with pytest.raises(InternalValidationFailed, match="backward"):
-        check_point_diamonds(q, 0)
+    # a first diamond moving the first irreducible below the unit to the
+    # last (world 0 to world 1 on two worlds), or to the bottom when it is
+    # the only one, against the identity
+    for q in (RelationQuantale("ab"), *(make() for make, _ in TABLES.values())):
+        d0, *rest = q.support_irreducibles
+        target = rest[-1] if rest else q.bottom
+        dia = lambda v: target if q.leq(d0, v) else q.bottom
+        monkeypatch.setattr(quantales.bimodal, "lazy_point_diamonds",
+                            lambda q, alpha: (dia, lambda v: v))
+        with pytest.raises(InternalValidationFailed) as info:
+            check_point_diamonds(q, 0)
+        assert str(info.value) == ("point diamonds not conjugate: backward "
+                                   f"conjugacy fails at {(d0, d0)}")
 
 
 # --- the batched support-law scan -----------------------------------------
@@ -163,15 +223,43 @@ def _sample_point(n, seed):
     return random.Random(seed).getrandbits(n * n)
 
 
+LAW_NAMES = ["support-join", "support-unit", "support-selfproduct",
+             "support-restores", "support-stable"]
+
+
 @pytest.mark.parametrize("n", [4, 8, 10])
 def test_batched_scan_is_the_scalar_reference(n):
     q = RelationQuantale(tuple(range(n)))
     alpha = _sample_point(n, n)
-    got = _support_checks(q, alpha)
+    got = support_law_witnesses(q, alpha)
     assert got == oracles.support_checks_by_scalars(q, alpha)
-    assert [name for name, _ in got] == [
-        "support-join", "support-unit", "support-selfproduct",
-        "support-restores", "support-stable"]
+    assert [name for name, _ in got] == LAW_NAMES
+
+
+# the scan runs in a child interpreter, so that a sample loop that cannot
+# end fails the test instead of hanging the suite
+SMALL_SCAN = """
+import oracles
+from quantales.quantale import RelationQuantale, support_law_witnesses
+for n in (1, 2):
+    q = RelationQuantale(tuple(range(n)))
+    for alpha in range(2 ** (n * n)):
+        got = support_law_witnesses(q, alpha)
+        assert got == oracles.support_checks_by_scalars(q, alpha), (n, alpha)
+        assert got == [(name, None) for name in {names}], (n, alpha)
+print("scanned")
+"""
+
+
+def test_the_scan_takes_every_element_at_one_and_two_worlds():
+    src = str(Path(quantales.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, str(Path(__file__).parent),
+                            *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", SMALL_SCAN.format(names=LAW_NAMES)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "scanned\n", "")
 
 
 def _cell(n, i, j):
@@ -182,7 +270,7 @@ def _cell(n, i, j):
 
 
 # Each corruption breaks one operation the same way twice: as the scalar
-# RelationQuantale method the reference calls, and as the batched cli
+# RelationQuantale method the reference calls, and as the batched library
 # function.  Each takes both real operations and the world count, and
 # returns both broken ones.
 
@@ -245,12 +333,12 @@ CORRUPTIONS = {
 def test_both_scans_name_the_same_witness_of_a_broken_law(monkeypatch, name, n):
     scalar, batched, corrupt = CORRUPTIONS[name]
     bad_scalar, bad_batched = corrupt(getattr(RelationQuantale, scalar),
-                                      getattr(quantales.cli, batched), n)
+                                      getattr(quantales.quantale, batched), n)
     monkeypatch.setattr(RelationQuantale, scalar, bad_scalar)
-    monkeypatch.setattr(quantales.cli, batched, bad_batched)
+    monkeypatch.setattr(quantales.quantale, batched, bad_batched)
     q = RelationQuantale(tuple(range(n)))
     alpha = _sample_point(n, 3)
-    got = _support_checks(q, alpha)
+    got = support_law_witnesses(q, alpha)
     assert got == oracles.support_checks_by_scalars(q, alpha)
     assert any(witness is not None for _, witness in got), got
 

@@ -15,8 +15,8 @@ import quantales.parsing
 import quantales.quantale
 from quantales.bimodal import (
     check_conjugacy,
+    check_point_diamonds,
     conjugate_pairs,
-    diamonds_from_point,
     join_preserving_endomaps,
 )
 from quantales.cli import main
@@ -188,7 +188,7 @@ def test_axioms_proves_the_support_laws_once(tmp_path, capsys, monkeypatch):
     # every support the CLI takes is for the conjugacy check and the flags
     supports.clear()
     alpha, q = document_quantale(parse_model(THREE_WORLDS))
-    diamonds_from_point(q, alpha)
+    check_point_diamonds(q, alpha)
     check_point_properties(q, alpha)
     assert cli_supports == len(supports)
 
@@ -197,10 +197,10 @@ def test_a_broken_support_table_prints_no_check_line(tmp_path, capsys,
                                                      monkeypatch):
     def corrupted(worlds):
         q = relation_quantale(worlds)
-        support = list(q.support_table)
+        support = q.support_vector.tolist()
         # s{(u,v)} = the whole diagonal breaks sa <= a a- = {(u,u)}
         support[1 << 1] = q.unit
-        return make_quantale(q.lattice, q.mul_table, q.inv_table, q.unit,
+        return make_quantale(q.lattice, q.mul_matrix, q.inv_vector, q.unit,
                              support=support)
     monkeypatch.setattr(quantales.parsing, "relation_quantale", corrupted)
     model = tmp_path / "m.model"
@@ -212,7 +212,7 @@ def test_a_broken_support_table_prints_no_check_line(tmp_path, capsys,
 
 
 def test_with_derived_support_proves_only_the_support(rq2, monkeypatch):
-    bare = make_quantale(rq2.lattice, rq2.mul_table, rq2.inv_table, rq2.unit)
+    bare = make_quantale(rq2.lattice, rq2.mul_matrix, rq2.inv_vector, rq2.unit)
     proofs = counting(monkeypatch, [quantales.quantale], "_check_support")
     fast = counting(monkeypatch, [quantales.quantale],
                     "_laws_hold_on_irreducibles")
@@ -220,7 +220,7 @@ def test_with_derived_support_proves_only_the_support(rq2, monkeypatch):
                     "_check_laws_exhaustively")
     q = with_derived_support(bare)
     assert len(proofs) == 1 and fast == [] and loop == []
-    assert q.support_table == rq2.support_table and q.stable
+    assert q.support_vector.tolist() == rq2.support_vector.tolist()
 
 
 # --- conjugate pairs ------------------------------------------------------

@@ -92,7 +92,7 @@ class TestRelationQuantale:
         assert rq2.unit == rel.diagonal(2)
 
     def test_stable_flag_and_axioms_all_elements(self, rq2):
-        assert rq2.stable
+        assert rq2.has_support
         e = rq2.unit
         for a in range(16):
             sa = rq2.support(a)
@@ -121,7 +121,7 @@ class TestRelationQuantale:
         assert sorted(lazy.support_elements()) == sorted(rq2.support_elements())
 
     def test_derived_support_matches_construction(self, rq2):
-        assert derive_support(rq2) == rq2.support_table
+        assert derive_support(rq2) == tuple(rq2.support_vector.tolist())
 
     def test_tabulated_guard(self):
         with pytest.raises(ValueError):
@@ -152,11 +152,11 @@ class TestMakeQuantaleValidation:
 
     def test_not_involutive(self, rq2):
         with pytest.raises(NotInvolutive):
-            make_quantale(rq2.lattice, rq2.mul_table, list(range(16)), rq2.unit)
+            make_quantale(rq2.lattice, rq2.mul_matrix, list(range(16)), rq2.unit)
 
     def test_bad_support_table(self, rq2):
         with pytest.raises(SupportLawFails):
-            make_quantale(rq2.lattice, rq2.mul_table, rq2.inv_table, rq2.unit,
+            make_quantale(rq2.lattice, rq2.mul_matrix, rq2.inv_vector, rq2.unit,
                           support=[0] * 16)
 
     def test_locale_as_quantale(self):
@@ -165,7 +165,7 @@ class TestMakeQuantaleValidation:
         mul = [[L.meet(a, b) for b in range(L.n)] for a in range(L.n)]
         q = make_quantale(L, mul, list(range(L.n)), L.top,
                           support=list(range(L.n)))
-        assert q.stable
+        assert q.has_support
 
     @pytest.mark.parametrize("part", ["mul", "inv", "support"])
     @pytest.mark.parametrize("value", [-1, 2])
@@ -239,11 +239,55 @@ def _other(rng, n, old):
     return v + (v >= old)
 
 
+def _raised(f, *args, **kwargs):
+    'The type and message f raises, or None.'
+    try:
+        f(*args, **kwargs)
+    except SupportLawFails as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def chain4_quantale():
+    """The 4-chain with unit 2, where every x in {1, 2} keeps x x = x; its
+    support tables can fail every support law, the pair laws included."""
+    mul = [[0, 0, 0, 0], [0, 1, 1, 3], [0, 1, 2, 3], [0, 3, 3, 3]]
+    return make_quantale(chain_lattice(4), mul, range(4), 2)
+
+
+def test_the_support_proof_is_the_law_by_law_reference(rq2):
+    # the support of the relation quantale on two worlds, every
+    # single-entry corruption of it, seeded two-entry ones, and every
+    # support table of chain4_quantale, against the law-by-law checks
+    n, S0 = rq2.n, rq2.support_vector.tolist()
+    cases = [(rq2, S0)] + [(rq2, S0[:x] + [v] + S0[x + 1:])
+                           for x in range(n) for v in range(n) if v != S0[x]]
+    rng = random.Random(12)
+    for _ in range(400):
+        s = list(S0)
+        for x in rng.sample(range(n), 2):
+            s[x] = _other(rng, n, s[x])
+        cases.append((rq2, s))
+    c4 = chain4_quantale()
+    cases += [(c4, list(s)) for s in itertools.product(range(4), repeat=4)]
+    laws = set()
+    for q, s in cases:
+        got = _raised(make_quantale, q.lattice, q.mul_matrix, q.inv_vector,
+                      q.unit, support=s)
+        assert got == _raised(oracles.check_support_law_by_law, q.lattice,
+                              q.mul_matrix, q.inv_vector, np.array(s),
+                              q.unit), (q, s)
+        laws.add(got and got[1].split(" at ")[0])
+    assert laws == {None, "sa <= e fails", "sa <= a a- fails",
+                    "a <= (sa) a fails", "s(a v b) != sa v sb",
+                    "s(a b) != s(a sb)"}
+
+
 @pytest.mark.parametrize("name", ["rq2", "rq3"])
 def test_corrupted_tables_fail_alike_on_both_paths(request, monkeypatch, name):
     q = request.getfixturevalue(name)
     L, n = q.lattice, q.n
-    M0 = np.asarray(q.mul_table, dtype=np.int64)
+    M0 = q.mul_matrix
     J = L.join_matrix
     irr = L.join_irreducibles()
     T0 = M0[np.ix_(irr, irr)]
@@ -252,7 +296,8 @@ def test_corrupted_tables_fail_alike_on_both_paths(request, monkeypatch, name):
     seen = set()
     memo = {}
     for trial in range(60):
-        mul, inv, supp = M0.copy(), list(q.inv_table), list(q.support_table)
+        mul, inv, supp = (M0.copy(), q.inv_vector.tolist(),
+                          q.support_vector.tolist())
         part = ("mul", "irreducible product", "inv", "support")[trial % 4]
         if part == "mul":
             x, y = rng.randrange(1, n), rng.randrange(1, n)
@@ -304,7 +349,7 @@ def _table_quantales():
 
 def test_every_table_quantale_is_accepted_by_both_paths():
     for q in _table_quantales():
-        M = np.asarray(q.mul_table, dtype=np.int64)
+        M = q.mul_matrix
         J = q.lattice.join_matrix
         assert quantale._laws_hold_on_irreducibles(q.lattice, M, J), q
         quantale._check_laws_exhaustively(M, J)
@@ -386,7 +431,7 @@ def test_relation_quantale_takes_the_irreducible_path(monkeypatch):
         raise AssertionError("the exhaustive loop ran")
     monkeypatch.setattr(quantale, "_check_laws_exhaustively", loop)
     q = relation_quantale("abc")
-    assert q.n == 512 and q.stable
+    assert q.n == 512 and q.has_support
 
 
 @pytest.mark.parametrize("size", [1, 2])
@@ -421,10 +466,11 @@ class TestDeriveSupport:
             derive_support(q)
 
     def test_with_derived_support(self, rq2):
-        bare = make_quantale(rq2.lattice, rq2.mul_table, rq2.inv_table, rq2.unit)
+        bare = make_quantale(rq2.lattice, rq2.mul_matrix, rq2.inv_vector,
+                             rq2.unit)
         assert not bare.has_support
         q = with_derived_support(bare)
-        assert q.support_table == rq2.support_table
+        assert np.array_equal(q.support_vector, rq2.support_vector)
 
     def test_uniqueness_on_two_worlds(self, rq2):
         # every join-preserving endomap is fixed by its atom values; only the
@@ -447,7 +493,7 @@ class TestDeriveSupport:
                 for a in range(16))
             if ok:
                 survivors.append(tuple(table))
-        assert survivors == [rq2.support_table]
+        assert survivors == [tuple(rq2.support_vector.tolist())]
 
 
 class TestStoredTables:
@@ -458,13 +504,13 @@ class TestStoredTables:
 
     def test_make_quantale_copies_its_input(self, rq2):
         mul, inv, supp = (np.array(t) for t in
-                          (rq2.mul_table, rq2.inv_table, rq2.support_table))
+                          (rq2.mul_matrix, rq2.inv_vector, rq2.support_vector))
         q = make_quantale(rq2.lattice, mul, inv, rq2.unit, support=supp)
         for t in (mul, inv, supp):
             t[...] = 0
-        assert q.mul_table == rq2.mul_table
-        assert q.inv_table == rq2.inv_table
-        assert q.support_table == rq2.support_table
+        assert np.array_equal(q.mul_matrix, rq2.mul_matrix)
+        assert np.array_equal(q.inv_vector, rq2.inv_vector)
+        assert np.array_equal(q.support_vector, rq2.support_vector)
 
     def test_scalars_are_python_values(self, rq2):
         quo = quotient(rq2, least_nucleus(rq2, [(rq2.unit, 1 << 1)]))
@@ -489,14 +535,14 @@ class TestGroupoids:
         assert q.mul(gbit, gbit) == 0b01
         assert q.support(gbit) == 0b01
         assert q.unit == 0b01
-        assert q.stable
+        assert q.has_support
 
     def test_pair_groupoid_matches_relation_quantale(self, rq2):
         q = groupoid_quantale(pair_groupoid("ab"))
-        assert q.mul_table == rq2.mul_table
-        assert q.inv_table == rq2.inv_table
+        assert np.array_equal(q.mul_matrix, rq2.mul_matrix)
+        assert np.array_equal(q.inv_vector, rq2.inv_vector)
         assert q.unit == rq2.unit
-        assert q.support_table == rq2.support_table
+        assert np.array_equal(q.support_vector, rq2.support_vector)
 
     def test_identity_inference(self):
         G = pair_groupoid("abc")
