@@ -29,7 +29,9 @@ from .quantale import (
     MODAL_SYSTEMS,
     SupportLocale,
     check_locale_laws,
+    diamond_image,
     irreducible_split,
+    require_support,
     supports_locale,
 )
 
@@ -172,22 +174,21 @@ def lazy_point_diamonds(q, alpha: int):
     """The two diamonds of a point on the support locale, as functions on
     the elements below the unit; the locale is never tabulated.
 
-    dia maps a join-irreducible x below the unit (a one-world diagonal of
-    a RelationQuantale) to s(alpha x), and bdia maps it to s(alpha- x);
-    any other v goes to the join of the values at the irreducibles below
-    v.  That is s(alpha v) because the product and the support preserve
-    joins in each argument: make_quantale proves it for a table, and the
-    row-wise definitions of relations.compose and relations.support make
-    it so for a RelationQuantale.  The tests check this against the
-    explicit tables of diamonds_from_point.
+    dia maps v to the join of s(alpha j) over the support irreducibles j
+    below v, read from the point's diamond_table, and bdia does the same
+    with the converse table, s(alpha- j).  That is s(alpha v) because the
+    product and the support preserve joins in each argument: make_quantale
+    proves it for a table, and the row-wise definitions of
+    relations.compose and relations.support make it so for a
+    RelationQuantale.  The tests check this against the explicit tables
+    of diamonds_from_point.
     """
-    atoms = q.support_irreducibles
 
-    def extend(a):
-        values = [(x, q.support(q.mul(a, x))) for x in atoms]
-        return lambda v: q.join_all(fx for x, fx in values if q.leq(x, v))
+    def extend(table):
+        return lambda v: q.locale_element(diamond_image(table, q.locale_mask(v)))
 
-    return extend(alpha), extend(q.inv(alpha))
+    return (extend(q.diamond_table(alpha)),
+            extend(q.diamond_table(alpha, converse=True)))
 
 
 def check_point_diamonds(q, alpha: int) -> None:
@@ -210,8 +211,10 @@ def check_point_diamonds(q, alpha: int) -> None:
     row-wise definitions make them do, and the tests hold both steps to
     the scan over every element at up to 6 worlds.  A locale law failure
     raises SupportLocaleLawFails; a conjugacy failure, a theorem broken,
-    raises InternalValidationFailed naming the two irreducibles.
+    raises InternalValidationFailed naming the two irreducibles, and a
+    Quantale without a support raises NoStableSupport.
     """
+    require_support(q)
     atoms = q.support_irreducibles
     check_locale_laws(q, atoms)
     failure = conjugacy_witness_on_irreducibles(

@@ -9,12 +9,20 @@ lazy counterpart for world sets too large to tabulate, computing the same
 operations on bitmask codes directly.  The five support laws are written
 once: make_quantale proves them on a table's index arrays, and
 support_law_witnesses scans them on a seeded sample of a RelationQuantale.
+
+Both kinds share one view of the support locale as bitmasks over its
+join-irreducibles, support_irreducibles: locale_mask and locale_element
+convert an element below the unit to and from the mask of the
+irreducibles below it, and diamond_table(a) stores the join-preserving
+map v |-> s(a v) by its values at those irreducibles (diamond_image
+extends it to any mask).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
@@ -70,6 +78,7 @@ class Quantale:
         return self.inv_vector.item(a)
 
     def support(self, a: int) -> int:
+        require_support(self)
         return self.support_vector.item(a)
 
     def join(self, a: int, b: int) -> int:
@@ -90,6 +99,58 @@ class Quantale:
             self._supp_elems = tuple(
                 np.flatnonzero(self.lattice.leq_matrix[:, self.unit]).tolist())
         return self._supp_elems
+
+    @cached_property
+    def _locale_masks(self) -> tuple[int, ...]:
+        'locale_mask of every element, read off the order matrix.'
+        masks = [0] * self.n
+        for i, j in enumerate(self.support_irreducibles):
+            for x in np.flatnonzero(self.lattice.leq_matrix[j]).tolist():
+                masks[x] |= 1 << i
+        return tuple(masks)
+
+    @cached_property
+    def _locale_elements(self) -> dict:
+        return {self._locale_masks[x]: x for x in self.support_elements()}
+
+    def locale_mask(self, v: int) -> int:
+        'Bit i set when support_irreducibles[i] <= v.'
+        return self._locale_masks[v]
+
+    def locale_element(self, mask: int) -> int:
+        """The element below the unit whose locale_mask is mask, a down-set
+        of the irreducibles: the support locale is distributive, so each
+        down-set is the mask of exactly one element (Birkhoff)."""
+        return self._locale_elements[mask]
+
+    def diamond_table(self, a: int, converse: bool = False) -> tuple[int, ...]:
+        'locale_mask of s(a j), or of s(a- j), at each support irreducible j.'
+        require_support(self)
+        if converse:
+            a = self.inv(a)
+        values = self.support_vector[
+            self.mul_matrix[a, list(self.support_irreducibles)]]
+        return tuple(self._locale_masks[x] for x in values.tolist())
+
+
+def require_support(q) -> None:
+    'NoStableSupport unless q has a support, which every diamond reads.'
+    if not q.has_support:
+        raise NoStableSupport(
+            "the quantale has no support table, so s(a v) is undefined")
+
+
+def diamond_image(table: Sequence[int], mask: int) -> int:
+    """The join of table[i] over the bits i of mask: <a>v from a's
+    diamond_table, for the v whose irreducibles are the bits of mask.
+    Exact for any set of irreducibles, since <a> preserves joins and a
+    table of a monotone map gives the same join on the set's down-set."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def _first(mask: np.ndarray):
@@ -374,8 +435,9 @@ def support_law_witnesses(q, alpha):
     transpose (the converse) or support computed on them.  A law on pairs
     takes one first element at a time against the whole sample, which
     bounds memory.  The witness is the first in itertools.product order of
-    the sample."""
+    the sample.  A Quantale without a support raises NoStableSupport."""
     if isinstance(q, Quantale):
+        require_support(q)
         return [(name, None) for name, *_ in _SUPPORT_LAWS]
     bits = q.nw * q.nw
     rng = random.Random(0)
@@ -423,7 +485,11 @@ class RelationQuantale:
         self.bottom = 0
         self.top = rel.full(self.nw)
         self._supp_elems = None
-        self.support_irreducibles = tuple(1 << b for b in _bits(self.unit))
+        # the one-world diagonals, bit w*n + w; not read off the bits of the
+        # unit, which costs a shift of the whole n^2-bit code per world
+        self.support_irreducibles = tuple(
+            1 << w * (self.nw + 1) for w in range(self.nw))
+        self._code_format = f"0{self.nw * self.nw}b"
 
     def __repr__(self):
         return f"RelationQuantale(worlds={self.nw})"
@@ -462,6 +528,31 @@ class RelationQuantale:
                 rel.encode(((i, i) for i in _bits(sub)), n)
                 for sub in range(1 << n)))
         return self._supp_elems
+
+    # A code's binary string, most significant bit first, has bit
+    # w*n + x at position (n-1-w)*n + (n-1-x): slices with step n read
+    # columns, slices of length n read rows, and step n+1 reads the
+    # diagonal, each most significant world first.
+
+    def locale_mask(self, v):
+        'The worlds w whose diagonal pair (w, w) is in v, as an n-bit mask.'
+        return int(format(v, self._code_format)[::self.nw + 1], 2)
+
+    def locale_element(self, mask):
+        'The diagonal relation on the worlds of mask.'
+        n = self.nw
+        return int(("0" * n).join(format(mask, f"0{n}b")), 2)
+
+    def diamond_table(self, a, converse=False):
+        """At each world x, s(a d_x), the worlds w with (w, x) in a:
+        column x of a; with converse, s(a- d_x), the a-successors of x:
+        row x.  One pass over the code, without a product."""
+        n = self.nw
+        bits = format(a, self._code_format)
+        if converse:
+            return tuple(int(bits[(n - 1 - x) * n:(n - x) * n], 2)
+                         for x in range(n))
+        return tuple(int(bits[n - 1 - x::n], 2) for x in range(n))
 
 
 def relation_quantale(worlds: Sequence) -> Quantale:

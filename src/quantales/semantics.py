@@ -1,20 +1,42 @@
 """One evaluator for all four modes over a supported quantale with a point.
 
-Formula values live below the unit; program values roam the whole
-quantale.  Each mode admits the connectives listed for it in
-formulas.MODE_NODES, and every diamond is s(a.v) for its point or
-program a.  Classical, temporal and dynamic modes interpret negation by
-complements in the support locale, failing with NotComplemented (naming
-the offending subformula) when one is missing, and read conjunction,
-implication, the box and the A-forms as abbreviations; intuitionistic
-mode reads conjunction as multiplication, implication and negation as
-the Heyting residual and the box as a right adjoint.  These and complements
-are joins over the locale's irreducibles, one per world (lattice.right_adjoint).
+Formula values live in the support locale, the elements below the unit.
+That locale is a finite frame, so each value v is stored as the bitmask
+of the join-irreducibles below it (quantale.support_irreducibles, one per
+world of a relation or groupoid model): join is |, meet is &, and every
+mask the evaluator makes is a down-set, the mask of exactly one element.
+A point or program a acts on the locale as the join-preserving map
+<a>v = s(a v), stored as its table on the irreducibles
+(quantale.diamond_table, read from the quantale's own tables without a
+product of whole elements): <a>v ORs the table over the bits of v.
+
+- <a;b> = <a> o <b>, by stability s(a b v) = s(a s(b v)); <a u b> =
+  <a> v <b>; <phi?>v = phi ^ v; <a*>v and EF are least fixpoints of
+  X |-> v v <a>X, found by a worklist of the irreducibles new to X; EG is
+  the greatest fixpoint of X |-> v ^ <alpha>X, from v downward.
+- The Heyting residual a -> b is the set of irreducibles whose down-sets
+  meet a only inside b, negation is a -> bottom, and the intuitionistic
+  box is the right adjoint of <alpha->: the irreducibles j with
+  <alpha->j <= y.
+- Each mode admits the connectives listed for it in formulas.MODE_NODES.
+  Classical, temporal and dynamic modes interpret negation by
+  complements, failing with NotComplemented (naming the offending
+  subformula) when one is missing, and read conjunction, implication, the
+  box and the A-forms as abbreviations; intuitionistic mode reads
+  conjunction as multiplication, which is meet below the unit.
+
+A formula is translated once per mode, with its mode check and its
+abbreviations, into closures over a model; a quantale's locale and its
+recent point tables are kept between models, so a sweep over valuations
+pays bit operations per model.  eval_program still returns the program's
+element through the quantale operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from operator import and_
 from typing import Mapping
 
 from .errors import NotComplemented, TimeEnds
@@ -39,7 +61,37 @@ from .formulas import (
     Temporal,
     to_text,
 )
-from .lattice import right_adjoint
+from .quantale import diamond_image, require_support
+
+
+class _Locale:
+    """The support locale of one quantale as masks: each irreducible's
+    down-set (the table of the unit, since <e> is the identity), the
+    full mask of the unit, and a memo of recent diamond tables."""
+
+    def __init__(self, q):
+        self.below = q.diamond_table(q.unit)
+        self.full = (1 << len(self.below)) - 1
+        self.boolean = all(d == 1 << i for i, d in enumerate(self.below))
+        self.table = lru_cache(maxsize=16)(q.diamond_table)
+
+    def residual(self, a: int, b: int) -> int:
+        'a -> b: the irreducibles whose down-sets meet a only inside b.'
+        outside = a & ~b
+        if self.boolean:
+            return self.full & ~outside
+        return sum(1 << i for i, d in enumerate(self.below)
+                   if not d & outside)
+
+    def complement(self, v: int):
+        'The complement of v, or None: v -> bottom, if it joins v to the unit.'
+        c = self.residual(v, 0)
+        return c if v | c == self.full else None
+
+
+@lru_cache(maxsize=4)
+def _locale(q) -> _Locale:
+    return _Locale(q)
 
 
 @dataclass
@@ -60,14 +112,18 @@ class PointedModel:
 
     def __post_init__(self):
         q = self.quantale
+        require_support(q)
         for name, v in self.valuation.items():
             if not q.leq(v, q.unit):
                 raise ValueError(f"atom {name!r} is valued outside the support locale")
-        if self.mode == Mode.CTL and q.support(self.alpha) != q.unit:
+        if self.mode is Mode.CTL and q.support(self.alpha) != q.unit:
             raise TimeEnds("the point must have total support in temporal models")
-        if self.mode in (Mode.CLASSICAL, Mode.CTL, Mode.PDL):
-            for name, v in self.valuation.items():
-                if complement_in_locale(q, v) is None:
+        self._locale = loc = _locale(q)
+        self._masks = {name: q.locale_mask(v)
+                       for name, v in self.valuation.items()}
+        if self.mode is not Mode.INTUITIONISTIC:
+            for name, v in self._masks.items():
+                if loc.complement(v) is None:
                     raise NotComplemented(
                         f"atom {name!r} has no complement below the unit",
                         Atom(name))
@@ -79,15 +135,10 @@ class PointedModel:
         return self.programs.get(name, self.quantale.bottom)
 
 
-def _residual(q, a: int, b: int) -> int:
-    'Heyting residual a -> b: the right adjoint of c |-> a ^ c below the unit.'
-    return right_adjoint(q, q.support_irreducibles, lambda c: q.meet(a, c), b)
-
-
 def complement_in_locale(q, b: int):
     'The complement of b below the unit, or None: b -> bottom, if it joins b to e.'
-    c = _residual(q, b, q.bottom)
-    return c if q.join(b, c) == q.unit else None
+    c = _locale(q).complement(q.locale_mask(b))
+    return None if c is None else q.locale_element(c)
 
 
 def op_star(q, a: int) -> int:
@@ -141,57 +192,139 @@ def _abbreviation(f: Formula) -> Formula:
     return Not(Temporal(_DUALS[f.op], Not(f.sub)))
 
 
-def evaluate(model: PointedModel, f: Formula) -> int:
-    'The value of f below the unit, read in the model\'s own mode.'
-    q = model.quantale
-    nodes = MODE_NODES[model.mode]
-    heyting = model.mode is Mode.INTUITIONISTIC
+def _least_fixpoint(table, v: int) -> int:
+    """The least X >= v with <a>X <= X, for a's table: each step pushes
+    only the irreducibles new to X, which is exact as <a> preserves
+    joins, so every irreducible is pushed once."""
+    out = new = v
+    while new:
+        new = diamond_image(table, new) & ~out
+        out |= new
+    return out
 
-    def ev(f):
+
+def _greatest_fixpoint(table, v: int) -> int:
+    'The greatest X with X = v ^ <a>X, from v downward.'
+    cur = v
+    while True:
+        nxt = v & diamond_image(table, cur)
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def _translate(f: Formula, mode: Mode):
+    """f as a function from a model of the mode to the mask of its value.
+
+    Each node is checked against the mode and each abbreviation expanded
+    here, once.  Children run left to right and a program before the
+    formula under it, so the first NotComplemented is the one a recursive
+    walk of the tree raises."""
+    nodes = MODE_NODES[mode]
+    heyting = mode is Mode.INTUITIONISTIC
+
+    def formula(f):
         if not isinstance(f, nodes):
             raise TypeError(
-                f"connective not available in {model.mode.value} mode: {f!r}")
+                f"connective not available in {mode.value} mode: {f!r}")
         if isinstance(f, Atom):
-            return model.atom_value(f.name)
-        if isinstance(f, Or):
-            return q.join(ev(f.left), ev(f.right))
-        if isinstance(f, Diamond):
-            return q.support(q.mul(model.alpha, ev(f.sub)))
+            name = f.name
+            return lambda m: m._masks.get(name, 0)
         if isinstance(f, ProgDiamond):
-            return q.support(q.mul(_eval_prog(model, f.prog), ev(f.sub)))
+            prog, sub = program(f.prog), formula(f.sub)
+            return lambda m: prog(m)(sub(m))
         if isinstance(f, Not):
-            v = ev(f.sub)
-            c = _residual(q, v, q.bottom)
-            if heyting or q.join(v, c) == q.unit:
-                return c
-            raise NotComplemented(f"value of {to_text(f.sub)!r} has no "
-                                  "complement below the unit", f.sub)
-        if heyting:
-            if isinstance(f, And):
-                # conjunction is multiplication, which is meet below the unit
-                return q.mul(ev(f.left), ev(f.right))
-            if isinstance(f, Implies):
-                return _residual(q, ev(f.left), ev(f.right))
-            # Box: the right adjoint of the diamond along the converse point
-            ainv = q.inv(model.alpha)
-            return right_adjoint(q, q.support_irreducibles,
-                                 lambda x: q.support(q.mul(ainv, x)), ev(f.sub))
-        if isinstance(f, Temporal) and f.op not in _DUALS:
-            v = ev(f.sub)
-            if f.op == "EX":
-                return q.support(q.mul(model.alpha, v))
-            if f.op == "EF":
-                return q.support(q.mul(op_star(q, model.alpha), v))
-            # EG: greatest fixed point of a |-> v ^ s(alpha a), from v downward
-            cur = v
-            while True:
-                nxt = q.meet(v, q.support(q.mul(model.alpha, cur)))
-                if nxt == cur:
-                    return cur
-                cur = nxt
-        return ev(_abbreviation(f))
+            sub, node = formula(f.sub), f.sub
+            if heyting:
+                return lambda m: m._locale.residual(sub(m), 0)
 
-    return ev(f)
+            def complement(m):
+                c = m._locale.complement(sub(m))
+                if c is None:
+                    raise NotComplemented(f"value of {to_text(node)!r} has no "
+                                          "complement below the unit", node)
+                return c
+            return complement
+        if isinstance(f, Or):
+            left, right = formula(f.left), formula(f.right)
+            return lambda m: left(m) | right(m)
+        if heyting and isinstance(f, And):
+            # conjunction is multiplication, which is meet below the unit
+            left, right = formula(f.left), formula(f.right)
+            return lambda m: left(m) & right(m)
+        if heyting and isinstance(f, Implies):
+            left, right = formula(f.left), formula(f.right)
+            return lambda m: m._locale.residual(left(m), right(m))
+        if heyting and isinstance(f, Box):
+            # the right adjoint of the diamond along the converse point
+            sub = formula(f.sub)
+            return lambda m: _box(m._locale.table(m.alpha, True), sub(m))
+        if isinstance(f, Diamond) or isinstance(f, Temporal) and f.op == "EX":
+            sub = formula(f.sub)
+            return lambda m: diamond_image(m._locale.table(m.alpha), sub(m))
+        if isinstance(f, Temporal) and f.op not in _DUALS:
+            sub = formula(f.sub)
+            fixpoint = _least_fixpoint if f.op == "EF" else _greatest_fixpoint
+            return lambda m: fixpoint(m._locale.table(m.alpha), sub(m))
+        return formula(_abbreviation(f))
+
+    def program(p):
+        'p as a function from a model to the map <p> on masks.'
+        if isinstance(p, PAtom):
+            name = p.name
+            return lambda m: partial(
+                diamond_image, m._locale.table(m.program_value(name)))
+        if isinstance(p, PSeq):
+            left, right = program(p.left), program(p.right)
+            return lambda m: _compose(left(m), right(m))
+        if isinstance(p, PChoice):
+            left, right = program(p.left), program(p.right)
+            return lambda m: _either(left(m), right(m))
+        if isinstance(p, PStar):
+            # the body's map is tabulated, so each step of the fixpoint
+            # pushes one irreducible through one table entry
+            sub = program(p.sub)
+            return lambda m: partial(_least_fixpoint, tuple(
+                map(sub(m), m._locale.below)))
+        if isinstance(p, PTest):
+            test = formula(p.formula)
+            return lambda m: partial(and_, test(m))
+        raise TypeError(f"not a program: {p!r}")
+
+    return formula(f)
+
+
+def _box(table, y: int) -> int:
+    'The irreducibles j with <a>j <= y, for a\'s table: the right adjoint.'
+    return sum(1 << i for i, t in enumerate(table) if not t & ~y)
+
+
+def _compose(a, b):
+    return lambda v: a(b(v))
+
+
+def _either(a, b):
+    return lambda v: a(v) | b(v)
+
+
+# The last translation of each formula, by identity: an entry keeps its
+# formula alive, so no other formula can take its id while it stands.
+_TRANSLATIONS: dict = {}
+
+
+def _translation(f: Formula, mode: Mode):
+    hit = _TRANSLATIONS.get(id(f))
+    if hit is None or hit[1] is not mode:
+        if len(_TRANSLATIONS) >= 256:
+            _TRANSLATIONS.clear()
+        hit = _TRANSLATIONS[id(f)] = (f, mode, _translate(f, mode))
+    return hit[2]
+
+
+def evaluate(model: PointedModel, f: Formula) -> int:
+    'The value of f below the unit, read in the model\'s own mode.'
+    mask = _translation(f, model.mode)(model)
+    return model.quantale.locale_element(mask)
 
 
 def _eval_prog(model, p):
@@ -211,4 +344,4 @@ def _eval_prog(model, p):
 
 def valid_in_model(model: PointedModel, f: Formula) -> bool:
     'A formula is valid when its value is the whole unit.'
-    return evaluate(model, f) == model.quantale.unit
+    return _translation(f, model.mode)(model) == model._locale.full

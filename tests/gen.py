@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from quantales.formulas import (
     And, Atom, Box, Diamond, Implies, Mode, Not, Or, PAtom, PChoice,
     ProgDiamond, PSeq, PStar, PTest, Temporal,
 )
+from quantales.quantale import FiniteGroupoid, group_groupoid, groupoid_quantale
 
 
 def random_edges(rng: random.Random, worlds, density=0.45):
@@ -92,3 +94,34 @@ def random_program(rng: random.Random, atoms, programs, depth=2):
     if kind == "star":
         return PStar(random_program(rng, atoms, programs, depth - 1))
     return PTest(random_formula(rng, Mode.PDL, atoms, depth - 1, programs))
+
+
+# --- groupoid quantales ---------------------------------------------------
+
+def s3_quantale():
+    'The symmetric group on three letters as a one-object groupoid.'
+    perms = list(itertools.permutations(range(3)))
+    idx = {p: i for i, p in enumerate(perms)}
+    mul = [[idx[tuple(g[f[i]] for i in range(3))] for g in perms]
+           for f in perms]
+    inv = [idx[tuple(sorted(range(3), key=f.__getitem__))] for f in perms]
+    return groupoid_quantale(group_groupoid(perms, mul, inv, idx[(0, 1, 2)]))
+
+
+def pair2_z2_quantale():
+    'The pair groupoid on objects 0 and 1 beside the group Z2 at object 2.'
+    arrows = [(0, 0), (0, 1), (1, 0), (1, 1), "z0", "z1"]
+    dom, cod = [0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 2, 2]
+    idx = {a: i for i, a in enumerate(arrows)}
+
+    def compose(f, g):
+        if isinstance(f, tuple):
+            return idx[(f[0], g[1])]
+        return idx["z0" if f == g else "z1"]
+
+    comp = {(i, j): compose(f, g) for i, f in enumerate(arrows)
+            for j, g in enumerate(arrows) if cod[i] == dom[j]}
+    inv = [idx[a[::-1]] if isinstance(a, tuple) else i
+           for i, a in enumerate(arrows)]
+    return groupoid_quantale(FiniteGroupoid(range(3), arrows, dom, cod, comp,
+                                            inv))

@@ -484,3 +484,116 @@ def oracle_pdl(worlds, edges_by_name, val, f):
         raise TypeError(g)
 
     return ev(f)
+
+
+# --- the recursive evaluator, one quantale operation per node --------------
+# The reference for semantics.evaluate, which translates a formula once and
+# runs it on bitmasks of the support locale's irreducibles.  This walks the
+# tree for every model and reads every diamond as s(a v), every program
+# through the relation algebra, and every residual, complement and box as
+# lattice.right_adjoint.
+
+from quantales.errors import NotComplemented  # noqa: E402
+from quantales.formulas import MODE_NODES, Mode, to_text  # noqa: E402
+from quantales.lattice import right_adjoint  # noqa: E402
+
+
+def _ref_residual(q, a, b):
+    'Heyting residual a -> b: the right adjoint of c |-> a ^ c below the unit.'
+    return right_adjoint(q, q.support_irreducibles, lambda c: q.meet(a, c), b)
+
+
+def _ref_star(q, a):
+    'Join of all finite powers of a, including the unit.'
+    out = q.unit
+    while True:
+        nxt = q.join(out, q.mul(out, a))
+        if nxt == out:
+            return out
+        out = nxt
+
+
+_REF_DUALS = {"AX": "EX", "AG": "EF", "AF": "EG"}
+
+
+def _ref_abbreviation(f):
+    'What a derived connective stands for outside intuitionistic mode.'
+    if isinstance(f, And):
+        return Not(Or(Not(f.left), Not(f.right)))
+    if isinstance(f, Implies):
+        return Or(Not(f.left), f.right)
+    if isinstance(f, Box):
+        return Not(Diamond(Not(f.sub)))
+    return Not(Temporal(_REF_DUALS[f.op], Not(f.sub)))
+
+
+def evaluate_by_recursion(model, f):
+    'The value of f below the unit, read in the model\'s own mode.'
+    q = model.quantale
+    nodes = MODE_NODES[model.mode]
+    heyting = model.mode is Mode.INTUITIONISTIC
+
+    def ev(f):
+        if not isinstance(f, nodes):
+            raise TypeError(
+                f"connective not available in {model.mode.value} mode: {f!r}")
+        if isinstance(f, Atom):
+            return model.atom_value(f.name)
+        if isinstance(f, Or):
+            return q.join(ev(f.left), ev(f.right))
+        if isinstance(f, Diamond):
+            return q.support(q.mul(model.alpha, ev(f.sub)))
+        if isinstance(f, ProgDiamond):
+            return q.support(q.mul(program_by_recursion(model, f.prog),
+                                   ev(f.sub)))
+        if isinstance(f, Not):
+            v = ev(f.sub)
+            c = _ref_residual(q, v, q.bottom)
+            if heyting or q.join(v, c) == q.unit:
+                return c
+            raise NotComplemented(f"value of {to_text(f.sub)!r} has no "
+                                  "complement below the unit", f.sub)
+        if heyting:
+            if isinstance(f, And):
+                # conjunction is multiplication, which is meet below the unit
+                return q.mul(ev(f.left), ev(f.right))
+            if isinstance(f, Implies):
+                return _ref_residual(q, ev(f.left), ev(f.right))
+            # Box: the right adjoint of the diamond along the converse point
+            ainv = q.inv(model.alpha)
+            return right_adjoint(q, q.support_irreducibles,
+                                 lambda x: q.support(q.mul(ainv, x)), ev(f.sub))
+        if isinstance(f, Temporal) and f.op not in _REF_DUALS:
+            v = ev(f.sub)
+            if f.op == "EX":
+                return q.support(q.mul(model.alpha, v))
+            if f.op == "EF":
+                return q.support(q.mul(_ref_star(q, model.alpha), v))
+            # EG: greatest fixed point of a |-> v ^ s(alpha a), from v downward
+            cur = v
+            while True:
+                nxt = q.meet(v, q.support(q.mul(model.alpha, cur)))
+                if nxt == cur:
+                    return cur
+                cur = nxt
+        return ev(_ref_abbreviation(f))
+
+    return ev(f)
+
+
+def program_by_recursion(model, p):
+    'The element of a program, through the relation algebra.'
+    q = model.quantale
+    if isinstance(p, PAtom):
+        return model.program_value(p.name)
+    if isinstance(p, PSeq):
+        return q.mul(program_by_recursion(model, p.left),
+                     program_by_recursion(model, p.right))
+    if isinstance(p, PChoice):
+        return q.join(program_by_recursion(model, p.left),
+                      program_by_recursion(model, p.right))
+    if isinstance(p, PStar):
+        return _ref_star(q, program_by_recursion(model, p.sub))
+    if isinstance(p, PTest):
+        return evaluate_by_recursion(model, p.formula)
+    raise TypeError(f"not a program: {p!r}")

@@ -1,9 +1,12 @@
 """Right adjoints from join-irreducibles, against joins over every element.
 
 lattice.right_adjoint joins only the irreducibles of the support locale
-(one per world on a relation model).  The references in oracles.py join
-every element, as the residual, the complement and the box were once
-computed; the two must agree wherever the adjoint's precondition holds.
+(one per world on a relation model), and the evaluator reads residuals,
+complements and boxes off bitmasks of the same irreducibles.  The
+references in oracles.py join every element, as the residual, the
+complement and the box were once computed; the two must agree wherever
+the adjoint's precondition holds.  The evaluator as a whole is held to
+the recursive evaluator of oracles.py and to the Kripke oracles.
 """
 
 import dataclasses
@@ -12,8 +15,11 @@ import random
 import pytest
 
 import gen
+import quantales.relations
+from gen import pair2_z2_quantale, s3_quantale
 from oracles import (
     box_adjoints_by_joins,
+    evaluate_by_recursion,
     lattice_residual_by_joins,
     locale_box_by_joins,
     locale_complement_by_joins,
@@ -35,7 +41,8 @@ from quantales.quantale import (
     relation_quantale,
     supports_locale,
 )
-from quantales.relations import encode
+from quantales.parsing import build, parse_model
+from quantales.relations import decode, encode
 from quantales.semantics import PointedModel, complement_in_locale, evaluate
 
 
@@ -234,3 +241,125 @@ def test_evaluation_never_enumerates_the_support_locale(monkeypatch):
               Implies(p, Not(ProgDiamond(PSeq(s, t), Not(r)))),
               ProgDiamond(PTest(Not(p)), r)):
         assert worlds_of(evaluate(m, f)) == oracle_pdl(worlds, progs, val, f)
+
+
+def test_evaluation_takes_no_product_of_relations(monkeypatch):
+    # every diamond, box, fixpoint and program reads the columns and rows
+    # of its relation; none multiplies two n^2-bit codes
+    def refuse(*args):
+        raise AssertionError("a relation product was taken during evaluation")
+
+    rng = random.Random(2424)
+    worlds = tuple(f"w{i}" for i in range(24))
+    edges = gen.total_edges(rng, worlds, density=0.1)
+    progs = {s: gen.random_edges(rng, worlds, density=0.1) for s in "ab"}
+    val = gen.random_valuation(rng, worlds, "p")
+
+    def document(mode, relations):
+        lines = [f"MODE {mode.value}", "WORLDS " + " ".join(worlds)]
+        lines += [f"REL {name} " + " ".join(f"({u},{v})" for u, v in sorted(r))
+                  for name, r in relations.items()]
+        lines.append("VAL p " + " ".join(sorted(val["p"])))
+        return build(parse_model("\n".join(lines) + "\n"))
+
+    def worlds_of(v):
+        n = len(worlds)
+        return frozenset(w for i, w in enumerate(worlds) if v >> (i * n + i) & 1)
+
+    monkeypatch.setattr(RelationQuantale, "mul", refuse)
+    monkeypatch.setattr(quantales.relations, "compose", refuse)
+    p = Atom("p")
+    for mode in (Mode.CLASSICAL, Mode.INTUITIONISTIC):
+        # relation supports are Boolean: both modes give the Kripke value
+        m = document(mode, {"alpha": edges})
+        assert worlds_of(evaluate(m, Box(p))) == \
+            oracle_classical(worlds, edges, val, Box(p)), mode
+    m = document(Mode.CTL, {"alpha": edges})
+    for op in ("EF", "EG"):
+        f = Temporal(op, p)
+        assert worlds_of(evaluate(m, f)) == oracle_ctl(worlds, edges, val, f)
+    m = document(Mode.PDL, {"alpha": edges, **progs})
+    f = ProgDiamond(PStar(PSeq(PAtom("a"), PAtom("b"))), p)
+    assert worlds_of(evaluate(m, f)) == oracle_pdl(worlds, progs, val, f)
+
+
+# --- the evaluator against the recursive reference ------------------------
+
+def _check_against_the_reference(m, f):
+    """Every subformula of f gives the reference's value, or its
+    NotComplemented message and subformula; the number of refusals."""
+    refused = 0
+    for g in _subformulas(f):
+        got = _outcome(lambda: evaluate(m, g))
+        assert got == _outcome(lambda: evaluate_by_recursion(m, g)), to_text(g)
+        refused += isinstance(got, tuple)
+    return refused
+
+
+def _diagonal_worlds(v, n):
+    return frozenset(w for w in range(n) if v >> (w * n + w) & 1)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_evaluator_matches_the_reference_on_relation_models(mode):
+    rng = random.Random(f"reference:{mode.value}")
+    for n in range(1, 7):
+        worlds = tuple(range(n))
+        for _ in range(10):
+            m = _relation_model(rng, n, mode)
+            f = gen.random_formula(rng, mode, "pq", depth=4, programs="st")
+            # relation supports are Boolean, so nothing is refused
+            assert _check_against_the_reference(m, f) == 0
+            val = {a: _diagonal_worlds(v, n) for a, v in m.valuation.items()}
+            if mode is Mode.PDL:
+                progs = {s: decode(c, n) for s, c in m.programs.items()}
+                want = oracle_pdl(worlds, progs, val, f)
+            else:
+                oracle = oracle_ctl if mode is Mode.CTL else oracle_classical
+                want = oracle(worlds, decode(m.alpha, n), val, f)
+            assert _diagonal_worlds(evaluate(m, f), n) == want, to_text(f)
+
+
+TABLES = {
+    "table-ab": lambda: relation_quantale("ab"),
+    "s3": s3_quantale,
+    "pair2-z2": pair2_z2_quantale,
+    # a chain: its irreducibles are comparable, so the locale is not Boolean
+    "goedel3": lambda: goedel_chain(3),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLES))
+def test_evaluator_matches_the_reference_on_table_quantales(name):
+    q = TABLES[name]()
+    rng = random.Random(f"reference:{name}")
+    refused = 0
+    for mode in Mode:
+        # classical, temporal and dynamic valuations must be complemented
+        values = [v for v in q.support_elements()
+                  if mode is Mode.INTUITIONISTIC
+                  or locale_complement_by_joins(q, v) is not None]
+        points = [a for a in range(q.n)
+                  if mode is not Mode.CTL or q.support(a) == q.unit]
+        for alpha in rng.sample(points, min(12, len(points))):
+            m = PointedModel(q, alpha, {a: rng.choice(values) for a in "pq"},
+                             mode, programs={s: rng.randrange(q.n) for s in "st"})
+            for _ in range(3):
+                f = gen.random_formula(rng, mode, "pq", depth=4, programs="st")
+                refused += _check_against_the_reference(m, f)
+    if name == "goedel3":
+        # a middle point leaves diamonds uncomplemented
+        assert refused > 0
+
+
+def test_a_program_is_evaluated_before_the_formula_under_it():
+    # on the Goedel 3-chain the middle program leaves <s>p and <t>p at the
+    # uncomplemented middle, so the test in the program and the formula
+    # under the diamond both refuse; the program's refusal comes first
+    q = goedel_chain(3)
+    m = PointedModel(q, 2, {"p": 2}, Mode.PDL, programs={"s": 1, "t": 1})
+    p, s, t = Atom("p"), PAtom("s"), PAtom("t")
+    f = ProgDiamond(PTest(Not(ProgDiamond(s, p))), Not(ProgDiamond(t, p)))
+    got = _outcome(lambda: evaluate(m, f))
+    assert got == _outcome(lambda: evaluate_by_recursion(m, f))
+    assert got[2] == ProgDiamond(s, p)

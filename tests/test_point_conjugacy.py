@@ -2,7 +2,6 @@
 point check of every quantale, and the batched support-law scan of
 `axioms`, each against the full scan or the scalar reference."""
 
-import itertools
 import os
 import random
 import subprocess
@@ -18,6 +17,7 @@ import quantales
 import quantales.bimodal
 import quantales.quantale
 from conftest import grid_lattice, m3_lattice, n5_lattice
+from gen import pair2_z2_quantale, s3_quantale
 from quantales import relations as rel
 from quantales.bimodal import (
     _conjugacy_inequalities,
@@ -29,18 +29,22 @@ from quantales.bimodal import (
     lazy_point_diamonds,
 )
 from quantales.cli import main
-from quantales.errors import InternalValidationFailed, SupportLocaleLawFails
+from quantales.errors import (
+    InternalValidationFailed,
+    NoStableSupport,
+    SupportLocaleLawFails,
+)
+from quantales.formulas import Mode
 from quantales.lattice import chain_lattice, diamond_lattice, powerset_lattice
 from quantales.quantale import (
-    FiniteGroupoid,
     RelationQuantale,
     check_locale_laws,
-    group_groupoid,
-    groupoid_quantale,
+    make_quantale,
     relation_quantale,
     support_law_witnesses,
     supports_locale,
 )
+from quantales.semantics import PointedModel
 
 FRAMES = {
     "chain3": lambda: chain_lattice(3),
@@ -108,35 +112,6 @@ def _points(n):
     rng = random.Random(n)
     return [0, rel.full(n), rel.diagonal(n),
             *(rng.getrandbits(n * n) for _ in range(9))]
-
-
-def s3_quantale():
-    'The symmetric group on three letters as a one-object groupoid.'
-    perms = list(itertools.permutations(range(3)))
-    idx = {p: i for i, p in enumerate(perms)}
-    mul = [[idx[tuple(g[f[i]] for i in range(3))] for g in perms]
-           for f in perms]
-    inv = [idx[tuple(sorted(range(3), key=f.__getitem__))] for f in perms]
-    return groupoid_quantale(group_groupoid(perms, mul, inv, idx[(0, 1, 2)]))
-
-
-def pair2_z2_quantale():
-    'The pair groupoid on objects 0 and 1 beside the group Z2 at object 2.'
-    arrows = [(0, 0), (0, 1), (1, 0), (1, 1), "z0", "z1"]
-    dom, cod = [0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 2, 2]
-    idx = {a: i for i, a in enumerate(arrows)}
-
-    def compose(f, g):
-        if isinstance(f, tuple):
-            return idx[(f[0], g[1])]
-        return idx["z0" if f == g else "z1"]
-
-    comp = {(i, j): compose(f, g) for i, f in enumerate(arrows)
-            for j, g in enumerate(arrows) if cod[i] == dom[j]}
-    inv = [idx[a[::-1]] if isinstance(a, tuple) else i
-           for i, a in enumerate(arrows)]
-    return groupoid_quantale(FiniteGroupoid(range(3), arrows, dom, cod, comp,
-                                            inv))
 
 
 # Table quantales and their points: every point of the relation quantale
@@ -215,6 +190,24 @@ def test_a_failing_conjugacy_raises(monkeypatch):
             check_point_diamonds(q, 0)
         assert str(info.value) == ("point diamonds not conjugate: backward "
                                    f"conjugacy fails at {(d0, d0)}")
+
+
+# A table quantale made without a support: every entry point that reads
+# the support refuses it by name, rather than failing on the missing table.
+NO_SUPPORT_ENTRIES = {
+    "support_law_witnesses": lambda q: support_law_witnesses(q, 3),
+    "check_point_diamonds": lambda q: check_point_diamonds(q, 3),
+    "PointedModel": lambda q: PointedModel(q, 3, {"p": 1}, Mode.CLASSICAL),
+}
+
+
+@pytest.mark.parametrize("entry", list(NO_SUPPORT_ENTRIES))
+def test_a_quantale_without_support_raises_no_stable_support(entry):
+    q = relation_quantale("ab")
+    bare = make_quantale(q.lattice, q.mul_matrix, q.inv_vector, q.unit)
+    assert not bare.has_support
+    with pytest.raises(NoStableSupport, match="no support table"):
+        NO_SUPPORT_ENTRIES[entry](bare)
 
 
 # --- the batched support-law scan -----------------------------------------
