@@ -36,7 +36,7 @@ from .quantale import (
     system_pairs,
 )
 from .relations import decode, pair_bit
-from .semantics import PointedModel, evaluate, valid_in_model
+from .semantics import PointedModel, evaluate, validity_test
 from .tensor import (
     TensorAlgebra,
     check_lemmaB_inequalities,
@@ -159,6 +159,7 @@ def _cmd_sweep(args):
     if not 1 <= args.worlds <= _SWEEP_WORLDS:
         raise FrontendError(f"--worlds must be between 1 and {_SWEEP_WORLDS}")
     scheme = parse_formula(args.scheme, Mode.CLASSICAL)
+    valid = validity_test(scheme, Mode.CLASSICAL)
     atoms = sorted(atoms_of(scheme))
     conditions = [POINT_CONDITIONS[c] for c in MODAL_SYSTEMS[args.system]]
 
@@ -177,10 +178,11 @@ def _cmd_sweep(args):
         for alpha in range(2 ** (n * n)):
             if not in_system(q, alpha):
                 continue
+            # one model per point, so its diamond table is read once
+            point = PointedModel(q, alpha, {}, Mode.CLASSICAL,
+                                 world_atoms=worlds)
             for choice in itertools.product(diag, repeat=len(atoms)):
-                model = PointedModel(q, alpha, dict(zip(atoms, choice)),
-                                     Mode.CLASSICAL, world_atoms=worlds)
-                if not valid_in_model(model, scheme):
+                if not valid(point.revalued(dict(zip(atoms, choice)))):
                     pairs = [f"({i},{j})" for i, j in sorted(decode(alpha, n))]
                     vals = {a: "{%s}" % ",".join(
                                 str(i) for i in range(n)

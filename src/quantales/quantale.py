@@ -78,7 +78,6 @@ class Quantale:
         return self.inv_vector.item(a)
 
     def support(self, a: int) -> int:
-        require_support(self)
         return self.support_vector.item(a)
 
     def join(self, a: int, b: int) -> int:

@@ -26,16 +26,18 @@ product of whole elements): <a>v ORs the table over the bits of v.
   conjunction as multiplication, which is meet below the unit.
 
 A formula is translated once per mode, with its mode check and its
-abbreviations, into closures over a model; a quantale's locale and its
-recent point tables are kept between models, so a sweep over valuations
-pays bit operations per model.  eval_program still returns the program's
-element through the quantale operations.
+abbreviations, into closures over a model (translate); a model reads each
+diamond table once, and PointedModel.revalued shares the locale and the
+tables already read with the same point under another valuation, so a
+sweep over valuations pays bit operations per model.  eval_program still
+returns the program's element through the quantale operations.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from operator import and_
 from typing import Mapping
 
@@ -66,14 +68,13 @@ from .quantale import diamond_image, require_support
 
 class _Locale:
     """The support locale of one quantale as masks: each irreducible's
-    down-set (the table of the unit, since <e> is the identity), the
-    full mask of the unit, and a memo of recent diamond tables."""
+    down-set (the table of the unit, since <e> is the identity) and the
+    full mask of the unit."""
 
     def __init__(self, q):
         self.below = q.diamond_table(q.unit)
         self.full = (1 << len(self.below)) - 1
         self.boolean = all(d == 1 << i for i, d in enumerate(self.below))
-        self.table = lru_cache(maxsize=16)(q.diamond_table)
 
     def residual(self, a: int, b: int) -> int:
         'a -> b: the irreducibles whose down-sets meet a only inside b.'
@@ -87,11 +88,6 @@ class _Locale:
         'The complement of v, or None: v -> bottom, if it joins v to the unit.'
         c = self.residual(v, 0)
         return c if v | c == self.full else None
-
-
-@lru_cache(maxsize=4)
-def _locale(q) -> _Locale:
-    return _Locale(q)
 
 
 @dataclass
@@ -111,22 +107,44 @@ class PointedModel:
     world_atoms: tuple = ()
 
     def __post_init__(self):
+        require_support(self.quantale)
+        self._locale = _Locale(self.quantale)
+        self._tables = {}
+        self._check()
+
+    def _check(self):
         q = self.quantale
-        require_support(q)
         for name, v in self.valuation.items():
             if not q.leq(v, q.unit):
                 raise ValueError(f"atom {name!r} is valued outside the support locale")
         if self.mode is Mode.CTL and q.support(self.alpha) != q.unit:
             raise TimeEnds("the point must have total support in temporal models")
-        self._locale = loc = _locale(q)
         self._masks = {name: q.locale_mask(v)
                        for name, v in self.valuation.items()}
         if self.mode is not Mode.INTUITIONISTIC:
             for name, v in self._masks.items():
-                if loc.complement(v) is None:
+                if self._locale.complement(v) is None:
                     raise NotComplemented(
                         f"atom {name!r} has no complement below the unit",
                         Atom(name))
+
+    def revalued(self, valuation: Mapping[str, int]) -> "PointedModel":
+        """The same point and programs under another valuation, checked as
+        a new model is.  The locale and the diamond tables read so far are
+        shared with this model, so a point's table is read once however
+        many valuations it is evaluated under."""
+        model = copy.copy(self)
+        model.valuation = valuation
+        model._check()
+        return model
+
+    def table(self, a: int, converse: bool = False) -> tuple[int, ...]:
+        'The diamond table of a (or of its converse), read once per model.'
+        key = a, converse
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = self.quantale.diamond_table(a, converse)
+        return table
 
     def atom_value(self, name: str) -> int:
         return self.valuation.get(name, self.quantale.bottom)
@@ -137,7 +155,7 @@ class PointedModel:
 
 def complement_in_locale(q, b: int):
     'The complement of b below the unit, or None: b -> bottom, if it joins b to e.'
-    c = _locale(q).complement(q.locale_mask(b))
+    c = _Locale(q).complement(q.locale_mask(b))
     return None if c is None else q.locale_element(c)
 
 
@@ -213,19 +231,24 @@ def _greatest_fixpoint(table, v: int) -> int:
         cur = nxt
 
 
-def _translate(f: Formula, mode: Mode):
+def translate(f: Formula, mode: Mode):
     """f as a function from a model of the mode to the mask of its value.
 
-    Each node is checked against the mode and each abbreviation expanded
-    here, once.  Children run left to right and a program before the
-    formula under it, so the first NotComplemented is the one a recursive
-    walk of the tree raises."""
+    Each abbreviation is expanded here, once.  Children run left to right
+    and a program before the formula under it, and a node outside the
+    mode raises its TypeError when it is reached, so the first error is
+    the one a recursive walk of the tree raises."""
     nodes = MODE_NODES[mode]
     heyting = mode is Mode.INTUITIONISTIC
 
+    def refuse(message):
+        def run(m):
+            raise TypeError(message)
+        return run
+
     def formula(f):
         if not isinstance(f, nodes):
-            raise TypeError(
+            return refuse(
                 f"connective not available in {mode.value} mode: {f!r}")
         if isinstance(f, Atom):
             name = f.name
@@ -258,14 +281,14 @@ def _translate(f: Formula, mode: Mode):
         if heyting and isinstance(f, Box):
             # the right adjoint of the diamond along the converse point
             sub = formula(f.sub)
-            return lambda m: _box(m._locale.table(m.alpha, True), sub(m))
+            return lambda m: _box(m.table(m.alpha, True), sub(m))
         if isinstance(f, Diamond) or isinstance(f, Temporal) and f.op == "EX":
             sub = formula(f.sub)
-            return lambda m: diamond_image(m._locale.table(m.alpha), sub(m))
+            return lambda m: diamond_image(m.table(m.alpha), sub(m))
         if isinstance(f, Temporal) and f.op not in _DUALS:
             sub = formula(f.sub)
             fixpoint = _least_fixpoint if f.op == "EF" else _greatest_fixpoint
-            return lambda m: fixpoint(m._locale.table(m.alpha), sub(m))
+            return lambda m: fixpoint(m.table(m.alpha), sub(m))
         return formula(_abbreviation(f))
 
     def program(p):
@@ -273,7 +296,7 @@ def _translate(f: Formula, mode: Mode):
         if isinstance(p, PAtom):
             name = p.name
             return lambda m: partial(
-                diamond_image, m._locale.table(m.program_value(name)))
+                diamond_image, m.table(m.program_value(name)))
         if isinstance(p, PSeq):
             left, right = program(p.left), program(p.right)
             return lambda m: _compose(left(m), right(m))
@@ -289,7 +312,7 @@ def _translate(f: Formula, mode: Mode):
         if isinstance(p, PTest):
             test = formula(p.formula)
             return lambda m: partial(and_, test(m))
-        raise TypeError(f"not a program: {p!r}")
+        return refuse(f"not a program: {p!r}")
 
     return formula(f)
 
@@ -307,23 +330,9 @@ def _either(a, b):
     return lambda v: a(v) | b(v)
 
 
-# The last translation of each formula, by identity: an entry keeps its
-# formula alive, so no other formula can take its id while it stands.
-_TRANSLATIONS: dict = {}
-
-
-def _translation(f: Formula, mode: Mode):
-    hit = _TRANSLATIONS.get(id(f))
-    if hit is None or hit[1] is not mode:
-        if len(_TRANSLATIONS) >= 256:
-            _TRANSLATIONS.clear()
-        hit = _TRANSLATIONS[id(f)] = (f, mode, _translate(f, mode))
-    return hit[2]
-
-
 def evaluate(model: PointedModel, f: Formula) -> int:
     'The value of f below the unit, read in the model\'s own mode.'
-    mask = _translation(f, model.mode)(model)
+    mask = translate(f, model.mode)(model)
     return model.quantale.locale_element(mask)
 
 
@@ -344,4 +353,15 @@ def _eval_prog(model, p):
 
 def valid_in_model(model: PointedModel, f: Formula) -> bool:
     'A formula is valid when its value is the whole unit.'
-    return _translation(f, model.mode)(model) == model._locale.full
+    return validity_test(f, model.mode)(model)
+
+
+def validity_test(f: Formula, mode: Mode):
+    """valid_in_model(model, f) as a function of models of the mode, with
+    f translated once for all of them."""
+    run = translate(f, mode)
+
+    def valid(model: PointedModel) -> bool:
+        _in_mode(model, mode)
+        return run(model) == model._locale.full
+    return valid

@@ -363,3 +363,36 @@ def test_a_program_is_evaluated_before_the_formula_under_it():
     got = _outcome(lambda: evaluate(m, f))
     assert got == _outcome(lambda: evaluate_by_recursion(m, f))
     assert got[2] == ProgDiamond(s, p)
+
+
+def _error(run):
+    try:
+        run()
+    except (NotComplemented, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    raise AssertionError("no error raised")
+
+
+
+# on the Goedel 3-chain the middle point (and program) leaves <>p and <s>p
+# at the uncomplemented middle, so their negations refuse; the second
+# formula of each case is a node outside the mode or a program that is no
+# program
+_P, _S = Atom("p"), PAtom("s")
+FOREIGN = {
+    "classical-EF": (Mode.CLASSICAL, Not(Diamond(_P)), Temporal("EF", _P)),
+    "pdl-diamond": (Mode.PDL, Not(ProgDiamond(_S, _P)), Diamond(_P)),
+    "pdl-no-program": (Mode.PDL, Not(ProgDiamond(_S, _P)),
+                       ProgDiamond(PStar(_P), _P)),
+}
+
+
+@pytest.mark.parametrize("case", list(FOREIGN))
+def test_a_foreign_node_fails_where_the_recursion_reaches_it(case):
+    mode, refused, foreign = FOREIGN[case]
+    m = PointedModel(goedel_chain(3), 1, {"p": 2}, mode, programs={"s": 1})
+    for f, first in ((Or(refused, foreign), "NotComplemented"),
+                     (Or(foreign, refused), "TypeError")):
+        got = _error(lambda: evaluate(m, f))
+        assert got == _error(lambda: evaluate_by_recursion(m, f))
+        assert got[0] == first

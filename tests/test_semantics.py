@@ -13,7 +13,7 @@ from quantales.relations import encode
 from quantales.semantics import (
     PointedModel, complement_in_locale, eval_classical, eval_ctl,
     eval_intuitionistic, eval_pdl, eval_program, evaluate, op_star,
-    valid_in_model,
+    valid_in_model, validity_test,
 )
 
 import gen
@@ -164,6 +164,50 @@ def test_uncomplemented_atom_rejected_at_build():
     # the same valuation is fine intuitionistically
     PointedModel(q, alpha=2, valuation={"p": 1}, mode=Mode.INTUITIONISTIC)
 
+
+
+def test_revalued_checks_the_valuation_as_a_new_model_does():
+    from quantales.lattice import chain_lattice
+    from quantales.quantale import make_quantale
+    m = rel_model("ab", [("a", "b")], {}, Mode.CLASSICAL)
+    q = m.quantale
+    assert worlds_of(m, evaluate(m.revalued({"p": encode([(0, 0)], 2)}),
+                                 Not(Atom("p")))) == {"b"}
+    with pytest.raises(ValueError, match="outside the support locale"):
+        m.revalued({"p": q.top})
+    mul = tuple(tuple(min(a, b) for b in range(3)) for a in range(3))
+    chain = make_quantale(chain_lattice(3), mul, unit=2,
+                          inv=(0, 1, 2), support=(0, 1, 2))
+    m = PointedModel(chain, alpha=2, valuation={}, mode=Mode.CLASSICAL)
+    with pytest.raises(NotComplemented):
+        m.revalued({"p": 1})
+
+
+def test_revalued_reads_the_point_table_once(monkeypatch):
+    # a sweep evaluates one point under every valuation: the point's
+    # table is read once, and each valuation gives a fresh model's value
+    reads = []
+    table = RelationQuantale.diamond_table
+    monkeypatch.setattr(RelationQuantale, "diamond_table",
+                        lambda q, a, converse=False:
+                        reads.append((a, converse)) or table(q, a, converse))
+    worlds = "abc"
+    rng = random.Random(5)
+    edges = gen.random_edges(rng, worlds)
+    f = Implies(Box(Atom("p")), Box(Box(Atom("p"))))
+    valid = validity_test(f, Mode.CLASSICAL)
+    point = rel_model(worlds, edges, {}, Mode.CLASSICAL)
+    q = point.quantale
+    for sub in range(8):
+        ws = [w for i, w in enumerate(worlds) if sub >> i & 1]
+        fresh = rel_model(worlds, edges, {"p": ws}, Mode.CLASSICAL)
+        model = point.revalued(fresh.valuation)
+        assert valid(model) == valid_in_model(fresh, f)
+        assert evaluate(model, f) == evaluate(fresh, f)
+    own = [r for r in reads if r != (q.unit, False)]
+    assert own.count((point.alpha, False)) == 1 + 8
+    with pytest.raises(ValueError, match="not intuitionistic"):
+        validity_test(f, Mode.INTUITIONISTIC)(point)
 
 def test_complement_in_locale_boolean_case():
     q = relation_quantale("ab")
