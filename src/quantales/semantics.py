@@ -35,7 +35,6 @@ returns the program's element through the quantale operations.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import partial
 from operator import and_
@@ -133,8 +132,10 @@ class PointedModel:
         a new model is.  The locale and the diamond tables read so far are
         shared with this model, so a point's table is read once however
         many valuations it is evaluated under."""
-        model = copy.copy(self)
-        model.valuation = valuation
+        # a shallow copy, which shares the locale and the table memo;
+        # copy.copy's reduce protocol would double the cost per model
+        model = object.__new__(PointedModel)
+        vars(model).update(vars(self), valuation=valuation)
         model._check()
         return model
 
