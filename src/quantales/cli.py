@@ -29,10 +29,10 @@ from .parsing import (
 )
 from .quantale import (
     MODAL_SYSTEMS,
-    POINT_CONDITIONS,
     RelationQuantale,
     check_point_properties,
     support_law_witnesses,
+    system_classes,
     system_pairs,
 )
 from .relations import decode, pair_bit
@@ -152,7 +152,7 @@ def _cmd_tensor_verify(args):
 
 # --- sweep ----------------------------------------------------------------
 
-_SWEEP_WORLDS = 4     # 5 worlds would mean 2^25 points
+_SWEEP_WORLDS = 5     # T alone has 1,540,944 classes of points at 6 worlds
 
 
 def _cmd_sweep(args):
@@ -161,23 +161,18 @@ def _cmd_sweep(args):
     scheme = parse_formula(args.scheme, Mode.CLASSICAL)
     valid = validity_test(scheme, Mode.CLASSICAL)
     atoms = sorted(atoms_of(scheme))
-    conditions = [POINT_CONDITIONS[c] for c in MODAL_SYSTEMS[args.system]]
-
-    def in_system(q, alpha):
-        # a loop, not all(): this runs on every point and must stay cheap
-        for lhs in conditions:
-            if not q.leq(lhs(q, alpha), alpha):
-                return False
-        return True
-
     count = 0
     for n in range(1, args.worlds + 1):
         worlds = tuple(str(i) for i in range(n))
         q = RelationQuantale(worlds)
         diag = q.support_elements()
-        for alpha in range(2 ** (n * n)):
-            if not in_system(q, alpha):
-                continue
+        # Renaming the worlds of a point and its valuation together keeps
+        # validity, and each representative is the least code of its
+        # class.  So every code below the first failing representative
+        # is a renaming of an earlier one, which passed, and that
+        # representative's first failing valuation is the first failure
+        # among all codes of the class, in the same order.
+        for alpha, orbit in system_classes(n, args.system):
             # one model per point, so its diamond table is read once
             point = PointedModel(q, alpha, {}, Mode.CLASSICAL,
                                  world_atoms=worlds)
@@ -192,7 +187,7 @@ def _cmd_sweep(args):
                           + " ".join(f"{a}={s}" for a, s in vals.items()))
                     print("SWEEP FAIL")
                     return 1
-                count += 1
+            count += orbit * len(diag) ** len(atoms)
     print(f"SWEEP PASS models={count}")
     return 0
 

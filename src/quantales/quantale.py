@@ -20,6 +20,7 @@ extends it to any mask).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -806,3 +807,63 @@ def system_pairs(q, alpha: int, system: str) -> list[tuple[int, int]]:
     'The generating pairs of a modal system at a point, for least_nucleus.'
     return [(POINT_CONDITIONS[c](q, alpha), alpha)
             for c in MODAL_SYSTEMS[system]]
+
+
+def system_classes(n: int, system: str) -> list[tuple[int, int]]:
+    """Each isomorphism class of the system's points on n worlds, once, as
+    (least code, orbit size), in ascending code order.  The orbit size,
+    n!/|Aut|, is the number of relation codes in the class.
+
+    The classes on n worlds grow from those on n - 1 (isomorph-free
+    generation: Read, "Every one a winner", 1978; McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 1998).  Each way of adding world
+    n - 1 to a representative is a candidate; a candidate is kept when it
+    meets POINT_CONDITIONS, and kept candidates are merged by their least
+    image under the n! renamings of the worlds.
+
+    Every class is reached, since reflexive, transitive and symmetric
+    relations each stay so when restricted to a subset of the worlds.  A
+    point R of the class on n worlds, restricted to the worlds below
+    n - 1, is a point of the class on n - 1 worlds, so a renaming s of
+    those worlds takes it to a representative.  Then s, with n - 1 kept
+    in place, takes R to a candidate grown from that representative.
+    """
+    if n == 0:
+        return [(0, 1)]
+    q = RelationQuantale(range(n))
+    conditions = [POINT_CONDITIONS[c] for c in MODAL_SYSTEMS[system]]
+    m = n - 1
+    old = [(i, j) for i in range(m) for j in range(m)]
+    # the pairs that world m adds: its row, then the rest of its column
+    fresh = [(m, j) for j in range(n)] + [(i, m) for i in range(m)]
+    # The image of a code under a renaming is the image of its old pairs
+    # joined with the image of its fresh pairs, so the images of every
+    # set of fresh pairs are tabulated once per renaming.  The first
+    # renaming is the identity: its tables are the codes themselves.
+    renamings = list(itertools.permutations(range(n)))
+    old_bits = [[rel.pair_bit(s[i], s[j], n) for i, j in old]
+                for s in renamings]
+    fresh_images = [_subset_joins([rel.pair_bit(s[i], s[j], n)
+                                   for i, j in fresh]) for s in renamings]
+    orbits = {}
+    for beta, _ in system_classes(m, system):
+        pairs = [k for k in range(m * m) if beta >> k & 1]
+        bases = [sum(bits[k] for k in pairs) for bits in old_bits]
+        kept = [x for x, f in enumerate(fresh_images[0])
+                if all(q.leq(lhs(q, bases[0] | f), bases[0] | f)
+                       for lhs in conditions)]
+        # one tuple per kept candidate: its images under every renaming
+        for images in zip(*([b | t[x] for x in kept]
+                            for b, t in zip(bases, fresh_images))):
+            least = min(images)
+            if least not in orbits:
+                orbits[least] = len(set(images))
+    return sorted(orbits.items())
+
+
+def _subset_joins(bits: Sequence[int]) -> list[int]:
+    'The join of each subset of bits, indexed by the subset as a mask.'
+    out = [0]
+    for b in bits:
+        out += [x | b for x in out]
+    return out

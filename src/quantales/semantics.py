@@ -161,13 +161,18 @@ def complement_in_locale(q, b: int):
 
 
 def op_star(q, a: int) -> int:
-    'Join of all finite powers of a, including the unit.'
-    out = q.unit
+    """Join of all finite powers of a, including the unit, by squaring
+    x = e v a until x x = x.  This is exact in any unital quantale: e
+    and a commute, so the 2^k-th power of e v a is the join of the powers
+    a^i for i <= 2^k, and an x with x x = x that is above e and a is
+    above every power.  So it takes about log2 of the longest power
+    needed in products, not one product per power."""
+    x = q.join(q.unit, a)
     while True:
-        nxt = q.join(out, q.mul(out, a))
-        if nxt == out:
-            return out
-        out = nxt
+        square = q.mul(x, x)
+        if square == x:
+            return x
+        x = square
 
 
 def _in_mode(model: PointedModel, expected: Mode) -> PointedModel:

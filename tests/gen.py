@@ -9,7 +9,10 @@ from quantales.formulas import (
     And, Atom, Box, Diamond, Implies, Mode, Not, Or, PAtom, PChoice,
     ProgDiamond, PSeq, PStar, PTest, Temporal,
 )
-from quantales.quantale import FiniteGroupoid, group_groupoid, groupoid_quantale
+from quantales.lattice import chain_lattice
+from quantales.quantale import (
+    FiniteGroupoid, group_groupoid, groupoid_quantale, make_quantale,
+)
 
 
 def random_edges(rng: random.Random, worlds, density=0.45):
@@ -125,3 +128,10 @@ def pair2_z2_quantale():
            for i, a in enumerate(arrows)]
     return groupoid_quantale(FiniteGroupoid(range(3), arrows, dom, cod, comp,
                                             inv))
+
+
+def goedel_chain(k):
+    'The k-chain as a locale quantale: multiplication is min, unit is top.'
+    mul = tuple(tuple(min(a, b) for b in range(k)) for a in range(k))
+    return make_quantale(chain_lattice(k), mul, inv=tuple(range(k)),
+                         unit=k - 1, support=tuple(range(k)))

@@ -503,8 +503,8 @@ def _ref_residual(q, a, b):
     return right_adjoint(q, q.support_irreducibles, lambda c: q.meet(a, c), b)
 
 
-def _ref_star(q, a):
-    'Join of all finite powers of a, including the unit.'
+def star_by_powers(q, a):
+    'Join of all finite powers of a, including the unit, one power a step.'
     out = q.unit
     while True:
         nxt = q.join(out, q.mul(out, a))
@@ -568,7 +568,7 @@ def evaluate_by_recursion(model, f):
             if f.op == "EX":
                 return q.support(q.mul(model.alpha, v))
             if f.op == "EF":
-                return q.support(q.mul(_ref_star(q, model.alpha), v))
+                return q.support(q.mul(star_by_powers(q, model.alpha), v))
             # EG: greatest fixed point of a |-> v ^ s(alpha a), from v downward
             cur = v
             while True:
@@ -593,7 +593,47 @@ def program_by_recursion(model, p):
         return q.join(program_by_recursion(model, p.left),
                       program_by_recursion(model, p.right))
     if isinstance(p, PStar):
-        return _ref_star(q, program_by_recursion(model, p.sub))
+        return star_by_powers(q, program_by_recursion(model, p.sub))
     if isinstance(p, PTest):
         return evaluate_by_recursion(model, p.formula)
     raise TypeError(f"not a program: {p!r}")
+
+
+from quantales.formulas import atoms_of  # noqa: E402
+from quantales.parsing import parse_formula  # noqa: E402
+from quantales.quantale import (  # noqa: E402
+    MODAL_SYSTEMS, POINT_CONDITIONS, RelationQuantale,
+)
+from quantales.relations import decode, pair_bit  # noqa: E402
+from quantales.semantics import PointedModel, validity_test  # noqa: E402
+
+
+def sweep_by_codes(worlds, system, scheme):
+    """The sweep command's report as (exit code, stdout), by the loop over
+    every relation code of every world count, filtered by the system's
+    conditions: each code of the class is its own model."""
+    f = parse_formula(scheme, Mode.CLASSICAL)
+    valid = validity_test(f, Mode.CLASSICAL)
+    atoms = sorted(atoms_of(f))
+    conditions = [POINT_CONDITIONS[c] for c in MODAL_SYSTEMS[system]]
+    count = 0
+    for n in range(1, worlds + 1):
+        names = tuple(str(i) for i in range(n))
+        q = RelationQuantale(names)
+        diag = q.support_elements()
+        for alpha in range(2 ** (n * n)):
+            if not all(q.leq(lhs(q, alpha), alpha) for lhs in conditions):
+                continue
+            point = PointedModel(q, alpha, {}, Mode.CLASSICAL,
+                                 world_atoms=names)
+            for choice in itertools.product(diag, repeat=len(atoms)):
+                if not valid(point.revalued(dict(zip(atoms, choice)))):
+                    pairs = [f"({i},{j})" for i, j in sorted(decode(alpha, n))]
+                    vals = [f"{a}={{%s}}" % ",".join(
+                                str(i) for i in range(n)
+                                if v & pair_bit(i, i, n))
+                            for a, v in zip(atoms, choice)]
+                    return 1, (f"INFO worlds={n} alpha={' '.join(pairs)} "
+                               + " ".join(vals) + "\nSWEEP FAIL\n")
+                count += 1
+    return 0, f"SWEEP PASS models={count}\n"

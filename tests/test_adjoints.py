@@ -16,7 +16,7 @@ import pytest
 
 import gen
 import quantales.relations
-from gen import pair2_z2_quantale, s3_quantale
+from gen import goedel_chain, pair2_z2_quantale, s3_quantale
 from oracles import (
     box_adjoints_by_joins,
     evaluate_by_recursion,
@@ -37,20 +37,12 @@ from quantales.formulas import (
 from quantales.lattice import chain_lattice
 from quantales.quantale import (
     RelationQuantale,
-    make_quantale,
     relation_quantale,
     supports_locale,
 )
 from quantales.parsing import build, parse_model
 from quantales.relations import decode, encode
 from quantales.semantics import PointedModel, complement_in_locale, evaluate
-
-
-def goedel_chain(k):
-    'The k-chain as a locale quantale: multiplication is min, unit is top.'
-    mul = tuple(tuple(min(a, b) for b in range(k)) for a in range(k))
-    return make_quantale(chain_lattice(k), mul, inv=tuple(range(k)),
-                         unit=k - 1, support=tuple(range(k)))
 
 
 # --- the lattice residual and the box adjoints ----------------------------

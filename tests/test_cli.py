@@ -375,8 +375,8 @@ def test_tensor_verify_rejects_a_negative_depth(files, capsys):
     assert err.startswith("ERROR:") and "--depth" in err
 
 
-@pytest.mark.parametrize("worlds", ["0", "-1", "5"])
-def test_sweep_rejects_world_counts_outside_1_to_4(capsys, worlds):
+@pytest.mark.parametrize("worlds", ["0", "-1", "6"])
+def test_sweep_rejects_world_counts_outside_1_to_5(capsys, worlds):
     # "p" fails on the first 1-world model, so a missing guard shows up as
     # a quick SWEEP FAIL rather than a long run
     code, out, err = run(capsys, "sweep", "--worlds", worlds,

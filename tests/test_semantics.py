@@ -17,7 +17,7 @@ from quantales.semantics import (
 )
 
 import gen
-from oracles import oracle_classical, oracle_ctl, oracle_pdl
+from oracles import oracle_classical, oracle_ctl, oracle_pdl, star_by_powers
 
 
 def rel_model(worlds, alpha_pairs, valuation, mode, programs=None):
@@ -382,6 +382,21 @@ def test_star_laws():
         assert q.leq(a, s)
         assert q.leq(q.unit, s)
         assert q.mul(s, s) == s
+
+
+def test_star_by_squaring_matches_the_powers():
+    rng = random.Random("star")
+    for n in range(1, 7):
+        q = RelationQuantale(range(n))
+        # sparse codes make long paths, so the longest power needed varies
+        for density in (0.1, 0.25, 0.5):
+            for _ in range(10):
+                a = sum(1 << k for k in range(n * n) if rng.random() < density)
+                assert op_star(q, a) == star_by_powers(q, a), (n, a)
+    for q in (relation_quantale("ab"), gen.s3_quantale(),
+              gen.pair2_z2_quantale(), gen.goedel_chain(3)):
+        for a in range(q.n):
+            assert op_star(q, a) == star_by_powers(q, a), (q, a)
 
 
 def test_test_program_conjunction():
