@@ -26,14 +26,12 @@ from .errors import (
 )
 from .lattice import FiniteSupLattice, right_adjoint
 from .quantale import (
-    MODAL_SYSTEMS,
     SupportLocale,
     check_locale_laws,
-    diamond_image,
     irreducible_split,
-    require_support,
     supports_locale,
 )
+from .relations import MODAL_SYSTEMS, diamond_image, require_support
 
 
 def join_preservation_witness(L: FiniteSupLattice, table: Sequence[int]):

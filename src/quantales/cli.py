@@ -5,6 +5,9 @@ Reports are plain lines: `CHECK <name> PASS|FAIL`, `LAW <name>
 PASS|FAIL`, `FLAG <property> YES|NO`, `INFO ...`.  Exit status 0 means
 no FAIL/INVALID line was printed, 1 means at least one, 2 means the
 input could not be used at all.
+
+Each command imports the modules it runs: eval and valid on relation
+documents, and sweep, load neither numpy nor the table modules.
 """
 
 from __future__ import annotations
@@ -15,10 +18,8 @@ import os
 import sys
 from pathlib import Path
 
-from .bimodal import check_point_diamonds, conjugate_pairs
 from .errors import AlgebraError, FrontendError, ModelFormatError
 from .formulas import Mode, atoms_of
-from .nucleus import least_nucleus, quotient
 from .parsing import (
     build,
     document_quantale,
@@ -27,22 +28,16 @@ from .parsing import (
     parse_model,
     world_elements,
 )
-from .quantale import (
+from .relations import (
     MODAL_SYSTEMS,
     RelationQuantale,
     check_point_properties,
-    support_law_witnesses,
+    decode,
+    pair_bit,
     system_classes,
     system_pairs,
 )
-from .relations import decode, pair_bit
 from .semantics import PointedModel, evaluate, validity_test
-from .tensor import (
-    TensorAlgebra,
-    check_lemmaB_inequalities,
-    check_presupport_laws,
-    law_lines,
-)
 
 
 def _read(path):
@@ -90,6 +85,8 @@ def _print_flags(q, alpha):
 
 
 def _cmd_axioms(args):
+    from .bimodal import check_point_diamonds
+    from .quantale import support_law_witnesses
     alpha, q = document_quantale(parse_model(_read(args.model)))
     failed = False
     for name, witness in support_law_witnesses(q, alpha):
@@ -111,6 +108,7 @@ def _cmd_axioms(args):
 # --- quotient -------------------------------------------------------------
 
 def _cmd_quotient(args):
+    from .nucleus import least_nucleus, quotient
     alpha, q = document_quantale(parse_model(_read(args.model)))
     if isinstance(q, RelationQuantale):
         raise ModelFormatError(
@@ -132,6 +130,9 @@ def _cmd_quotient(args):
 # --- tensor-verify --------------------------------------------------------
 
 def _cmd_tensor_verify(args):
+    from .bimodal import conjugate_pairs
+    from .tensor import (TensorAlgebra, check_lemmaB_inequalities,
+                         check_presupport_laws, law_lines)
     if args.depth < 0:
         raise FrontendError("--depth must be at least 0")
     frame = parse_frame(_read(args.frame))
@@ -162,7 +163,7 @@ def _cmd_sweep(args):
     valid = validity_test(scheme, Mode.CLASSICAL)
     atoms = sorted(atoms_of(scheme))
     count = 0
-    for n in range(1, args.worlds + 1):
+    for n, classes in enumerate(system_classes(args.worlds, args.system), 1):
         worlds = tuple(str(i) for i in range(n))
         q = RelationQuantale(worlds)
         diag = q.support_elements()
@@ -172,7 +173,7 @@ def _cmd_sweep(args):
         # is a renaming of an earlier one, which passed, and that
         # representative's first failing valuation is the first failure
         # among all codes of the class, in the same order.
-        for alpha, orbit in system_classes(n, args.system):
+        for alpha, orbit in classes:
             # one model per point, so its diamond table is read once
             point = PointedModel(q, alpha, {}, Mode.CLASSICAL,
                                  world_atoms=worlds)

@@ -23,14 +23,7 @@ from .errors import (
     NotAPartialOrder,
     NotMeetClosed,
 )
-
-
-def _bits(mask: int):
-    'Indices of the set bits of mask, ascending.'
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from .relations import _bits
 
 
 def frozen(table, dtype=np.int64) -> np.ndarray:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import ModelFormatError, ParseError, UndeclaredWorld
 from .formulas import (
@@ -40,15 +41,15 @@ from .formulas import (
     TEMPORAL_OPS,
     Temporal,
 )
-from .lattice import FiniteSupLattice, make_lattice
-from .quantale import (
-    FiniteGroupoid,
-    RelationQuantale,
-    groupoid_quantale,
-    relation_quantale,
-)
-from .relations import encode, pair_bit
+from .relations import RelationQuantale, encode, pair_bit
 from .semantics import PointedModel
+
+# lattice and quantale, and with them numpy, are imported only by the
+# functions that build a table, so reading and evaluating a relation
+# document loads neither
+if TYPE_CHECKING:
+    from .lattice import FiniteSupLattice
+    from .quantale import FiniteGroupoid
 
 _ALIASES = {
     "◇": "<>", "□": "[]", "¬": "~",
@@ -285,6 +286,7 @@ class GroupoidDoc:
     @cached_property
     def finite_groupoid(self) -> FiniteGroupoid:
         'The FiniteGroupoid of these tables, validated once per document.'
+        from .quantale import FiniteGroupoid
         oidx = {o: i for i, o in enumerate(self.objects)}
         aidx = {name: i for i, (name, _, _) in enumerate(self.arrows)}
         dom = [oidx[d] for _, d, _ in self.arrows]
@@ -497,6 +499,7 @@ def document_quantale(doc: ModelDocument):
     relation documents up to 3 worlds.  Larger relation documents get the
     lazy RelationQuantale; its codes agree with the table's indices.
     """
+    from .quantale import groupoid_quantale, relation_quantale
     if doc.is_groupoid:
         if len(doc.groupoid.arrows) > _MAX_GROUPOID_ARROWS:
             raise ModelFormatError(
@@ -551,6 +554,7 @@ def parse_frame(text: str) -> FiniteSupLattice:
     The listed pairs are closed reflexively and transitively before the
     lattice laws are checked, so only a covering sketch is needed.
     """
+    from .lattice import make_lattice
     elements = None
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -4,23 +4,23 @@ Table-backed quantales validate every law exactly at construction.  On a
 distributive carrier, which every powerset quantale has, associativity
 and distributivity are decided on the join-irreducibles in O(n^2); any
 other carrier, and any table that fails, goes through the exhaustive loop
-over all triples, which names the first failure.  RelationQuantale is the
-lazy counterpart for world sets too large to tabulate, computing the same
-operations on bitmask codes directly.  The five support laws are written
-once: make_quantale proves them on a table's index arrays, and
-support_law_witnesses scans them on a seeded sample of a RelationQuantale.
+over all triples, which names the first failure.  RelationQuantale, in
+relations, is the lazy counterpart for world sets too large to tabulate,
+computing the same operations on bitmask codes directly, without numpy.
+The five support laws are written once: make_quantale proves them on a
+table's index arrays, and support_law_witnesses scans them on a seeded
+sample of a RelationQuantale.
 
 Both kinds share one view of the support locale as bitmasks over its
 join-irreducibles, support_irreducibles: locale_mask and locale_element
 convert an element below the unit to and from the mask of the
 irreducibles below it, and diamond_table(a) stores the join-preserving
-map v |-> s(a v) by its values at those irreducibles (diamond_image
-extends it to any mask).
+map v |-> s(a v) by its values at those irreducibles
+(relations.diamond_image extends it to any mask).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,7 +29,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import relations as rel
 from .errors import (
     InvalidGroupoid,
     NoStableSupport,
@@ -40,7 +39,8 @@ from .errors import (
     SupportLocaleLawFails,
     UnitLawFails,
 )
-from .lattice import FiniteSupLattice, _bits, frozen, powerset_lattice
+from .lattice import FiniteSupLattice, frozen, powerset_lattice
+from .relations import require_support
 
 
 class Quantale:
@@ -131,26 +131,6 @@ class Quantale:
         values = self.support_vector[
             self.mul_matrix[a, list(self.support_irreducibles)]]
         return tuple(self._locale_masks[x] for x in values.tolist())
-
-
-def require_support(q) -> None:
-    'NoStableSupport unless q has a support, which every diamond reads.'
-    if not q.has_support:
-        raise NoStableSupport(
-            "the quantale has no support table, so s(a v) is undefined")
-
-
-def diamond_image(table: Sequence[int], mask: int) -> int:
-    """The join of table[i] over the bits i of mask: <a>v from a's
-    diamond_table, for the v whose irreducibles are the bits of mask.
-    Exact for any set of irreducibles, since <a> preserves joins and a
-    table of a monotone map gives the same join on the set's down-set."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= table[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def _first(mask: np.ndarray):
@@ -469,92 +449,6 @@ def support_law_witnesses(q, alpha):
     return results
 
 
-# --- relation quantales ---------------------------------------------------
-
-class RelationQuantale:
-    """Powerset-of-relations quantale computed lazily on bitmask codes.
-
-    Elements are relation codes (ints); nothing is tabulated, so any world
-    count works.  The operations mirror Quantale's surface exactly.
-    """
-
-    def __init__(self, worlds: Sequence):
-        self.worlds = tuple(worlds)
-        self.nw = len(self.worlds)
-        self.unit = rel.diagonal(self.nw)
-        self.bottom = 0
-        self.top = rel.full(self.nw)
-        self._supp_elems = None
-        # the one-world diagonals, bit w*n + w; not read off the bits of the
-        # unit, which costs a shift of the whole n^2-bit code per world
-        self.support_irreducibles = tuple(
-            1 << w * (self.nw + 1) for w in range(self.nw))
-        self._code_format = f"0{self.nw * self.nw}b"
-
-    def __repr__(self):
-        return f"RelationQuantale(worlds={self.nw})"
-
-    has_support = True
-
-    def mul(self, a, b):
-        return rel.compose(a, b, self.nw)
-
-    def inv(self, a):
-        return rel.converse(a, self.nw)
-
-    def support(self, a):
-        return rel.support(a, self.nw)
-
-    def join(self, a, b):
-        return a | b
-
-    def meet(self, a, b):
-        return a & b
-
-    def leq(self, a, b):
-        return a & ~b == 0
-
-    def join_all(self, xs):
-        out = 0
-        for x in xs:
-            out |= x
-        return out
-
-    def support_elements(self):
-        'All subsets of the diagonal, ascending.'
-        if self._supp_elems is None:
-            n = self.nw
-            self._supp_elems = tuple(sorted(
-                rel.encode(((i, i) for i in _bits(sub)), n)
-                for sub in range(1 << n)))
-        return self._supp_elems
-
-    # A code's binary string, most significant bit first, has bit
-    # w*n + x at position (n-1-w)*n + (n-1-x): slices with step n read
-    # columns, slices of length n read rows, and step n+1 reads the
-    # diagonal, each most significant world first.
-
-    def locale_mask(self, v):
-        'The worlds w whose diagonal pair (w, w) is in v, as an n-bit mask.'
-        return int(format(v, self._code_format)[::self.nw + 1], 2)
-
-    def locale_element(self, mask):
-        'The diagonal relation on the worlds of mask.'
-        n = self.nw
-        return int(("0" * n).join(format(mask, f"0{n}b")), 2)
-
-    def diamond_table(self, a, converse=False):
-        """At each world x, s(a d_x), the worlds w with (w, x) in a:
-        column x of a; with converse, s(a- d_x), the a-successors of x:
-        row x.  One pass over the code, without a product."""
-        n = self.nw
-        bits = format(a, self._code_format)
-        if converse:
-            return tuple(int(bits[(n - 1 - x) * n:(n - x) * n], 2)
-                         for x in range(n))
-        return tuple(int(bits[n - 1 - x::n], 2) for x in range(n))
-
-
 def relation_quantale(worlds: Sequence) -> Quantale:
     """The full, validated quantale of relations on worlds.
 
@@ -766,104 +660,3 @@ def check_locale_laws(q, elems: Sequence[int]) -> None:
             if q.mul(b, c) != q.meet(b, c):
                 raise SupportLocaleLawFails(
                     f"multiplication is not meet below the unit at {(b, c)}")
-
-
-@dataclass(frozen=True)
-class PointFlags:
-    reflexive: bool
-    transitive: bool
-    symmetric: bool
-    total_support: bool
-
-
-def check_point_properties(q, alpha: int) -> PointFlags:
-    'Order-theoretic properties of a chosen point element.'
-    holds = {c: q.leq(lhs(q, alpha), alpha)
-             for c, lhs in POINT_CONDITIONS.items()}
-    return PointFlags(**holds, total_support=q.support(alpha) == q.unit)
-
-
-# --- modal systems --------------------------------------------------------
-
-# The frame conditions of each modal system, in the order they are checked.
-MODAL_SYSTEMS = {
-    "T": ("reflexive",),
-    "K4": ("transitive",),
-    "S4": ("reflexive", "transitive"),
-    "S5": ("reflexive", "transitive", "symmetric"),
-}
-
-# Each condition on a point alpha is one generating pair (y, alpha), held
-# when y <= alpha; these give y.  alpha- <= alpha already forces
-# alpha- = alpha, since the involution is an order automorphism.
-POINT_CONDITIONS = {
-    "reflexive": lambda q, alpha: q.unit,
-    "transitive": lambda q, alpha: q.mul(alpha, alpha),
-    "symmetric": lambda q, alpha: q.inv(alpha),
-}
-
-
-def system_pairs(q, alpha: int, system: str) -> list[tuple[int, int]]:
-    'The generating pairs of a modal system at a point, for least_nucleus.'
-    return [(POINT_CONDITIONS[c](q, alpha), alpha)
-            for c in MODAL_SYSTEMS[system]]
-
-
-def system_classes(n: int, system: str) -> list[tuple[int, int]]:
-    """Each isomorphism class of the system's points on n worlds, once, as
-    (least code, orbit size), in ascending code order.  The orbit size,
-    n!/|Aut|, is the number of relation codes in the class.
-
-    The classes on n worlds grow from those on n - 1 (isomorph-free
-    generation: Read, "Every one a winner", 1978; McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 1998).  Each way of adding world
-    n - 1 to a representative is a candidate; a candidate is kept when it
-    meets POINT_CONDITIONS, and kept candidates are merged by their least
-    image under the n! renamings of the worlds.
-
-    Every class is reached, since reflexive, transitive and symmetric
-    relations each stay so when restricted to a subset of the worlds.  A
-    point R of the class on n worlds, restricted to the worlds below
-    n - 1, is a point of the class on n - 1 worlds, so a renaming s of
-    those worlds takes it to a representative.  Then s, with n - 1 kept
-    in place, takes R to a candidate grown from that representative.
-    """
-    if n == 0:
-        return [(0, 1)]
-    q = RelationQuantale(range(n))
-    conditions = [POINT_CONDITIONS[c] for c in MODAL_SYSTEMS[system]]
-    m = n - 1
-    old = [(i, j) for i in range(m) for j in range(m)]
-    # the pairs that world m adds: its row, then the rest of its column
-    fresh = [(m, j) for j in range(n)] + [(i, m) for i in range(m)]
-    # The image of a code under a renaming is the image of its old pairs
-    # joined with the image of its fresh pairs, so the images of every
-    # set of fresh pairs are tabulated once per renaming.  The first
-    # renaming is the identity: its tables are the codes themselves.
-    renamings = list(itertools.permutations(range(n)))
-    old_bits = [[rel.pair_bit(s[i], s[j], n) for i, j in old]
-                for s in renamings]
-    fresh_images = [_subset_joins([rel.pair_bit(s[i], s[j], n)
-                                   for i, j in fresh]) for s in renamings]
-    orbits = {}
-    for beta, _ in system_classes(m, system):
-        pairs = [k for k in range(m * m) if beta >> k & 1]
-        bases = [sum(bits[k] for k in pairs) for bits in old_bits]
-        kept = [x for x, f in enumerate(fresh_images[0])
-                if all(q.leq(lhs(q, bases[0] | f), bases[0] | f)
-                       for lhs in conditions)]
-        # one tuple per kept candidate: its images under every renaming
-        for images in zip(*([b | t[x] for x in kept]
-                            for b, t in zip(bases, fresh_images))):
-            least = min(images)
-            if least not in orbits:
-                orbits[least] = len(set(images))
-    return sorted(orbits.items())
-
-
-def _subset_joins(bits: Sequence[int]) -> list[int]:
-    'The join of each subset of bits, indexed by the subset as a mask.'
-    out = [0]
-    for b in bits:
-        out += [x | b for x in out]
-    return out

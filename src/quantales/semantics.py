@@ -62,7 +62,7 @@ from .formulas import (
     Temporal,
     to_text,
 )
-from .quantale import diamond_image, require_support
+from .relations import diamond_image, require_support
 
 
 class _Locale:

@@ -601,10 +601,9 @@ def program_by_recursion(model, p):
 
 from quantales.formulas import atoms_of  # noqa: E402
 from quantales.parsing import parse_formula  # noqa: E402
-from quantales.quantale import (  # noqa: E402
-    MODAL_SYSTEMS, POINT_CONDITIONS, RelationQuantale,
+from quantales.relations import (  # noqa: E402
+    MODAL_SYSTEMS, POINT_CONDITIONS, RelationQuantale, decode, pair_bit,
 )
-from quantales.relations import decode, pair_bit  # noqa: E402
 from quantales.semantics import PointedModel, validity_test  # noqa: E402
 
 

@@ -35,14 +35,13 @@ from quantales.lattice import chain_lattice, diamond_lattice
 from quantales.nucleus import least_nucleus, quotient
 from quantales.parsing import parse_formula
 from quantales.quantale import (
-    RelationQuantale,
     group_groupoid,
     groupoid_quantale,
     make_quantale,
     relation_quantale,
     supports_locale,
 )
-from quantales.relations import decode, encode
+from quantales.relations import RelationQuantale, decode, encode
 from quantales.semantics import (
     PointedModel,
     eval_ctl,

@@ -35,13 +35,9 @@ from quantales.formulas import (
     PStar, PTest, Program, ProgDiamond, Temporal, to_text,
 )
 from quantales.lattice import chain_lattice
-from quantales.quantale import (
-    RelationQuantale,
-    relation_quantale,
-    supports_locale,
-)
+from quantales.quantale import relation_quantale, supports_locale
 from quantales.parsing import build, parse_model
-from quantales.relations import decode, encode
+from quantales.relations import RelationQuantale, decode, encode
 from quantales.semantics import PointedModel, complement_in_locale, evaluate
 
 

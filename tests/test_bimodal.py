@@ -15,12 +15,8 @@ from quantales.bimodal import (
 from quantales.errors import LawCheck, NotConjugate, NotJoinPreserving
 from quantales.lattice import chain_lattice, powerset_lattice
 from quantales.nucleus import is_nucleus
-from quantales.quantale import (
-    RelationQuantale,
-    check_point_properties,
-    relation_quantale,
-    supports_locale,
-)
+from quantales.quantale import relation_quantale, supports_locale
+from quantales.relations import RelationQuantale, check_point_properties
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,92 @@
+"""Each command imports only the modules it runs.
+
+`eval` and `valid` on relation documents, and `sweep`, work on relation
+codes alone: they run in a child interpreter where importing numpy
+fails, and print what an ordinary run prints.  Importing the command
+line loads none of the table modules.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+from quantales.cli import main
+from test_cli import _child_env
+
+# runs quantales.cli.main on its arguments with numpy made unimportable
+BLOCKED = """
+import sys
+sys.modules["numpy"] = None
+from quantales.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+TABLE_MODULES = ("numpy", "quantales.lattice", "quantales.quantale",
+                 "quantales.nucleus", "quantales.bimodal", "quantales.tensor")
+
+WORLDS = "WORLDS w0 w1 w2 w3\n"
+DOCUMENTS = {
+    "classical": "MODE classical\n" + WORLDS
+                 + "REL alpha (w0,w1) (w1,w2) (w2,w0) (w3,w3)\n"
+                   "VAL p w0 w2\nVAL q w1\n",
+    "intuitionistic": "MODE intuitionistic\n" + WORLDS
+                      + "REL alpha (w0,w0) (w0,w1) (w1,w1) (w2,w2) (w3,w3)"
+                        " (w2,w3)\nVAL p w1 w3\n",
+    "ctl": "MODE ctl\n" + WORLDS
+           + "REL alpha (w0,w1) (w1,w2) (w2,w2) (w3,w0)\nVAL p w2\n",
+    "pdl": "MODE pdl\n" + WORLDS
+           + "REL alpha (w0,w1)\nREL a (w0,w1) (w1,w2)\nREL b (w2,w3)\n"
+             "VAL p w3\n",
+}
+FORMULAS = {
+    "classical": ["<>p -> []q", "p \\/ ~p"],
+    "intuitionistic": ["p \\/ ~p", "[]p"],
+    "ctl": ["EX p", "AG (p -> EX p)"],
+    "pdl": ["<a;b*>p", "~<(a u b)*>p"],
+}
+SWEEPS = [
+    ["--worlds", "3", "--system", "S4", "--scheme", "[]p -> [][]p"],
+    ["--worlds", "3", "--system", "T", "--scheme", "[]p -> [][]p"],
+]
+
+
+def _without_numpy(argv):
+    proc = subprocess.run([sys.executable, "-c", BLOCKED, *argv],
+                          capture_output=True, text=True, env=_child_env())
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("command", ["eval", "valid"])
+@pytest.mark.parametrize("mode", list(DOCUMENTS))
+def test_relation_documents_are_read_without_numpy(tmp_path, capsys, mode,
+                                                    command):
+    model = tmp_path / "m.model"
+    model.write_text(DOCUMENTS[mode])
+    for formula in FORMULAS[mode]:
+        argv = [command, str(model), formula]
+        want = _in_process(capsys, argv)
+        assert want[2] == ""
+        assert _without_numpy(argv) == want, formula
+
+
+@pytest.mark.parametrize("argv", SWEEPS, ids=["pass", "fail"])
+def test_sweep_runs_without_numpy(capsys, argv):
+    want = _in_process(capsys, ["sweep", *argv])
+    assert want[0] == (0 if argv[3] == "S4" else 1)
+    assert _without_numpy(["sweep", *argv]) == want
+
+
+def test_the_command_line_loads_no_table_module():
+    probe = ("import sys, quantales.cli\n"
+             f"print(sorted(set({TABLE_MODULES!r}) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

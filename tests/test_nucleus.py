@@ -25,13 +25,12 @@ from quantales.quantale import (
     _check_laws_exhaustively,
     _irreducible_ranks,
     _laws_hold_on_irreducibles,
-    check_point_properties,
     group_groupoid,
     groupoid_quantale,
     make_quantale,
     relation_quantale,
-    system_pairs,
 )
+from quantales.relations import check_point_properties, system_pairs
 
 from oracles import (all_closure_tables, closed_lattice_by_pairs,
                      lattice_tables, meet_closed_table_by_meets, tables)

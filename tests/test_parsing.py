@@ -25,8 +25,8 @@ from quantales.parsing import (
     parse_program,
     world_elements,
 )
-from quantales.quantale import Quantale, RelationQuantale
-from quantales.relations import encode
+from quantales.quantale import Quantale
+from quantales.relations import RelationQuantale, encode
 from quantales.semantics import evaluate
 
 import gen

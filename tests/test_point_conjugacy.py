@@ -37,13 +37,13 @@ from quantales.errors import (
 from quantales.formulas import Mode
 from quantales.lattice import chain_lattice, diamond_lattice, powerset_lattice
 from quantales.quantale import (
-    RelationQuantale,
     check_locale_laws,
     make_quantale,
     relation_quantale,
     support_law_witnesses,
     supports_locale,
 )
+from quantales.relations import RelationQuantale
 from quantales.semantics import PointedModel
 
 FRAMES = {
@@ -233,7 +233,8 @@ def test_batched_scan_is_the_scalar_reference(n):
 # end fails the test instead of hanging the suite
 SMALL_SCAN = """
 import oracles
-from quantales.quantale import RelationQuantale, support_law_witnesses
+from quantales.quantale import support_law_witnesses
+from quantales.relations import RelationQuantale
 for n in (1, 2):
     q = RelationQuantale(tuple(range(n)))
     for alpha in range(2 ** (n * n)):

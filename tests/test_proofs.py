@@ -11,7 +11,6 @@ import pytest
 import quantales.bimodal
 import quantales.lattice
 import quantales.nucleus
-import quantales.parsing
 import quantales.quantale
 from quantales.bimodal import (
     check_conjugacy,
@@ -33,12 +32,11 @@ from quantales.nucleus import Nucleus, is_nucleus, least_nucleus, nucleus_join
 from quantales.parsing import document_quantale, parse_model
 from quantales.quantale import (
     Quantale,
-    check_point_properties,
     make_quantale,
     relation_quantale,
-    system_pairs,
     with_derived_support,
 )
+from quantales.relations import check_point_properties, system_pairs
 
 from oracles import tables
 
@@ -202,7 +200,7 @@ def test_a_broken_support_table_prints_no_check_line(tmp_path, capsys,
         support[1 << 1] = q.unit
         return make_quantale(q.lattice, q.mul_matrix, q.inv_vector, q.unit,
                              support=support)
-    monkeypatch.setattr(quantales.parsing, "relation_quantale", corrupted)
+    monkeypatch.setattr(quantales.quantale, "relation_quantale", corrupted)
     model = tmp_path / "m.model"
     model.write_text(TWO_WORLDS)
     assert main(["axioms", str(model)]) == 1

@@ -28,10 +28,7 @@ from quantales.lattice import (
 )
 from quantales.nucleus import least_nucleus, quotient
 from quantales.quantale import (
-    MODAL_SYSTEMS,
     FiniteGroupoid,
-    RelationQuantale,
-    check_point_properties,
     derive_support,
     group_groupoid,
     groupoid_quantale,
@@ -39,8 +36,13 @@ from quantales.quantale import (
     pair_groupoid,
     relation_quantale,
     supports_locale,
-    system_pairs,
     with_derived_support,
+)
+from quantales.relations import (
+    MODAL_SYSTEMS,
+    RelationQuantale,
+    check_point_properties,
+    system_pairs,
 )
 
 from conftest import m3_lattice, n5_lattice

@@ -8,8 +8,8 @@ from quantales.formulas import (
     ProgDiamond, PSeq, PStar, PTest, Temporal, to_text,
 )
 from quantales.parsing import parse_formula
-from quantales.quantale import RelationQuantale, relation_quantale
-from quantales.relations import encode
+from quantales.quantale import relation_quantale
+from quantales.relations import RelationQuantale, encode
 from quantales.semantics import (
     PointedModel, complement_in_locale, eval_classical, eval_ctl,
     eval_intuitionistic, eval_pdl, eval_program, evaluate, op_star,

@@ -1,6 +1,6 @@
 """sweep over one representative per isomorphism class of points.
 
-quantale.system_classes is held to the OEIS counts of classes and of
+relations.system_classes is held to the OEIS counts of classes and of
 labelled relations, and to the classes found by renaming every code; the
 command is held to the loop over every code of the class
 (oracles.sweep_by_codes): the same stdout and exit code.
@@ -11,13 +11,13 @@ import itertools
 import pytest
 
 import quantales.cli
-import quantales.quantale
+import quantales.relations
 from oracles import sweep_by_codes
 from quantales.cli import main
-from quantales.quantale import (
-    MODAL_SYSTEMS, POINT_CONDITIONS, RelationQuantale, system_classes,
+from quantales.relations import (
+    MODAL_SYSTEMS, POINT_CONDITIONS, RelationQuantale, decode, encode,
+    system_classes,
 )
-from quantales.relations import decode, encode
 
 # classes of points at 1..5 worlds
 CLASSES = {
@@ -40,8 +40,8 @@ TIER1_WORLDS = {"T": 4, "K4": 4, "S4": 5, "S5": 5}
 
 @pytest.mark.parametrize("system", list(MODAL_SYSTEMS))
 def test_class_counts_and_orbit_sums_match_oeis(system):
-    for n in range(1, TIER1_WORLDS[system] + 1):
-        classes = system_classes(n, system)
+    levels = system_classes(TIER1_WORLDS[system], system)
+    for n, classes in enumerate(levels, 1):
         assert len(classes) == CLASSES[system][n - 1], n
         assert sum(orbit for _, orbit in classes) == LABELLED[system][n - 1], n
 
@@ -62,14 +62,16 @@ def _classes_by_renaming(n, system):
 
 @pytest.mark.parametrize("system", list(MODAL_SYSTEMS))
 def test_representatives_are_the_least_codes_of_their_classes(system):
-    for n in range(4):
-        assert system_classes(n, system) == _classes_by_renaming(n, system)
+    assert list(system_classes(3, system)) == \
+        [_classes_by_renaming(n, system) for n in range(1, 4)]
 
 
 @pytest.mark.parametrize("system", ["T", "S5"])
-def test_only_extensions_of_representatives_are_tested(system, monkeypatch):
-    # the class test runs once per way of adding a world to a
-    # representative, far fewer times than there are codes
+def test_only_extensions_of_representatives_are_tested(system, monkeypatch,
+                                                       capsys):
+    # in a whole sweep, the class test runs once per way of adding a world
+    # to a representative, each level grown once: far fewer times than
+    # there are codes
     first = MODAL_SYSTEMS[system][0]
     condition = POINT_CONDITIONS[first]
     calls = []
@@ -78,9 +80,11 @@ def test_only_extensions_of_representatives_are_tested(system, monkeypatch):
         calls.append(alpha)
         return condition(q, alpha)
 
-    monkeypatch.setitem(quantales.quantale.POINT_CONDITIONS, first, counted)
+    monkeypatch.setitem(quantales.relations.POINT_CONDITIONS, first, counted)
     n = TIER1_WORLDS[system]
-    system_classes(n, system)
+    assert main(["sweep", "--worlds", str(n), "--system", system,
+                 "--scheme", "p -> p"]) == 0
+    assert capsys.readouterr().out.startswith("SWEEP PASS")
     classes = (1,) + CLASSES[system]
     assert len(calls) == sum(classes[m - 1] * 2 ** (2 * m - 1)
                              for m in range(1, n + 1))
@@ -99,8 +103,9 @@ def test_sweep_builds_one_model_per_class(monkeypatch, capsys):
     assert main(["sweep", "--worlds", "4", "--system", "S4",
                  "--scheme", "[]p -> p"]) == 0
     assert capsys.readouterr().out == "SWEEP PASS models=5930\n"
-    assert points == [(n, code) for n in range(1, 5)
-                      for code, _ in system_classes(n, "S4")]
+    assert points == [(n, code) for n, classes
+                      in enumerate(system_classes(4, "S4"), 1)
+                      for code, _ in classes]
 
 
 SCHEMES = {

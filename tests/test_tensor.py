@@ -29,14 +29,13 @@ from quantales.lattice import (
 )
 from quantales.nucleus import Nucleus, least_nucleus
 from quantales.quantale import (
-    RelationQuantale,
     group_groupoid,
     groupoid_quantale,
     make_quantale,
     relation_quantale,
     supports_locale,
 )
-from quantales.relations import encode
+from quantales.relations import RelationQuantale, encode
 from quantales.tensor import (
     GradingWitness,
     InvolutiveMonoid,
