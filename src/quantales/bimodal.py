@@ -5,14 +5,16 @@ support locale; this module works with that shape abstractly: a frame, two
 join-preserving endomaps, and the conjugacy inequalities tying them.
 Endomaps are stored as full value tables but are determined by their
 action on join-irreducibles, which is how the sweep helpers enumerate them
-and where join preservation and conjugacy are decided.  check_point_diamonds
-never tabulates a point's diamonds: they are functions extended from the
-join-irreducibles below the unit (lazy_point_diamonds).
+and where join preservation and conjugacy are decided.  A point's two
+diamonds are its diamond tables, extended by diamond_image over the masks
+of relations.LocaleMasks: diamonds_from_point tabulates them over the
+locale, and check_point_diamonds reads them on the irreducibles alone.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -31,7 +33,7 @@ from .quantale import (
     irreducible_split,
     supports_locale,
 )
-from .relations import MODAL_SYSTEMS, diamond_image, require_support
+from .relations import MODAL_SYSTEMS, LocaleMasks, diamond_image
 
 
 def join_preservation_witness(L: FiniteSupLattice, table: Sequence[int]):
@@ -155,38 +157,19 @@ def diamonds_from_point(q, alpha: int,
                         locale: SupportLocale | None = None) -> BimodalFrame:
     """The two diamonds induced on the support locale by a point element.
 
-    dia(x) = s(alpha x) and bdia(x) = s(alpha- x).  Conjugacy here is a
-    theorem, so a failure raises InternalValidationFailed.
+    dia(x) = s(alpha x) and bdia(x) = s(alpha- x), diamond_image of the
+    point's diamond tables (NoStableSupport without a support).  Conjugacy
+    here is a theorem, so a failure raises InternalValidationFailed.
     """
+    tables = q.diamond_table(alpha), q.diamond_table(alpha, converse=True)
     loc = supports_locale(q) if locale is None else locale
-    ainv = q.inv(alpha)
-    dia = [loc.from_q(q.support(q.mul(alpha, x))) for x in loc.q_elements]
-    bdia = [loc.from_q(q.support(q.mul(ainv, x))) for x in loc.q_elements]
+    masks = [q.locale_mask(x) for x in loc.q_elements]
+    at = {m: i for i, m in enumerate(masks)}
+    dia, bdia = ([at[diamond_image(t, m)] for m in masks] for t in tables)
     try:
         return BimodalFrame(loc.lattice, dia, bdia)
     except NotConjugate as exc:
         raise InternalValidationFailed(f"point diamonds not conjugate: {exc}") from exc
-
-
-def lazy_point_diamonds(q, alpha: int):
-    """The two diamonds of a point on the support locale, as functions on
-    the elements below the unit; the locale is never tabulated.
-
-    dia maps v to the join of s(alpha j) over the support irreducibles j
-    below v, read from the point's diamond_table, and bdia does the same
-    with the converse table, s(alpha- j).  That is s(alpha v) because the
-    product and the support preserve joins in each argument: make_quantale
-    proves it for a table, and the row-wise definitions of
-    relations.compose and relations.support make it so for a
-    RelationQuantale.  The tests check this against the explicit tables
-    of diamonds_from_point.
-    """
-
-    def extend(table):
-        return lambda v: q.locale_element(diamond_image(table, q.locale_mask(v)))
-
-    return (extend(q.diamond_table(alpha)),
-            extend(q.diamond_table(alpha, converse=True)))
 
 
 def check_point_diamonds(q, alpha: int) -> None:
@@ -194,31 +177,25 @@ def check_point_diamonds(q, alpha: int) -> None:
     point's two diamonds are conjugate.
 
     Nothing is tabulated, for a table Quantale or a RelationQuantale:
-    check_locale_laws runs on the join-irreducibles below the unit,
-    support_irreducibles, and conjugacy_witness_on_irreducibles on pairs of
-    them with the maps of lazy_point_diamonds, in O(k^2) products.  Below
-    the unit e the support laws make the product the meet: for b, c <= e,
-    b <= (sb) b <= sb <= b b- <= b-, so b- = b, and then b ^ c <= s(b ^ c)
-    <= b c <= b ^ c.  The product distributes over joins, so the elements
-    below e form a frame, and the diamonds preserve joins; these are the
-    conditions of the lemma.  make_quantale proved the support laws and
-    distributivity at every element of a table, so the reduction is exact
-    there.  A RelationQuantale's locale is the powerset of its n one-world
-    diagonals under | and &; the reduction assumes that relations.compose,
-    converse and support preserve joins in each argument, as their
-    row-wise definitions make them do, and the tests hold both steps to
-    the scan over every element at up to 6 worlds.  A locale law failure
-    raises SupportLocaleLawFails; a conjugacy failure, a theorem broken,
-    raises InternalValidationFailed naming the two irreducibles, and a
-    Quantale without a support raises NoStableSupport.
+    check_locale_laws runs on support_irreducibles, which makes the locale
+    a frame, then conjugacy_witness_on_irreducibles on their masks in
+    relations.LocaleMasks, with the point's diamond tables extended by
+    diamond_image.  The diamonds preserve joins, as the lemma needs,
+    because the product and the support do: make_quantale proves it for a
+    table, and the row-wise relations.compose and support give it for a
+    RelationQuantale.  A locale law failure raises SupportLocaleLawFails;
+    a conjugacy failure, a theorem broken, raises InternalValidationFailed
+    naming the two irreducibles, and a Quantale without a support raises
+    NoStableSupport.
     """
-    require_support(q)
-    atoms = q.support_irreducibles
-    check_locale_laws(q, atoms)
-    failure = conjugacy_witness_on_irreducibles(
-        q, atoms, *lazy_point_diamonds(q, alpha))
+    dia, bdia = (partial(diamond_image, q.diamond_table(alpha, converse))
+                 for converse in (False, True))
+    check_locale_laws(q, q.support_irreducibles)
+    view = LocaleMasks(q)
+    failure = conjugacy_witness_on_irreducibles(view, view.below, dia, bdia)
     if failure is not None:
-        law, witness = failure
+        law, (x, y) = failure
+        witness = q.locale_element(x), q.locale_element(y)
         raise InternalValidationFailed(
             f"point diamonds not conjugate: {law} conjugacy fails at {witness}")
 

@@ -14,9 +14,11 @@ sample of a RelationQuantale.
 Both kinds share one view of the support locale as bitmasks over its
 join-irreducibles, support_irreducibles: locale_mask and locale_element
 convert an element below the unit to and from the mask of the
-irreducibles below it, and diamond_table(a) stores the join-preserving
-map v |-> s(a v) by its values at those irreducibles
-(relations.diamond_image extends it to any mask).
+irreducibles below it, and relations.LocaleMasks holds the masks of the
+irreducibles; supports_locale tabulates that view.  diamond_table(a)
+stores the join-preserving map v |-> s(a v) by its values at those
+irreducibles, the one diamond construction (relations.diamond_image
+extends it to any mask).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (
     UnitLawFails,
 )
 from .lattice import FiniteSupLattice, frozen, powerset_lattice
-from .relations import require_support
+from .relations import LocaleMasks, require_support
 
 
 class Quantale:
@@ -599,56 +601,58 @@ def groupoid_quantale(G: FiniteGroupoid) -> Quantale:
 
 @dataclass(frozen=True)
 class SupportLocale:
-    """The elements below the unit, as a frame.
-
-    q_elements maps locale indices back to quantale elements; to_locale is
-    the inverse.  Constructed and validated by supports_locale.
-    """
+    """The elements below the unit, as a frame labelled by those quantale
+    elements.  Constructed and validated by supports_locale."""
 
     lattice: FiniteSupLattice
-    q_elements: tuple[int, ...]
-    to_locale: dict
+
+    @property
+    def q_elements(self) -> tuple[int, ...]:
+        return self.lattice.labels
 
     def from_q(self, x: int) -> int:
-        return self.to_locale[x]
+        return self.lattice.index(x)
 
     def to_q(self, i: int) -> int:
-        return self.q_elements[i]
+        return self.lattice.label(i)
 
 
 def supports_locale(q) -> SupportLocale:
     """Check that the elements below the unit form a locale under the
     quantale operations, and return it as an explicit lattice.
 
-    Verifies the locale laws (check_locale_laws) on every element below
-    the unit, and that the resulting lattice is a frame; any failure
-    raises SupportLocaleLawFails.
+    check_locale_laws runs on support_irreducibles alone, which is exact;
+    join and meet are then | and & on the masks of relations.LocaleMasks,
+    labelled in support_elements order, and the lattice must be a frame.
+    Any failure raises SupportLocaleLawFails.
     """
+    check_locale_laws(q, q.support_irreducibles)
+    view = LocaleMasks(q)
     elems = tuple(q.support_elements())
-    check_locale_laws(q, elems)
-    idx = {x: i for i, x in enumerate(elems)}
-    join = [[idx[q.join(b, c)] for c in elems] for b in elems]
-    meet = np.array([[idx[q.meet(b, c)] for c in elems] for b in elems])
+    masks = [q.locale_mask(x) for x in elems]
+    at = {m: i for i, m in enumerate(masks)}
+    join = [[at[m | k] for k in masks] for m in masks]
+    meet = np.array([[at[m & k] for k in masks] for m in masks])
     # b <= c iff b ^ c = b
     leq = meet == np.arange(len(elems))[:, None]
-    lat = FiniteSupLattice(elems, leq, join, meet, idx[q.bottom], idx[q.unit])
+    lat = FiniteSupLattice(elems, leq, join, meet, at[0], at[view.full])
     if not lat.is_frame():
         raise SupportLocaleLawFails("the elements below the unit are not a frame")
-    return SupportLocale(lat, elems, idx)
+    return SupportLocale(lat)
 
 
 def check_locale_laws(q, elems: Sequence[int]) -> None:
     """b b = b and b- = b for every b of elems, and b c = b ^ c for every
     pair; the first failure raises SupportLocaleLawFails.
 
-    supports_locale passes every element below the unit.  The
-    join-irreducibles below it, support_irreducibles, are enough: every
-    element below the unit is a join of them, and below the unit the
-    product, the meet and the involution preserve joins in each argument
-    (on a table because the support laws make the product the meet there,
-    see bimodal.check_point_diamonds), so b c = b ^ c on irreducible pairs
-    gives it on all pairs, b b = b among them, and b- = b on the
-    irreducibles gives it everywhere.
+    The irreducibles below the unit, support_irreducibles, are enough in
+    any quantale, with or without a support.  Each x below the unit is the
+    join of the set J(x) of irreducibles below it, and the product
+    preserves joins, so for x, y below the unit x y is the join of
+    b c = b ^ c over J(x) x J(y), at most x ^ y, and at least the join of
+    b b = b over J(x ^ y), which is x ^ y.  So the product is the meet
+    below the unit, which makes it a frame, and b- = b on the irreducibles
+    gives it everywhere, as the involution preserves joins.
     """
     for b in elems:
         if q.mul(b, b) != b:

@@ -7,7 +7,8 @@ few machine-word operations even at n = 4 or 5.
 
 On these codes sit RelationQuantale, the lazy quantale of all relations
 on a world set; the diamond-table helpers require_support and
-diamond_image, which the evaluator reads; the frame conditions of the
+diamond_image and the mask view of the support locale, LocaleMasks, which
+the evaluator and the point checks read; the frame conditions of the
 modal systems (MODAL_SYSTEMS, POINT_CONDITIONS, system_pairs) with the
 point flags (check_point_properties); and system_classes, the classes of
 a system's points up to renaming the worlds, which `sweep` walks.
@@ -114,6 +115,40 @@ def diamond_image(table: Sequence[int], mask: int) -> int:
     return out
 
 
+class LocaleMasks:
+    """The support locale of q as masks over q.support_irreducibles, the
+    one view every reader of the locale shares: below[i] is the mask of
+    the i-th irreducible, full that of the unit.  Once check_locale_laws
+    has passed, join is |, meet is & and the order is inclusion, and each
+    down-set is the mask of one element (Birkhoff).  No product is taken."""
+
+    def __init__(self, q):
+        self.below = tuple(map(q.locale_mask, q.support_irreducibles))
+        self.full = (1 << len(self.below)) - 1
+        self.boolean = all(d == 1 << i for i, d in enumerate(self.below))
+
+    @staticmethod
+    def leq(a: int, b: int) -> bool:
+        return not a & ~b
+
+    @staticmethod
+    def meet(a: int, b: int) -> int:
+        return a & b
+
+    def residual(self, a: int, b: int) -> int:
+        'a -> b: the irreducibles whose down-sets meet a only inside b.'
+        outside = a & ~b
+        if self.boolean:
+            return self.full & ~outside
+        return sum(1 << i for i, d in enumerate(self.below)
+                   if not d & outside)
+
+    def complement(self, v: int):
+        'The complement of v, or None: v -> bottom, if it joins v to the unit.'
+        c = self.residual(v, 0)
+        return c if v | c == self.full else None
+
+
 # --- relation quantales ---------------------------------------------------
 
 class RelationQuantale:
@@ -181,6 +216,9 @@ class RelationQuantale:
 
     def locale_mask(self, v):
         'The worlds w whose diagonal pair (w, w) is in v, as an n-bit mask.'
+        d = v & self.unit
+        if not d & (d - 1):   # at most one, as in an irreducible: no format
+            return d and 1 << (d.bit_length() - 1) // (self.nw + 1)
         return int(format(v, self._code_format)[::self.nw + 1], 2)
 
     def locale_element(self, mask):

@@ -3,12 +3,13 @@
 Formula values live in the support locale, the elements below the unit.
 That locale is a finite frame, so each value v is stored as the bitmask
 of the join-irreducibles below it (quantale.support_irreducibles, one per
-world of a relation or groupoid model): join is |, meet is &, and every
-mask the evaluator makes is a down-set, the mask of exactly one element.
-A point or program a acts on the locale as the join-preserving map
-<a>v = s(a v), stored as its table on the irreducibles
-(quantale.diamond_table, read from the quantale's own tables without a
-product of whole elements): <a>v ORs the table over the bits of v.
+world of a relation or groupoid model), in relations.LocaleMasks, the
+one mask view of the locale: join is |, meet is &, and every mask the
+evaluator makes is a down-set, the mask of exactly one element.  A point
+or program a acts on the locale as the join-preserving map <a>v =
+s(a v), stored as its table on the irreducibles (quantale.diamond_table,
+read without a product of whole elements): <a>v ORs the table over the
+bits of v (relations.diamond_image), the one diamond construction.
 
 - <a;b> = <a> o <b>, by stability s(a b v) = s(a s(b v)); <a u b> =
   <a> v <b>; <phi?>v = phi ^ v; <a*>v and EF are least fixpoints of
@@ -62,31 +63,7 @@ from .formulas import (
     Temporal,
     to_text,
 )
-from .relations import diamond_image, require_support
-
-
-class _Locale:
-    """The support locale of one quantale as masks: each irreducible's
-    down-set (the table of the unit, since <e> is the identity) and the
-    full mask of the unit."""
-
-    def __init__(self, q):
-        self.below = q.diamond_table(q.unit)
-        self.full = (1 << len(self.below)) - 1
-        self.boolean = all(d == 1 << i for i, d in enumerate(self.below))
-
-    def residual(self, a: int, b: int) -> int:
-        'a -> b: the irreducibles whose down-sets meet a only inside b.'
-        outside = a & ~b
-        if self.boolean:
-            return self.full & ~outside
-        return sum(1 << i for i, d in enumerate(self.below)
-                   if not d & outside)
-
-    def complement(self, v: int):
-        'The complement of v, or None: v -> bottom, if it joins v to the unit.'
-        c = self.residual(v, 0)
-        return c if v | c == self.full else None
+from .relations import LocaleMasks, diamond_image, require_support
 
 
 @dataclass
@@ -107,7 +84,7 @@ class PointedModel:
 
     def __post_init__(self):
         require_support(self.quantale)
-        self._locale = _Locale(self.quantale)
+        self._locale = LocaleMasks(self.quantale)
         self._tables = {}
         self._check()
 
@@ -155,8 +132,10 @@ class PointedModel:
 
 
 def complement_in_locale(q, b: int):
-    'The complement of b below the unit, or None: b -> bottom, if it joins b to e.'
-    c = _Locale(q).complement(q.locale_mask(b))
+    'The complement of b <= e, or None: b -> bottom, if it joins b to e.'
+    if not q.leq(b, q.unit):
+        raise ValueError(f"element {b} is outside the support locale")
+    c = LocaleMasks(q).complement(q.locale_mask(b))
     return None if c is None else q.locale_element(c)
 
 

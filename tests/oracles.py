@@ -192,6 +192,41 @@ def support_by_combinations(algebra, dia, bdia, elems):
     return out
 
 
+# --- the support locale and a point's diamonds, by products -------------
+# The references for quantale.supports_locale and bimodal.diamonds_from_point,
+# which read masks of the irreducibles below the unit and diamond tables.
+
+def supports_locale_by_products(q):
+    """The elements below the unit as a lattice of q's join and meet,
+    after checking b b = b, b- = b and b c = b ^ c by products at every
+    element and pair; SupportLocaleLawFails otherwise, or when the lattice
+    is not a frame."""
+    from quantales.errors import SupportLocaleLawFails
+    from quantales.lattice import FiniteSupLattice
+    from quantales.quantale import SupportLocale
+
+    elems = tuple(q.support_elements())
+    if not all(q.mul(b, c) == q.meet(b, c) and q.inv(b) == b
+               for b in elems for c in elems):
+        raise SupportLocaleLawFails("the elements below the unit are not "
+                                    "a locale under the product")
+    idx = {x: i for i, x in enumerate(elems)}
+    join = [[idx[q.join(b, c)] for c in elems] for b in elems]
+    meet = [[idx[q.meet(b, c)] for c in elems] for b in elems]
+    leq = [[meet[i][k] == i for k in range(len(elems))]
+           for i in range(len(elems))]
+    lat = FiniteSupLattice(elems, leq, join, meet, idx[q.bottom], idx[q.unit])
+    if not lat.is_frame():
+        raise SupportLocaleLawFails("the elements below the unit are not a frame")
+    return SupportLocale(lat)
+
+
+def diamonds_by_products(q, alpha, loc):
+    'The tables of x |-> s(alpha x) and x |-> s(alpha- x) on the locale loc.'
+    return tuple([loc.from_q(q.support(q.mul(a, x))) for x in loc.q_elements]
+                 for a in (alpha, q.inv(alpha)))
+
+
 # --- right adjoints as joins over every element -------------------------
 # The reference for lattice.right_adjoint, which joins irreducibles only.
 

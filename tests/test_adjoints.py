@@ -165,6 +165,23 @@ def test_evaluator_matches_the_joins_on_the_tabulated_two_worlds(mode):
             _check_adjoint_nodes(m, f)
 
 
+@pytest.mark.parametrize("make", [relation_quantale, RelationQuantale])
+def test_complement_in_locale_refuses_elements_outside_it(make):
+    # every element on two worlds: the 4 below the unit have the joins'
+    # complement, and the other 12, the top among them, raise
+    q = make("ab")
+    outside = 0
+    for b in range(16):
+        if q.leq(b, q.unit):
+            assert complement_in_locale(q, b) == \
+                locale_complement_by_joins(q, b)
+        else:
+            with pytest.raises(ValueError, match="outside the support locale"):
+                complement_in_locale(q, b)
+            outside += 1
+    assert outside == 12
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_evaluator_matches_the_joins_on_goedel_chains(k):
     q = goedel_chain(k)

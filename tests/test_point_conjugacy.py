@@ -1,6 +1,7 @@
-"""Conjugacy and join preservation decided on join-irreducibles, the lazy
-point check of every quantale, and the batched support-law scan of
-`axioms`, each against the full scan or the scalar reference."""
+"""Conjugacy and join preservation decided on join-irreducibles, the
+support locale and point diamonds of every quantale read from masks, and
+the batched support-law scan of `axioms`, each against the full scan,
+the products or the scalar reference."""
 
 import os
 import random
@@ -17,7 +18,7 @@ import quantales
 import quantales.bimodal
 import quantales.quantale
 from conftest import grid_lattice, m3_lattice, n5_lattice
-from gen import pair2_z2_quantale, s3_quantale
+from gen import goedel_chain, pair2_z2_quantale, s3_quantale
 from quantales import relations as rel
 from quantales.bimodal import (
     _conjugacy_inequalities,
@@ -26,7 +27,6 @@ from quantales.bimodal import (
     diamonds_from_point,
     join_preservation_witness,
     join_preserving_endomaps,
-    lazy_point_diamonds,
 )
 from quantales.cli import main
 from quantales.errors import (
@@ -95,7 +95,7 @@ def test_join_preservation_is_decided_on_the_split():
     assert preserving > len(lattices)
 
 
-# --- the lazy point check -------------------------------------------------
+# --- the point check on masks ---------------------------------------------
 
 def _codes(q, pairs):
     return rel.encode(pairs, q.nw)
@@ -122,29 +122,37 @@ TABLES = {
     "s3": (s3_quantale, range(64)),
     "pair2-z2": (pair2_z2_quantale, range(64)),
 }
+# and every point of the 3-chain, whose locale is not Boolean
+WITH_CHAIN = {**TABLES, "goedel3": (lambda: goedel_chain(3), range(3))}
 
 
-@pytest.mark.parametrize("case", [1, 2, 3, 4, 5, 6, *TABLES])
+@pytest.mark.parametrize("case", [1, 2, 3, 4, 5, 6, *WITH_CHAIN])
 def test_lazy_diamonds_are_the_explicit_ones(case):
-    if case in TABLES:
-        make, points = TABLES[case]
+    # the locale and diamonds read lazily from masks and diamond tables
+    # are the ones built explicitly from products
+    if case in WITH_CHAIN:
+        make, points = WITH_CHAIN[case]
         q = make()
     else:
         q, points = RelationQuantale(tuple(range(case))), _points(case)
     loc = supports_locale(q)
+    want = oracles.supports_locale_by_products(q)
+    for name in ("labels", "bottom", "top"):
+        assert getattr(loc.lattice, name) == getattr(want.lattice, name)
+    for name in ("leq_matrix", "join_matrix", "meet_matrix"):
+        assert (getattr(loc.lattice, name) == getattr(want.lattice, name)).all()
     for alpha in points:
-        explicit = diamonds_from_point(q, alpha, loc)
-        lazy = lazy_point_diamonds(q, alpha)
-        for table, f in zip((explicit.dia, explicit.bdia), lazy):
-            for v in loc.q_elements:
-                assert f(v) == loc.to_q(table[loc.from_q(v)]), (alpha, v)
+        frame = diamonds_from_point(q, alpha, loc)
+        dia, bdia = oracles.diamonds_by_products(q, alpha, loc)
+        assert (frame.dia, frame.bdia) == (tuple(dia), tuple(bdia)), alpha
         if isinstance(q, RelationQuantale):
             point = _pairs(q, alpha)
-            for f, r in zip(lazy, (point, oracles.rel_converse(point))):
-                for v in loc.q_elements:
+            for table, r in zip((dia, bdia),
+                                (point, oracles.rel_converse(point))):
+                for i, v in enumerate(loc.q_elements):
                     by_pairs = oracles.rel_support(
                         oracles.rel_compose(r, _pairs(q, v)))
-                    assert f(v) == _codes(q, by_pairs), (alpha, v)
+                    assert loc.to_q(table[i]) == _codes(q, by_pairs), (alpha, v)
         check_point_diamonds(q, alpha)
 
 
@@ -182,10 +190,14 @@ def test_a_failing_conjugacy_raises(monkeypatch):
     # the only one, against the identity
     for q in (RelationQuantale("ab"), *(make() for make, _ in TABLES.values())):
         d0, *rest = q.support_irreducibles
-        target = rest[-1] if rest else q.bottom
-        dia = lambda v: target if q.leq(d0, v) else q.bottom
-        monkeypatch.setattr(quantales.bimodal, "lazy_point_diamonds",
-                            lambda q, alpha: (dia, lambda v: v))
+        target = q.locale_mask(rest[-1]) if rest else 0
+        below = [q.locale_mask(j) for j in q.support_irreducibles]
+
+        def table(q, alpha, converse=False):
+            return tuple(below) if converse else tuple(
+                target if d & 1 else 0 for d in below)
+
+        monkeypatch.setattr(type(q), "diamond_table", table)
         with pytest.raises(InternalValidationFailed) as info:
             check_point_diamonds(q, 0)
         assert str(info.value) == ("point diamonds not conjugate: backward "
@@ -197,6 +209,7 @@ def test_a_failing_conjugacy_raises(monkeypatch):
 NO_SUPPORT_ENTRIES = {
     "support_law_witnesses": lambda q: support_law_witnesses(q, 3),
     "check_point_diamonds": lambda q: check_point_diamonds(q, 3),
+    "diamonds_from_point": lambda q: diamonds_from_point(q, 3),
     "PointedModel": lambda q: PointedModel(q, 3, {"p": 1}, Mode.CLASSICAL),
 }
 
@@ -345,6 +358,7 @@ def test_axioms_never_tabulates_the_support_locale(tmp_path, capsys,
         raise AssertionError("the support locale was tabulated")
 
     monkeypatch.setattr(RelationQuantale, "support_elements", refuse)
+    monkeypatch.setattr(RelationQuantale, "locale_element", refuse)
     monkeypatch.setattr(quantales.quantale, "supports_locale", refuse)
     monkeypatch.setattr(quantales.bimodal, "supports_locale", refuse)
     rng = random.Random(14)
