@@ -131,20 +131,22 @@ def _cmd_quotient(args):
 
 def _cmd_tensor_verify(args):
     from .bimodal import conjugate_pairs
-    from .tensor import (TensorAlgebra, check_lemmaB_inequalities,
-                         check_presupport_laws, law_lines)
+    from .tensor import (SampleGrids, TensorAlgebra,
+                         check_lemmaB_inequalities, check_presupport_laws,
+                         law_lines)
     if args.depth < 0:
         raise FrontendError("--depth must be at least 0")
     frame = parse_frame(_read(args.frame))
     algebra = TensorAlgebra(frame, depth=args.depth)
     pairs = list(conjugate_pairs(frame))
     print(f"INFO conjugate-pairs {len(pairs)}")
+    grids = SampleGrids(algebra)    # the samples and grids of every pair
     labels = lambda t: ",".join(str(frame.label(v)) for v in t)
     failed = False
     for i, (dia, bdia) in enumerate(pairs, 1):
         print(f"PAIR {i}/{len(pairs)} dia=[{labels(dia)}] bdia=[{labels(bdia)}]")
-        results = check_presupport_laws(algebra, dia, bdia)
-        results += check_lemmaB_inequalities(algebra, dia, bdia)
+        results = check_presupport_laws(algebra, dia, bdia, grids)
+        results += check_lemmaB_inequalities(algebra, dia, bdia, grids)
         for line in law_lines(results):
             print(line)
         failed = failed or not all(r.ok for r in results)

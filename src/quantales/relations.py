@@ -2,11 +2,13 @@
 and the Kripke side of the library on them, without numpy.
 
 A relation R on n worlds is the integer whose bit i*n + j is set exactly
-when (i, j) is in R.  Composition works row-wise, so everything stays a
-few machine-word operations even at n = 4 or 5.
+when (i, j) is in R.  Composition works a column at a time, one
+multiplication of codes per world reached, so everything stays a few
+machine-word operations even at n = 4 or 5.
 
 On these codes sit RelationQuantale, the lazy quantale of all relations
-on a world set; the diamond-table helpers require_support and
+on a world set, whose one-world diagonals are a Diagonals sequence made
+on access; the diamond-table helpers require_support and
 diamond_image and the mask view of the support locale, LocaleMasks, which
 the evaluator and the point checks read; the frame conditions of the
 modal systems (MODAL_SYSTEMS, POINT_CONDITIONS, system_pairs) with the
@@ -17,8 +19,9 @@ a system's points up to renaming the worlds, which `sweep` walks.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import NoStableSupport
 
@@ -53,15 +56,20 @@ def row(code: int, i: int, n: int) -> int:
 
 
 def compose(a: int, b: int, n: int) -> int:
+    """The relation a;b, column by column of a: for every world j that a
+    reaches, column j of a (bit 0 of each row i with (i, j) in a) times
+    row j of b puts that row at each such i, with no carries, since a row
+    has n bits.  Each row of b is read at most once per call."""
+    mask = (1 << n) - 1
+    column = ((1 << n * n) - 1) // mask if n else 0   # bit 0 of every row
+    used, rows = a, n           # fold a's rows onto its first: the columns
+    while rows > 1:
+        keep = rows - rows // 2
+        used = used & ((1 << keep * n) - 1) | used >> keep * n
+        rows = keep
     out = 0
-    for i in range(n):
-        ra = row(a, i, n)
-        acc = 0
-        while ra:
-            low = ra & -ra
-            acc |= row(b, low.bit_length() - 1, n)
-            ra ^= low
-        out |= acc << (i * n)
+    for j in _bits(used):
+        out |= (a >> j & column) * (b >> j * n & mask)
     return out
 
 
@@ -151,6 +159,29 @@ class LocaleMasks:
 
 # --- relation quantales ---------------------------------------------------
 
+class Diagonals(Sequence):
+    """The one-world diagonals on n worlds, the code 1 << w*(n+1) for
+    world w, made on access: a tuple of them would hold n codes of n^2
+    bits each.  Read-only, with a tuple's len, indexing, slicing and
+    iteration; every pass iterates afresh."""
+
+    __slots__ = ("_bits",)
+
+    def __init__(self, n: int):
+        self._bits = range(0, n * (n + 1), n + 1)
+
+    def __len__(self):
+        return len(self._bits)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(1 << b for b in self._bits[i])
+        return 1 << self._bits[i]
+
+    def __iter__(self):
+        return (1 << b for b in self._bits)
+
+
 class RelationQuantale:
     """Powerset-of-relations quantale computed lazily on bitmask codes.
 
@@ -165,10 +196,7 @@ class RelationQuantale:
         self.bottom = 0
         self.top = full(self.nw)
         self._supp_elems = None
-        # the one-world diagonals, bit w*n + w; not read off the bits of the
-        # unit, which costs a shift of the whole n^2-bit code per world
-        self.support_irreducibles = tuple(
-            1 << w * (self.nw + 1) for w in range(self.nw))
+        self.support_irreducibles = Diagonals(self.nw)
         self._code_format = f"0{self.nw * self.nw}b"
 
     def __repr__(self):

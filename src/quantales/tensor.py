@@ -18,7 +18,11 @@ transformer F_a (a cached table), and the pre-support of a product
 a1 ... am is F_a1(... F_am(top)).  The law suites below exercise the
 support laws, the modal-system inequalities and the grading axioms on
 finite sample grids, as table lookups over whole grids of cases, and
-report plain `LAW <name> PASS|FAIL` lines.
+report plain `LAW <name> PASS|FAIL` lines.  The samples and every index
+grid depend on the frame alone, so SampleGrids builds them once per
+frame for all of its diamond pairs; within a pair, samples that read
+the same in every word of a law are interchangeable, and each law is
+decided once per class of them.
 """
 
 from __future__ import annotations
@@ -333,6 +337,54 @@ def default_samples(algebra: TensorAlgebra) -> list:
     return out
 
 
+class SampleGrids:
+    """The samples of one frame's law suites and every index grid they
+    run on, built once and shared by all of the frame's diamond pairs.
+
+    None of it depends on the pair: the samples are default_samples
+    unless given, and each suite's grids are the draws its laws make, in
+    their order, from a fresh Random(_SEED) per suite.  The support suite
+    takes every sample once, then three pair grids and a triple grid;
+    the Lemma B suite takes its triple grid, kept to the triples whose
+    sides fit the depth, then one pair grid per modal-class law it runs.
+    Those laws all draw the same shape, so a grid is fixed by its
+    position in that order; all five are drawn here, and a diamond
+    pair's T, K4 and S5 flags choose how many it takes, never what is in
+    them.
+    """
+
+    def __init__(self, algebra: TensorAlgebra, samples=None):
+        self.algebra = algebra
+        self.samples = (default_samples(algebra) if samples is None
+                        else list(samples))
+        if not self.samples:
+            raise ValueError("the sample list is empty: every law would "
+                             "pass vacuously")
+        k = len(self.samples)
+        self.involutes = [algebra.inv(e) for e in self.samples]
+        self.degrees = np.array([algebra.degree(e) for e in self.samples],
+                                dtype=np.int64)
+        self.live = np.array([not e.is_bottom for e in self.samples],
+                             dtype=bool)
+        rng = random.Random(_SEED)
+        self.each = _index_grid(k, 1, k, rng)
+        self.support_pairs = tuple(_index_grid(k, 2, _PRESUPPORT_PAIRS, rng)
+                                   for _ in range(3))
+        self.support_triples = _index_grid(k, 3, _TRIPLES, rng)
+        rng = random.Random(_SEED)
+        self.defining_triples = self.fitting(
+            _index_grid(k, 3, _TRIPLES, rng), (1, 2, 1))
+        self.lemma_pairs = tuple(_index_grid(k, 2, _LEMMA_B_PAIRS, rng)
+                                 for _ in range(5))
+
+    def fitting(self, cases, weights, extra_degree=0) -> np.ndarray:
+        """The rows of cases whose product fits the depth, with each
+        sample taken weight times and extra_degree letters more."""
+        need = extra_degree + sum(w * self.degrees[rows]
+                                  for w, rows in zip(weights, cases.T))
+        return cases[need <= self.algebra.depth]
+
+
 # --- reports --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -401,39 +453,52 @@ class _Factor:
 
 
 class _Suite:
-    """What both law suites share for one diamond pair: the samples, and
-    for each sample, computed once, its transformer table, its involute's
-    table, its degree and whether it is bottom.
+    """What both law suites share for one diamond pair: the frame's
+    SampleGrids, and for each sample, computed once, its transformer
+    table, its involute's table, its degree and whether it is bottom.
 
     A law is written once, as holds(o, *factors) over a vocabulary o: ss
     (the support of a product), sig (a support as a scalar), inv, fixed (a
-    constant element), leq, meet and ==.  law() runs it with this object
-    as o, on whole index arrays: ss is a right fold of table lookups over
-    every case, and it marks the cases whose product would raise
-    DepthExceeded.  At the first case that fails or overflows, it runs
-    holds again on the graded elements, through support_of_product: that
-    raises DepthExceeded there exactly as the element-wise scan did, and
-    anywhere else it must agree that the law fails.
+    constant element), leq, meet and ==.  Every word reads a sample only
+    through those four values, so samples that agree on all four are
+    interchangeable: every case gets the same verdict, and the same
+    overflow mark, as the case of its classes' representatives.  law()
+    runs holds with this object as o, on whole index arrays, over the
+    grid of all class tuples when it is smaller than the law's grid and
+    over the cases themselves otherwise; either way every case has its
+    verdict.  ss is a right fold of table lookups over every case, and it
+    marks the cases whose product would raise DepthExceeded.  At the
+    first case in grid order that fails or overflows, law() runs holds
+    again on that case's graded elements, through support_of_product:
+    that raises DepthExceeded there exactly as the element-wise scan did,
+    and anywhere else it must agree that the law fails.
     """
 
     def __init__(self, algebra: TensorAlgebra, dia, bdia, samples):
         L = algebra.lattice
+        grids = (samples if isinstance(samples, SampleGrids)
+                 else SampleGrids(algebra, samples))
+        if grids.algebra is not algebra:
+            raise ValueError("sample grids belong to a different algebra")
         self.algebra = algebra
+        self.grids = grids
         self.dia = dia = tuple(dia)
         self.bdia = bdia = tuple(bdia)
-        self.samples = (default_samples(algebra) if samples is None
-                        else list(samples))
+        self.samples = grids.samples
         stack = lambda es: np.array(
             [algebra.transformer(dia, bdia, e) for e in es],
             dtype=np.int64).reshape(-1, L.n)
         self.tables = stack(self.samples)
-        self.inv_tables = stack(map(algebra.inv, self.samples))
+        self.inv_tables = stack(grids.involutes)
         # the scalars embed(x); in a frame each is the meet row of x
         self.scalars = stack(map(algebra.embed, range(L.n)))
-        self.degrees = np.array([algebra.degree(e) for e in self.samples],
-                                dtype=np.int64)
-        self.live = np.array([not e.is_bottom for e in self.samples],
-                             dtype=bool)
+        self.degrees = grids.degrees
+        self.live = grids.live
+        keys = np.column_stack((self.tables, self.inv_tables, self.degrees,
+                                self.live))
+        _, self.reps, classes = np.unique(
+            keys, axis=0, return_index=True, return_inverse=True)
+        self.classes = classes.ravel()
         self.over = np.zeros(0, dtype=bool)
         ss = lambda *es: algebra.support_of_product(dia, bdia, es)
         self.elements = SimpleNamespace(
@@ -474,13 +539,25 @@ class _Suite:
 
     # --- running a law ----------------------------------------------------
 
-    def law(self, name: str, cases: np.ndarray, holds, describe) -> LawResult:
-        'One law over the rows of cases, sample indices, in order.'
+    def _bad(self, cases: np.ndarray, holds) -> np.ndarray:
+        'Where holds fails or a product overflows, over the rows of cases.'
         self.over = np.zeros(len(cases), dtype=bool)
         ok = holds(self, *(_Factor(self.tables, rows, self.degrees[rows],
                                    self.live[rows], self.inv_tables)
                            for rows in cases.T))
-        bad = ~ok | self.over
+        return ~ok | self.over
+
+    def law(self, name: str, cases: np.ndarray, holds, describe) -> LawResult:
+        'One law over the rows of cases, sample indices, in order.'
+        shape = (len(self.reps),) * cases.shape[1]
+        if math.prod(shape) < len(cases):
+            tuples = np.indices(shape).reshape(len(shape), -1).T
+            bad = self._bad(self.reps[tuples], holds)
+            if bad.any():   # else every case is good
+                bad = bad[np.ravel_multi_index(tuple(self.classes[cases].T),
+                                               shape)]
+        else:
+            bad = self._bad(cases, holds)
         if not bad.any():
             return LawResult(name, True)
         case = [self.samples[i] for i in cases[int(np.argmax(bad))]]
@@ -508,18 +585,20 @@ def check_presupport_laws(algebra: TensorAlgebra, dia: Sequence[int],
     every pair up to _PRESUPPORT_PAIRS = 25,000 pairs and conjugacy-c
     every triple up to _TRIPLES = 200,000 (all of them on the 3-chain and
     the diamond), above which they check that many draws from one
-    Random(_SEED = 0).  Every law reads the samples' transformer tables
-    (see _Suite).  Products of samples can exceed the configured depth,
-    in which case DepthExceeded propagates; callers wanting the default
-    grid of degree-2 samples need depth at least 8.
+    Random(_SEED = 0).  samples is a list of graded elements, None for
+    default_samples, or the frame's SampleGrids, which a caller checking
+    several diamond pairs builds once and passes to every call; an empty
+    list raises ValueError.  Every law reads the samples' transformer
+    tables and is decided once per class of interchangeable samples (see
+    _Suite).  Products of samples can exceed the configured depth, in
+    which case DepthExceeded propagates; callers wanting the default grid
+    of degree-2 samples need depth at least 8.
     """
     suite = _Suite(algebra, dia, bdia, samples)
     law, show, pair = suite.law, suite.show, suite.pair
     top = algebra.lattice.top
-    rng = random.Random(_SEED)
-    k = len(suite.samples)
-    each = _index_grid(k, 1, k, rng)
-    pairs = lambda: _index_grid(k, 2, _PRESUPPORT_PAIRS, rng)
+    each = suite.grids.each
+    product_pairs, stability_pairs, conjugacy_pairs = suite.grids.support_pairs
     return [
         _first_failure("unit-support", [()],
                        lambda: suite.elements.ss(algebra.unit) == top,
@@ -528,17 +607,17 @@ def check_presupport_laws(algebra: TensorAlgebra, dia: Sequence[int],
             lambda o, a: o.leq(o.ss(a), top), show),
         law("support-idempotent", each,
             lambda o, a: o.ss(o.sig(a)) == o.ss(a), show),
-        law("support-product", pairs(),
+        law("support-product", product_pairs,
             lambda o, a, b: o.ss(o.sig(a), b) == o.meet(o.ss(a), o.ss(b)),
             pair),
-        law("stability", pairs(),
+        law("stability", stability_pairs,
             lambda o, a, b: o.ss(a, b) == o.ss(a, o.sig(b)), pair),
         law("conjugacy-a", each,
             lambda o, a: o.leq(o.ss(a), o.ss(a, o.inv(a))), show),
-        law("conjugacy-b", pairs(),
+        law("conjugacy-b", conjugacy_pairs,
             lambda o, a, b: o.leq(o.ss(o.sig(a), b), o.ss(a, o.inv(a), b)),
             pair),
-        law("conjugacy-c", _index_grid(k, 3, _TRIPLES, rng),
+        law("conjugacy-c", suite.grids.support_triples,
             lambda o, c, a, b: o.leq(o.ss(c, o.sig(a), b),
                                      o.ss(c, a, o.inv(a), b)),
             lambda c, a, b: f"c={show(c)} a={show(a)} b={show(b)}"),
@@ -555,29 +634,27 @@ def check_lemmaB_inequalities(algebra: TensorAlgebra, dia: Sequence[int],
     defining-pair checks every triple of samples up to _TRIPLES = 200,000
     (all of them on the 3-chain and the diamond) and the pair laws every
     pair up to _LEMMA_B_PAIRS = 4,000, above which they check that many
-    draws from one Random(_SEED = 0).  Every law reads the samples'
-    transformer tables (see _Suite).  Sample combinations whose sides
-    would overflow the configured depth are dropped from a law's grid; if
-    nothing fits, DepthExceeded.
+    draws from one Random(_SEED = 0).  samples is as for
+    check_presupport_laws: a list, None, or the frame's SampleGrids,
+    built once for all of its pairs.  Every law reads the samples'
+    transformer tables and is decided once per class of interchangeable
+    samples (see _Suite).  Sample combinations whose sides would overflow
+    the configured depth are dropped from a law's grid; if nothing fits,
+    DepthExceeded.
     """
     L = algebra.lattice
     suite = _Suite(algebra, dia, bdia, samples)
     law, show, pair = suite.law, suite.show, suite.pair
-    rng = random.Random(_SEED)
-    k = len(suite.samples)
+    grids = suite.grids
 
-    def eligible(cases, weights, extra_degree=0):
-        need = extra_degree + sum(w * suite.degrees[rows]
-                                  for w, rows in zip(weights, cases.T))
-        kept = cases[need <= algebra.depth]
-        if not len(kept):
+    def eligible(cases):
+        if not len(cases):
             raise DepthExceeded(
                 f"no sample instance fits within depth {algebra.depth}")
-        return kept
+        return cases
 
     results = [law(
-        "defining-pair",
-        eligible(_index_grid(k, 3, _TRIPLES, rng), (1, 2, 1)),
+        "defining-pair", eligible(grids.defining_triples),
         lambda o, a, t, b: o.leq(o.ss(a, o.sig(t), b),
                                  o.ss(a, t, o.inv(t), b)),
         lambda a, t, b: f"a={show(a)} t={show(t)} b={show(b)}")]
@@ -593,10 +670,11 @@ def check_lemmaB_inequalities(algebra: TensorAlgebra, dia: Sequence[int],
     abar = algebra.alpha_bar("a")
     abar_inv = algebra.alpha_bar("A")
 
+    lemma_pairs = iter(grids.lemma_pairs)
+
     def pairlaw(name, extra_degree, holds):
-        cases = eligible(_index_grid(k, 2, _LEMMA_B_PAIRS, rng), (1, 1),
-                         extra_degree)
-        results.append(law(name, cases, holds, pair))
+        cases = grids.fitting(next(lemma_pairs), (1, 1), extra_degree)
+        results.append(law(name, eligible(cases), holds, pair))
 
     if t_class:
         for name, mid in (("t-alpha", abar), ("t-alpha-inv", abar_inv)):

@@ -192,6 +192,32 @@ def support_by_combinations(algebra, dia, bdia, elems):
     return out
 
 
+# --- the tensor law suites, case by case ---------------------------------
+# The reference for tensor._Suite.law, which decides each law once per class
+# of interchangeable samples; patched in as _Suite.law, this runs every case
+# of the law's grid on its own samples' tables.
+
+def laws_by_cases(suite, name, cases, holds, describe):
+    'One law over the rows of cases, sample indices, in order.'
+    import numpy as np
+
+    from quantales.errors import InternalValidationFailed
+    from quantales.tensor import LawResult, _Factor
+    suite.over = np.zeros(len(cases), dtype=bool)
+    ok = holds(suite, *(_Factor(suite.tables, rows, suite.degrees[rows],
+                                suite.live[rows], suite.inv_tables)
+                        for rows in cases.T))
+    bad = ~ok | suite.over
+    if not bad.any():
+        return LawResult(name, True)
+    case = [suite.samples[i] for i in cases[int(np.argmax(bad))]]
+    if holds(suite.elements, *case):
+        raise InternalValidationFailed(
+            f"law {name}: table and element folds disagree at "
+            f"{describe(*case)}")
+    return LawResult(name, False, describe(*case))
+
+
 # --- the support locale and a point's diamonds, by products -------------
 # The references for quantale.supports_locale and bimodal.diamonds_from_point,
 # which read masks of the irreducibles below the unit and diamond tables.

@@ -43,7 +43,7 @@ from quantales.quantale import (
     support_law_witnesses,
     supports_locale,
 )
-from quantales.relations import RelationQuantale
+from quantales.relations import LocaleMasks, RelationQuantale
 from quantales.semantics import PointedModel
 
 FRAMES = {
@@ -170,6 +170,77 @@ def test_locale_laws_on_the_diagonals_are_the_all_pairs_scan(n):
                 _pairs(q, b), _pairs(q, c)))
     check_locale_laws(q, q.support_irreducibles)
     check_locale_laws(q, elems)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_compose_is_the_pair_set_composition(n):
+    q = RelationQuantale(tuple(range(n)))
+    rng = random.Random(50 + n)
+    dense = [rng.getrandbits(n * n) for _ in range(30)]
+    sparse = [rng.getrandbits(n * n) & rng.getrandbits(n * n)
+              & rng.getrandbits(n * n) for _ in range(30)]
+    codes = [0, rel.full(n), rel.diagonal(n), *q.support_irreducibles,
+             *dense, *sparse]
+    for a in codes:
+        for b in codes:
+            want = oracles.rel_compose(_pairs(q, a), _pairs(q, b))
+            assert rel.compose(a, b, n) == _codes(q, want), (a, b)
+
+
+def _locale_outcome(q):
+    'LocaleMasks of q and what check_locale_laws on its diagonals says.'
+    masks = LocaleMasks(q)
+    try:
+        check_locale_laws(q, q.support_irreducibles)
+        verdict = None
+    except SupportLocaleLawFails as exc:
+        verdict = str(exc)
+    return masks.below, masks.full, masks.boolean, verdict
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_diagonals_read_as_their_tuple(n, monkeypatch):
+    q = RelationQuantale(tuple(range(n)))
+    want = tuple(rel.encode([(w, w)], n) for w in range(n))
+    got = q.support_irreducibles
+    assert (len(got), tuple(got), tuple(got)) == (n, want, want)
+    assert [got[i] for i in range(-n, n)] == list(want * 2)
+    assert got[1:3] == want[1:3] and got[::-1] == want[::-1]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            got[i]
+    as_tuple = RelationQuantale(tuple(range(n)))
+    as_tuple.support_irreducibles = want
+    assert _locale_outcome(q) == _locale_outcome(as_tuple)
+    # and the same first failure once the last two diagonals overlap
+    real = RelationQuantale.mul
+    last = want[-2:]
+    monkeypatch.setattr(
+        RelationQuantale, "mul",
+        lambda self, a, b: last[0] if (a, b) == last else real(self, a, b))
+    assert _locale_outcome(q) == _locale_outcome(as_tuple)
+    assert (_locale_outcome(q)[3] is None) == (n == 1)
+
+
+MAXRSS_GROWTH = """
+import resource
+from quantales.relations import RelationQuantale
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+q = RelationQuantale(range(1000))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_a_thousand_worlds_store_no_diagonal_codes():
+    # a tuple of the 1,000 diagonal codes of 10^6 bits each grew ru_maxrss
+    # (kilobytes on Linux) by about 64 MB
+    src = str(Path(quantales.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", MAXRSS_GROWTH],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) < 5 * 1024
 
 
 def test_a_broken_locale_law_raises(monkeypatch):

@@ -10,7 +10,9 @@ the down-set components are required to be order-isomorphic to that.
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,9 +42,11 @@ from quantales.tensor import (
     GradingWitness,
     InvolutiveMonoid,
     LawResult,
+    SampleGrids,
     TensorAlgebra,
     _first_failure,
     _grid,
+    _index_grid,
     check_graded_nucleus,
     check_grading,
     check_lemmaB_inequalities,
@@ -76,6 +80,7 @@ A_P2 = TensorAlgebra(P2, depth=4)
 from oracles import (
     irr_below,
     join_reversing_maps,
+    laws_by_cases,
     order_ideals,
     support_by_combinations,
     tables,
@@ -606,6 +611,132 @@ def test_array_triple_scan_raises_where_the_scalar_scan_raises():
     with pytest.raises(DepthExceeded) as got:
         check_presupport_laws(A, ident, ident)
     assert str(got.value) == str(want.value)
+
+
+def both_suites(A, dia, bdia, grids):
+    'Both suites\' results for one pair, or the DepthExceeded they raise.'
+    return outcome(lambda: check_presupport_laws(A, dia, bdia, grids)
+                   + check_lemmaB_inequalities(A, dia, bdia, grids))
+
+
+# join-preserving, not conjugate: the first diamond sends y to x and x to
+# bottom, the second swaps x and y; samples that differ only in their
+# involutes' tables get different verdicts here
+P2_SWAPPING = ((0, 0, 1, 1), (0, 2, 1, 3))
+LAW_FRAMES = {"chain2": (CH2, []), "chain3": (CH3, [CH3_NON_CONJUGATE]),
+              "diamond": (diamond_lattice(), []),
+              "powerset2": (P2, [P2_NON_CONJUGATE, P2_SWAPPING])}
+SMALL_BUDGETS = {"_PRESUPPORT_PAIRS": 40, "_TRIPLES": 300,
+                 "_LEMMA_B_PAIRS": 30}
+
+
+@pytest.mark.parametrize("budgets", ["default", "small"])
+@pytest.mark.parametrize("frame", LAW_FRAMES)
+def test_class_decided_laws_are_the_per_case_scan(frame, budgets,
+                                                  monkeypatch):
+    # on every conjugate pair and the engineered non-conjugate ones, with
+    # exhaustive grids and with drawn ones: the same names, verdicts and
+    # witnesses as the scan over every case
+    if budgets == "small":
+        for name, value in SMALL_BUDGETS.items():
+            monkeypatch.setattr(quantales.tensor, name, value)
+    L, extra = LAW_FRAMES[frame]
+    A = TensorAlgebra(L, depth=8)
+    grids = SampleGrids(A)
+    pairs = list(conjugate_pairs(L)) + extra
+    got = [both_suites(A, *pair, grids) for pair in pairs]
+    monkeypatch.setattr(quantales.tensor._Suite, "law", laws_by_cases)
+    assert got == [both_suites(A, *pair, grids) for pair in pairs]
+    assert all(isinstance(r, list) for r in got)
+    assert any(not all(results) for results in got) == bool(extra)
+
+
+@pytest.mark.parametrize("depth", [3, 6, 7])
+@pytest.mark.parametrize("L,pair", [(P2, P2_NON_CONJUGATE),
+                                    (CH3, CH3_NON_CONJUGATE),
+                                    (CH3, (identity(CH3),) * 2)],
+                         ids=["powerset2", "chain3", "chain3-identity"])
+def test_class_decided_laws_at_shallow_depths_are_the_per_case_scan(
+        L, pair, depth, monkeypatch):
+    # below depth 8 some product overflows: the first case that fails or
+    # overflows decides, with the same witness or DepthExceeded message
+    A = TensorAlgebra(L, depth=depth)
+    grids = SampleGrids(A)
+    got = both_suites(A, *pair, grids)
+    assert isinstance(got, str) or not all(got)
+    monkeypatch.setattr(quantales.tensor._Suite, "law", laws_by_cases)
+    assert got == both_suites(A, *pair, grids)
+
+
+@pytest.mark.parametrize("flags", list(itertools.product((False, True),
+                                                         repeat=3)),
+                         ids=lambda f: "".join("TKS"[i] if on else "-"
+                                               for i, on in enumerate(f)))
+def test_shared_grids_are_the_fresh_draws(flags, monkeypatch):
+    # each law of each pair reads the grid that the scan with a fresh
+    # Random(0) per suite drew for it, whichever laws the flags include
+    for name, value in SMALL_BUDGETS.items():
+        monkeypatch.setattr(quantales.tensor, name, value)
+    flag = dict(zip(("T", "K4", "S5"), flags))
+    monkeypatch.setattr(quantales.tensor, "check_modal_class",
+                        lambda L, dia, bdia, cls: SimpleNamespace(ok=flag[cls]))
+    used = []
+    monkeypatch.setattr(
+        quantales.tensor._Suite, "law",
+        lambda self, name, cases, holds, describe:
+        used.append((name, cases)) or LawResult(name, True))
+    A = TensorAlgebra(CH3, depth=5)
+    grids = SampleGrids(A)
+    k, degree = len(grids.samples), grids.degrees
+
+    def fits(cases, weights, extra=0):
+        need = extra + sum(w * degree[c] for w, c in zip(weights, cases.T))
+        return cases[need <= A.depth]
+
+    rng = random.Random(0)
+    each = _index_grid(k, 1, k, rng)
+    pairs = [_index_grid(k, 2, 40, rng) for _ in range(3)]
+    want = [("support-below-unit", each), ("support-idempotent", each),
+            ("support-product", pairs[0]), ("stability", pairs[1]),
+            ("conjugacy-a", each), ("conjugacy-b", pairs[2]),
+            ("conjugacy-c", _index_grid(k, 3, 300, rng))]
+    rng = random.Random(0)
+    want.append(("defining-pair", fits(_index_grid(k, 3, 300, rng),
+                                       (1, 2, 1))))
+    for name, cls, extra in (("t-alpha", "T", 1), ("t-alpha-inv", "T", 1),
+                             ("k4-alpha", "K4", 2), ("k4-alpha-inv", "K4", 2),
+                             ("s5-exchange", "S5", 1)):
+        if flag[cls]:
+            want.append((name, fits(_index_grid(k, 2, 30, rng), (1, 1),
+                                    extra)))
+    assert all(len(cases) < k ** cases.shape[1]     # all of them drawn
+               for _, cases in want if cases is not each)
+    for dia, bdia in list(conjugate_pairs(CH3))[:2]:
+        used.clear()
+        check_presupport_laws(A, dia, bdia, grids)
+        check_lemmaB_inequalities(A, dia, bdia, grids)
+        assert [name for name, _ in used] == [name for name, _ in want]
+        for (name, got), (_, cases) in zip(used, want):
+            assert np.array_equal(got, cases), name
+
+
+def test_an_empty_sample_list_is_refused_before_any_law(monkeypatch):
+    A = TensorAlgebra(CH2, depth=8)
+    ident = identity(CH2)
+    monkeypatch.setattr(quantales.tensor, "_first_failure", None)
+    monkeypatch.setattr(quantales.tensor._Suite, "law", None)
+    with pytest.raises(ValueError, match="sample list is empty"):
+        check_presupport_laws(A, ident, ident, samples=[])
+    with pytest.raises(ValueError, match="sample list is empty"):
+        check_lemmaB_inequalities(A, ident, ident, samples=[])
+
+
+def test_sample_grids_belong_to_their_algebra():
+    grids = SampleGrids(TensorAlgebra(CH2, depth=8))
+    ident = identity(CH2)
+    with pytest.raises(ValueError, match="different algebra"):
+        check_presupport_laws(TensorAlgebra(CH2, depth=8), ident, ident,
+                              grids)
 
 
 def test_scalar_selfproduct_is_the_support():
