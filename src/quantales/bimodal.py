@@ -8,17 +8,20 @@ action on join-irreducibles, which is how the sweep helpers enumerate them
 and where join preservation and conjugacy are decided.  A point's two
 diamonds are its diamond tables, extended by diamond_image over the masks
 of relations.LocaleMasks: diamonds_from_point tabulates them over the
-locale, and check_point_diamonds reads them on the irreducibles alone.
+locale.  The decision of conjugacy on join-irreducibles,
+conjugacy_witness_on_irreducibles, lives in the numpy-free axioms module,
+beside check_point_diamonds, which reads a point's diamonds on the
+irreducibles alone.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from .axioms import conjugacy_witness_on_irreducibles
 from .errors import (
     InternalValidationFailed,
     LawCheck,
@@ -27,13 +30,8 @@ from .errors import (
     NotJoinPreserving,
 )
 from .lattice import FiniteSupLattice, right_adjoint
-from .quantale import (
-    SupportLocale,
-    check_locale_laws,
-    irreducible_split,
-    supports_locale,
-)
-from .relations import MODAL_SYSTEMS, LocaleMasks, diamond_image
+from .quantale import SupportLocale, irreducible_split, supports_locale
+from .relations import MODAL_SYSTEMS, diamond_image
 
 
 def join_preservation_witness(L: FiniteSupLattice, table: Sequence[int]):
@@ -68,36 +66,6 @@ def _require_join_preserving(L: FiniteSupLattice, dia, bdia) -> None:
         w = join_preservation_witness(L, t)
         if w is not None:
             raise NotJoinPreserving(f"{name} map is not join-preserving at {w}")
-
-
-def conjugacy_witness_on_irreducibles(L, irreducibles, dia, bdia):
-    """None when both conjugacy inequalities hold on every pair of
-    join-irreducibles, else the first failure as (law, (x, y)).
-
-    L is anything with join, meet and leq that is a frame, such as a
-    FiniteSupLattice that is one, or the support locale of a
-    RelationQuantale; dia and bdia are join-preserving maps on it, given
-    as functions.  Lemma (Jonsson & Tarski, 1951): the forward inequality
-    dia(x) ^ y <= dia(x ^ bdia(y)) holds for all x, y iff it holds for
-    join-irreducible x and y.
-    - In x, both sides preserve joins: the meet distributes over joins in
-      a frame, and dia preserves them.
-    - In y, the left side preserves joins and the right side is monotone,
-      so the inequality at y1 and at y2 gives it at y1 v y2.
-    - The bottom is trivial: at x or y bottom the left side is the bottom.
-    Every element is the join of the irreducibles below it.  The backward
-    inequality is the same with the maps swapped.  So k^2 cells decide
-    what the scan over all n^2 pairs decides.
-    """
-    leq, meet = L.leq, L.meet
-    for x in irreducibles:
-        dx, bx = dia(x), bdia(x)
-        for y in irreducibles:
-            if not leq(meet(dx, y), dia(meet(x, bdia(y)))):
-                return "forward", (x, y)
-            if not leq(meet(bx, y), bdia(meet(x, dia(y)))):
-                return "backward", (x, y)
-    return None
 
 
 def _conjugacy_inequalities(L: FiniteSupLattice, dia: Sequence[int],
@@ -170,34 +138,6 @@ def diamonds_from_point(q, alpha: int,
         return BimodalFrame(loc.lattice, dia, bdia)
     except NotConjugate as exc:
         raise InternalValidationFailed(f"point diamonds not conjugate: {exc}") from exc
-
-
-def check_point_diamonds(q, alpha: int) -> None:
-    """Raise unless the elements below the unit form a locale on which the
-    point's two diamonds are conjugate.
-
-    Nothing is tabulated, for a table Quantale or a RelationQuantale:
-    check_locale_laws runs on support_irreducibles, which makes the locale
-    a frame, then conjugacy_witness_on_irreducibles on their masks in
-    relations.LocaleMasks, with the point's diamond tables extended by
-    diamond_image.  The diamonds preserve joins, as the lemma needs,
-    because the product and the support do: make_quantale proves it for a
-    table, and the row-wise relations.compose and support give it for a
-    RelationQuantale.  A locale law failure raises SupportLocaleLawFails;
-    a conjugacy failure, a theorem broken, raises InternalValidationFailed
-    naming the two irreducibles, and a Quantale without a support raises
-    NoStableSupport.
-    """
-    dia, bdia = (partial(diamond_image, q.diamond_table(alpha, converse))
-                 for converse in (False, True))
-    check_locale_laws(q, q.support_irreducibles)
-    view = LocaleMasks(q)
-    failure = conjugacy_witness_on_irreducibles(view, view.below, dia, bdia)
-    if failure is not None:
-        law, (x, y) = failure
-        witness = q.locale_element(x), q.locale_element(y)
-        raise InternalValidationFailed(
-            f"point diamonds not conjugate: {law} conjugacy fails at {witness}")
 
 
 def box_adjoints(L: FiniteSupLattice, dia: Sequence[int],

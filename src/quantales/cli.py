@@ -6,8 +6,9 @@ PASS|FAIL`, `FLAG <property> YES|NO`, `INFO ...`.  Exit status 0 means
 no FAIL/INVALID line was printed, 1 means at least one, 2 means the
 input could not be used at all.
 
-Each command imports the modules it runs: eval and valid on relation
-documents, and sweep, load neither numpy nor the table modules.
+Each command imports the modules it runs: eval, valid and axioms on
+relation documents of more than 3 worlds, and sweep, load neither numpy
+nor the table modules; axioms runs quantales.axioms alone.
 """
 
 from __future__ import annotations
@@ -85,8 +86,7 @@ def _print_flags(q, alpha):
 
 
 def _cmd_axioms(args):
-    from .bimodal import check_point_diamonds
-    from .quantale import support_law_witnesses
+    from .axioms import check_point_diamonds, support_law_witnesses
     alpha, q = document_quantale(parse_model(_read(args.model)))
     failed = False
     for name, witness in support_law_witnesses(q, alpha):

@@ -44,9 +44,9 @@ from .formulas import (
 from .relations import RelationQuantale, encode, pair_bit
 from .semantics import PointedModel
 
-# lattice and quantale, and with them numpy, are imported only by the
-# functions that build a table, so reading and evaluating a relation
-# document loads neither
+# lattice and quantale, and with them numpy, are imported only where a
+# table is built, so reading and evaluating a relation document, and
+# document_quantale on one of more than 3 worlds, load neither
 if TYPE_CHECKING:
     from .lattice import FiniteSupLattice
     from .quantale import FiniteGroupoid
@@ -499,17 +499,18 @@ def document_quantale(doc: ModelDocument):
     relation documents up to 3 worlds.  Larger relation documents get the
     lazy RelationQuantale; its codes agree with the table's indices.
     """
-    from .quantale import groupoid_quantale, relation_quantale
     if doc.is_groupoid:
         if len(doc.groupoid.arrows) > _MAX_GROUPOID_ARROWS:
             raise ModelFormatError(
                 f"groupoid documents are limited to {_MAX_GROUPOID_ARROWS} arrows")
+        from .quantale import groupoid_quantale
         G = doc.groupoid.finite_groupoid
         aidx = {name: i for i, name in enumerate(G.arrows)}
         alpha = sum(1 << aidx[name] for name in set(doc.point))
         return alpha, groupoid_quantale(G)
     alpha = _relation_codes(doc)[0]["alpha"]
     if len(doc.worlds) <= 3:
+        from .quantale import relation_quantale
         return alpha, relation_quantale(doc.worlds)
     return alpha, RelationQuantale(doc.worlds)
 

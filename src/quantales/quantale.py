@@ -7,9 +7,10 @@ other carrier, and any table that fails, goes through the exhaustive loop
 over all triples, which names the first failure.  RelationQuantale, in
 relations, is the lazy counterpart for world sets too large to tabulate,
 computing the same operations on bitmask codes directly, without numpy.
-The five support laws are written once: make_quantale proves them on a
-table's index arrays, and support_law_witnesses scans them on a seeded
-sample of a RelationQuantale.
+The five support laws, axioms._SUPPORT_LAWS, are written once:
+make_quantale proves them here on a table's index arrays, and
+axioms.support_law_witnesses scans them on a seeded sample of a
+RelationQuantale, without numpy.
 
 Both kinds share one view of the support locale as bitmasks over its
 join-irreducibles, support_irreducibles: locale_mask and locale_element
@@ -23,7 +24,6 @@ extends it to any mask).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -31,6 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .axioms import _SUPPORT_LAWS, check_locale_laws
 from .errors import (
     InvalidGroupoid,
     NoStableSupport,
@@ -312,28 +313,6 @@ def _laws_hold_on_irreducibles(lattice, M, J) -> bool:
     return True
 
 
-# The five support laws, each written once as holds(o, a, sa[, b, sb]) over
-# a vocabulary o: mul, inv, s, join, le, eq and the unit e.  sa and sb are
-# the supports of a and b, computed once per element.  Beside each law are
-# its name, its arity and the SupportLawFails message, which the witness
-# fills in.  This is the order `axioms` reports them in.
-_SUPPORT_LAWS = (
-    ("support-join", 2,
-     lambda o, a, sa, b, sb: o.eq(o.s(o.join(a, b)), o.join(sa, sb)),
-     "s(a v b) != sa v sb at ({}, {})"),
-    ("support-unit", 1, lambda o, a, sa: o.le(sa, o.e),
-     "sa <= e fails at a={}"),
-    ("support-selfproduct", 1,
-     lambda o, a, sa: o.le(sa, o.mul(a, o.inv(a))),
-     "sa <= a a- fails at a={}"),
-    ("support-restores", 1, lambda o, a, sa: o.le(a, o.mul(sa, a)),
-     "a <= (sa) a fails at a={}"),
-    ("support-stable", 2,
-     lambda o, a, sa, b, sb: o.eq(o.s(o.mul(a, b)), o.s(o.mul(a, sb))),
-     "s(a b) != s(a sb) at ({}, {})"),
-)
-
-
 def _check_support(lattice, M, I, S, unit):
     """The support laws at every element and every pair of a table, as
     index arrays; raises SupportLawFails with the first witness.
@@ -377,78 +356,6 @@ def with_derived_support(q: Quantale) -> Quantale:
     support laws against q's validated tables; nothing is proved again."""
     return Quantale(q.lattice, q.mul_matrix, q.inv_vector, q.unit,
                     derive_support(q))
-
-
-# --- the sampled support laws -------------------------------------------
-
-_SAMPLE_ELEMENTS = 150
-
-
-def _matrices(codes, n):
-    'Relation codes as stacked n x n boolean matrices; bit i*n + j is (i, j).'
-    size = (n * n + 7) // 8
-    raw = np.frombuffer(b"".join(c.to_bytes(size, "little") for c in codes),
-                        dtype=np.uint8).reshape(len(codes), size)
-    bits = np.unpackbits(raw, axis=1, bitorder="little")[:, :n * n]
-    return bits.reshape(len(codes), n, n).astype(bool)
-
-
-def _product(a, b):
-    """Relational products of stacked matrices, broadcast as numpy matmul.
-    The path counts are exact in float32 below 2^24 worlds."""
-    return np.matmul(a, b, dtype=np.float32) > 0
-
-
-def _support(a):
-    'Each domain, placed on the diagonal.'
-    return a.any(axis=-1)[..., None] & np.eye(a.shape[-1], dtype=bool)
-
-
-def support_law_witnesses(q, alpha):
-    """Each support law with its first failing witness, or None, in the
-    order `axioms` reports them.
-
-    make_quantale proved all five over every element and pair of a table
-    Quantale, so there every witness is None.  A RelationQuantale runs them
-    on a seeded sample: the bottom, the unit, the top and alpha, then codes
-    from Random(0) up to 150 elements, or every element at 1 or 2 worlds,
-    ascending, and all their pairs.  The sample is decoded once into
-    boolean matrices, and every compared value is read off a product,
-    transpose (the converse) or support computed on them.  A law on pairs
-    takes one first element at a time against the whole sample, which
-    bounds memory.  The witness is the first in itertools.product order of
-    the sample.  A Quantale without a support raises NoStableSupport."""
-    if isinstance(q, Quantale):
-        require_support(q)
-        return [(name, None) for name, *_ in _SUPPORT_LAWS]
-    bits = q.nw * q.nw
-    rng = random.Random(0)
-    elems = {q.bottom, q.unit, q.top, alpha}
-    while len(elems) < min(_SAMPLE_ELEMENTS, 2 ** bits):
-        elems.add(rng.getrandbits(bits))
-    elems = sorted(elems)
-    A = _matrices(elems, q.nw)
-    S = _support(A)
-    o = SimpleNamespace(mul=_product, inv=lambda a: a.swapaxes(-1, -2),
-                        s=_support, join=np.bitwise_or,
-                        le=lambda a, b: ~(a & ~b).any(axis=(-2, -1)),
-                        eq=lambda a, b: (a == b).all(axis=(-2, -1)),
-                        e=_matrices([q.unit], q.nw))
-    results = []
-    for name, arity, holds, _ in _SUPPORT_LAWS:
-        if arity == 1:
-            blocks = [((), holds(o, A, S))]
-        else:
-            blocks = (((a,), holds(o, A[i], S[i], A, S))
-                      for i, a in enumerate(elems))
-        witness = None
-        for first, ok in blocks:
-            hit = np.flatnonzero(~ok)
-            if hit.size:
-                witness = (*first, elems[hit[0]])
-                break
-        results.append((name, witness))
-    return results
 
 
 def relation_quantale(worlds: Sequence) -> Quantale:
@@ -569,30 +476,25 @@ def groupoid_quantale(G: FiniteGroupoid) -> Quantale:
     m = len(G.arrows)
     lattice = powerset_lattice(G.arrows)
     n = lattice.n
-    # one-arrow composites, then two nested subset DPs
-    single = [[0] * m for _ in range(m)]
+    single = np.zeros((m, m), dtype=np.int64)   # {g} {h}
     for (g, h), k in G.comp.items():
-        single[g][h] |= 1 << k
-    half = [[0] * n for _ in range(m)]
+        single[g, h] = 1 << k
+    # Split each element on its highest arrow h: the elements from 2^h to
+    # 2^(h+1) - 1 are those below 2^h, each with h added.  half[g] is
+    # {g} b for every b, and mul[a] joins half[g] over the arrows g of a;
+    # inv and support join each arrow's inverse and the identity at its
+    # domain.
+    half = np.zeros((m, n), dtype=np.int64)
+    mul = np.zeros((n, n), dtype=np.int64)
+    inv = np.zeros(n, dtype=np.int64)
+    support = np.zeros(n, dtype=np.int64)
+    for h in range(m):
+        low, high = slice(0, 1 << h), slice(1 << h, 2 << h)
+        half[:, high] = half[:, low] | single[:, h, None]
+        inv[high] = inv[low] | 1 << G.inv[h]
+        support[high] = support[low] | 1 << G.identities[G.dom[h]]
     for g in range(m):
-        row, sg = half[g], single[g]
-        for b in range(1, n):
-            low = b & -b
-            row[b] = row[b ^ low] | sg[low.bit_length() - 1]
-    mul = [[0] * n for _ in range(n)]
-    for a in range(1, n):
-        low = a & -a
-        prev = mul[a ^ low]
-        hg = half[low.bit_length() - 1]
-        mul[a] = [prev[b] | hg[b] for b in range(n)]
-    # the inverses, and the identities at the domains, of a's arrows
-    inv = [0] * n
-    support = [0] * n
-    for a in range(1, n):
-        low = a & -a
-        g = low.bit_length() - 1
-        inv[a] = inv[a ^ low] | 1 << G.inv[g]
-        support[a] = support[a ^ low] | 1 << G.identities[G.dom[g]]
+        mul[1 << g:2 << g] = mul[:1 << g] | half[g]
     unit = sum(1 << e for e in G.identities)
     return make_quantale(lattice, mul, inv, unit, support=support)
 
@@ -639,28 +541,3 @@ def supports_locale(q) -> SupportLocale:
     if not lat.is_frame():
         raise SupportLocaleLawFails("the elements below the unit are not a frame")
     return SupportLocale(lat)
-
-
-def check_locale_laws(q, elems: Sequence[int]) -> None:
-    """b b = b and b- = b for every b of elems, and b c = b ^ c for every
-    pair; the first failure raises SupportLocaleLawFails.
-
-    The irreducibles below the unit, support_irreducibles, are enough in
-    any quantale, with or without a support.  Each x below the unit is the
-    join of the set J(x) of irreducibles below it, and the product
-    preserves joins, so for x, y below the unit x y is the join of
-    b c = b ^ c over J(x) x J(y), at most x ^ y, and at least the join of
-    b b = b over J(x ^ y), which is x ^ y.  So the product is the meet
-    below the unit, which makes it a frame, and b- = b on the irreducibles
-    gives it everywhere, as the involution preserves joins.
-    """
-    for b in elems:
-        if q.mul(b, b) != b:
-            raise SupportLocaleLawFails(f"b b != b below the unit at {b}")
-        if q.inv(b) != b:
-            raise SupportLocaleLawFails(f"b- != b below the unit at {b}")
-    for b in elems:
-        for c in elems:
-            if q.mul(b, c) != q.meet(b, c):
-                raise SupportLocaleLawFails(
-                    f"multiplication is not meet below the unit at {(b, c)}")

@@ -371,9 +371,14 @@ class SampleGrids:
         self.support_pairs = tuple(_index_grid(k, 2, _PRESUPPORT_PAIRS, rng)
                                    for _ in range(3))
         self.support_triples = _index_grid(k, 3, _TRIPLES, rng)
-        rng = random.Random(_SEED)
-        self.defining_triples = self.fitting(
-            _index_grid(k, 3, _TRIPLES, rng), (1, 2, 1))
+        # When the pair grids drew nothing, the support suite's triple grid
+        # was the first draw of its Random(_SEED), as the Lemma B suite's
+        # is, and rng now stands where a fresh one would after that draw.
+        triples = self.support_triples
+        if k * k > _PRESUPPORT_PAIRS:
+            rng = random.Random(_SEED)
+            triples = _index_grid(k, 3, _TRIPLES, rng)
+        self.defining_triples = self.fitting(triples, (1, 2, 1))
         self.lemma_pairs = tuple(_index_grid(k, 2, _LEMMA_B_PAIRS, rng)
                                  for _ in range(5))
 

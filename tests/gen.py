@@ -101,17 +101,21 @@ def random_program(rng: random.Random, atoms, programs, depth=2):
 
 # --- groupoid quantales ---------------------------------------------------
 
-def s3_quantale():
+def s3_groupoid():
     'The symmetric group on three letters as a one-object groupoid.'
     perms = list(itertools.permutations(range(3)))
     idx = {p: i for i, p in enumerate(perms)}
     mul = [[idx[tuple(g[f[i]] for i in range(3))] for g in perms]
            for f in perms]
     inv = [idx[tuple(sorted(range(3), key=f.__getitem__))] for f in perms]
-    return groupoid_quantale(group_groupoid(perms, mul, inv, idx[(0, 1, 2)]))
+    return group_groupoid(perms, mul, inv, idx[(0, 1, 2)])
 
 
-def pair2_z2_quantale():
+def s3_quantale():
+    return groupoid_quantale(s3_groupoid())
+
+
+def pair2_z2_groupoid():
     'The pair groupoid on objects 0 and 1 beside the group Z2 at object 2.'
     arrows = [(0, 0), (0, 1), (1, 0), (1, 1), "z0", "z1"]
     dom, cod = [0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 2, 2]
@@ -126,8 +130,11 @@ def pair2_z2_quantale():
             for j, g in enumerate(arrows) if cod[i] == dom[j]}
     inv = [idx[a[::-1]] if isinstance(a, tuple) else i
            for i, a in enumerate(arrows)]
-    return groupoid_quantale(FiniteGroupoid(range(3), arrows, dom, cod, comp,
-                                            inv))
+    return FiniteGroupoid(range(3), arrows, dom, cod, comp, inv)
+
+
+def pair2_z2_quantale():
+    return groupoid_quantale(pair2_z2_groupoid())
 
 
 def goedel_chain(k):

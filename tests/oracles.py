@@ -302,8 +302,8 @@ def join_preservation_witness_by_pairs(L, t):
 
 
 # --- the sampled support laws of `axioms`, one scalar call at a time ---
-# The reference for quantale.support_law_witnesses, which scans the same
-# sample as batched boolean matrix products.
+# The reference for axioms.support_law_witnesses, which scans the same
+# sample on lanes of relation codes.
 
 SUPPORT_LAWS = (
     ("support-join", 2, lambda q, s, a, b: s(q.join(a, b)) != q.join(s(a), s(b))),
@@ -366,6 +366,27 @@ def check_support_law_by_law(lattice, M, I, S, unit):
     bad = S[M] == S[M[:, S]]
     if not bad.all():
         raise SupportLawFails(f"s(a b) != s(a sb) at {first(bad)}")
+
+
+# --- a groupoid quantale's tables, as unions of composites ---
+# The reference for quantale.groupoid_quantale, which builds them by blocks.
+
+def groupoid_tables_by_unions(G):
+    """The product, involution and support tables of the powerset of G's
+    arrows: a b is the union of the composites g h over g in a and h in b,
+    so each composable (g, h) adds g h to every pair holding both."""
+    import numpy as np
+
+    m = len(G.arrows)
+    n = 1 << m
+    has = np.arange(n)[:, None] >> np.arange(m) & 1
+    mul = np.zeros((n, n), dtype=np.int64)
+    for (g, h), k in G.comp.items():
+        mul |= np.outer(has[:, g], has[:, h]) << k
+    inv = [sum(1 << G.inv[g] for g in range(m) if a >> g & 1) for a in range(n)]
+    support = [sum({1 << G.identities[G.dom[g]] for g in range(m) if a >> g & 1})
+               for a in range(n)]
+    return mul, inv, support
 
 
 # --- relation algebra on explicit pair sets, for cross-checking bitset code ---

@@ -1,11 +1,13 @@
 """Each command imports only the modules it runs.
 
-`eval` and `valid` on relation documents, and `sweep`, work on relation
-codes alone: they run in a child interpreter where importing numpy
-fails, and print what an ordinary run prints.  Importing the command
-line loads none of the table modules.
+`eval` and `valid` on relation documents, `axioms` on relation documents
+of more than 3 worlds, and `sweep` work on relation codes alone: they
+run in a child interpreter where importing numpy fails, and print what
+an ordinary run prints.  Importing the command line loads none of the
+table modules.
 """
 
+import random
 import subprocess
 import sys
 
@@ -74,6 +76,25 @@ def test_relation_documents_are_read_without_numpy(tmp_path, capsys, mode,
         want = _in_process(capsys, argv)
         assert want[2] == ""
         assert _without_numpy(argv) == want, formula
+
+
+def _relation_document(n, seed):
+    'A relation document of n worlds with a seeded point of density 0.3.'
+    rng = random.Random(seed)
+    worlds = [f"w{i}" for i in range(n)]
+    pairs = [(u, v) for u in worlds for v in worlds if rng.random() < 0.3]
+    return ("MODE classical\nWORLDS " + " ".join(worlds) + "\nREL alpha "
+            + " ".join(f"({u},{v})" for u, v in pairs) + "\nVAL p w0\n")
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_axioms_on_relation_documents_runs_without_numpy(tmp_path, capsys, n):
+    model = tmp_path / "m.model"
+    model.write_text(_relation_document(n, n))
+    argv = ["axioms", str(model)]
+    want = _in_process(capsys, argv)
+    assert want[0] == 0 and want[1].count("CHECK") == 6
+    assert _without_numpy(argv) == want
 
 
 @pytest.mark.parametrize("argv", SWEEPS, ids=["pass", "fail"])

@@ -1,7 +1,8 @@
 """Conjugacy and join preservation decided on join-irreducibles, the
 support locale and point diamonds of every quantale read from masks, and
-the batched support-law scan of `axioms`, each against the full scan,
-the products or the scalar reference."""
+the support-law scan of `axioms` on lanes of relation codes, each
+against the full scan, the products, the relation functions or the
+scalar reference."""
 
 import os
 import random
@@ -10,20 +11,25 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import oracles
 import quantales
 import quantales.bimodal
 import quantales.quantale
+from quantales.axioms import (
+    LaneOps,
+    Lanes,
+    check_locale_laws,
+    check_point_diamonds,
+    conjugacy_witness_on_irreducibles,
+    support_law_witnesses,
+)
 from conftest import grid_lattice, m3_lattice, n5_lattice
 from gen import goedel_chain, pair2_z2_quantale, s3_quantale
 from quantales import relations as rel
 from quantales.bimodal import (
     _conjugacy_inequalities,
-    check_point_diamonds,
-    conjugacy_witness_on_irreducibles,
     diamonds_from_point,
     join_preservation_witness,
     join_preserving_endomaps,
@@ -36,13 +42,7 @@ from quantales.errors import (
 )
 from quantales.formulas import Mode
 from quantales.lattice import chain_lattice, diamond_lattice, powerset_lattice
-from quantales.quantale import (
-    check_locale_laws,
-    make_quantale,
-    relation_quantale,
-    support_law_witnesses,
-    supports_locale,
-)
+from quantales.quantale import make_quantale, relation_quantale, supports_locale
 from quantales.relations import LocaleMasks, RelationQuantale
 from quantales.semantics import PointedModel
 
@@ -304,7 +304,7 @@ LAW_NAMES = ["support-join", "support-unit", "support-selfproduct",
              "support-restores", "support-stable"]
 
 
-@pytest.mark.parametrize("n", [4, 8, 10])
+@pytest.mark.parametrize("n", [3, 4, 8, 10, 16, 33])
 def test_batched_scan_is_the_scalar_reference(n):
     q = RelationQuantale(tuple(range(n)))
     alpha = _sample_point(n, n)
@@ -317,7 +317,7 @@ def test_batched_scan_is_the_scalar_reference(n):
 # end fails the test instead of hanging the suite
 SMALL_SCAN = """
 import oracles
-from quantales.quantale import support_law_witnesses
+from quantales.axioms import support_law_witnesses
 from quantales.relations import RelationQuantale
 for n in (1, 2):
     q = RelationQuantale(tuple(range(n)))
@@ -340,85 +340,141 @@ def test_the_scan_takes_every_element_at_one_and_two_worlds():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "scanned\n", "")
 
 
-def _cell(n, i, j):
-    'The n x n boolean matrix with only (i, j) set.'
-    m = np.zeros((n, n), dtype=bool)
-    m[i, j] = True
-    return m
+def _ones(n, count):
+    'Bit 0 of each of count fields of n bits.'
+    return sum(1 << t * n for t in range(count))
+
+
+def _lanes_with_row(x, i, n):
+    'Bit 0 of the field of each lane of x whose row i is not empty.'
+    return sum(1 << t * n for t in range(x.count)
+               if x.planes[i] >> t * n & (1 << n) - 1)
+
+
+def _with_plane(x, i, plane):
+    return Lanes(x.count, x.planes[:i] + (plane,) + x.planes[i + 1:])
 
 
 # Each corruption breaks one operation the same way twice: as the scalar
-# RelationQuantale method the reference calls, and as the batched library
-# function.  Each takes both real operations and the world count, and
-# returns both broken ones.
+# RelationQuantale method the reference calls, and as the LaneOps
+# operation of the lane scan.  Each takes both real operations and the
+# world count, and returns both broken ones.
 
-def _support_drops_last_world(real_scalar, real_batched, n):
+def _support_drops_last_world(real_scalar, real_lanes, n):
+    def lanes(self, x):
+        out = real_lanes(self, x)
+        return _with_plane(out, n - 1,
+                           out.planes[n - 1] & ~(_ones(n, x.count) << n - 1))
+
     return (lambda self, a: real_scalar(self, a) & ~rel.pair_bit(n - 1, n - 1, n),
-            lambda a: real_batched(a) & ~_cell(n, n - 1, n - 1))
+            lanes)
 
 
-def _support_leaves_the_diagonal(real_scalar, real_batched, n):
+def _support_leaves_the_diagonal(real_scalar, real_lanes, n):
     # (0, 1) joins the support whenever world 0 has a successor
     def scalar(self, a):
         out = real_scalar(self, a)
         return out | rel.pair_bit(0, 1, n) if rel.row(a, 0, n) else out
 
-    def batched(a):
-        has = a[..., 0, :].any(axis=-1)[..., None, None]
-        return real_batched(a) | (has & _cell(n, 0, 1))
+    def lanes(self, x):
+        out = real_lanes(self, x)
+        return _with_plane(out, 0, out.planes[0] | _lanes_with_row(x, 0, n) << 1)
 
-    return scalar, batched
+    return scalar, lanes
 
 
-def _support_forgets_joins(real_scalar, real_batched, n):
+def _support_forgets_joins(real_scalar, real_lanes, n):
     # world 0 leaves the support whenever world 1 has a successor too
     def scalar(self, a):
         out = real_scalar(self, a)
         return out & ~rel.pair_bit(0, 0, n) if rel.row(a, 1, n) else out
 
-    def batched(a):
-        has = a[..., 1, :].any(axis=-1)[..., None, None]
-        return real_batched(a) & ~(has & _cell(n, 0, 0))
+    def lanes(self, x):
+        out = real_lanes(self, x)
+        return _with_plane(out, 0, out.planes[0] & ~_lanes_with_row(x, 1, n))
 
-    return scalar, batched
+    return scalar, lanes
 
 
-def _product_drops_a_pair(real_scalar, real_batched, n):
+def _product_drops_a_pair(real_scalar, real_lanes, n):
+    def lanes(self, x, y):
+        out = real_lanes(self, x, y)
+        return _with_plane(out, 0, out.planes[0] & ~_ones(n, out.count))
+
     return (lambda self, a, b: real_scalar(self, a, b) & ~rel.pair_bit(0, 0, n),
-            lambda a, b: real_batched(a, b) & ~_cell(n, 0, 0))
+            lanes)
 
 
-def _product_skips_last_world(real_scalar, real_batched, n):
+def _product_skips_last_world(real_scalar, real_lanes, n):
     # no path through the last world: its column of the left factor is lost
     column = rel.encode(((i, n - 1) for i in range(n)), n)
-    keep = np.ones((n, n), dtype=bool)
-    keep[:, n - 1] = False
-    return (lambda self, a, b: real_scalar(self, a & ~column, b),
-            lambda a, b: real_batched(a & keep, b))
+
+    def lanes(self, x, y):
+        keep = ~(_ones(n, x.count) << n - 1)
+        return real_lanes(self, Lanes(x.count, tuple(p & keep for p in x.planes)), y)
+
+    return lambda self, a, b: real_scalar(self, a & ~column, b), lanes
 
 
 CORRUPTIONS = {
-    "support-drops-last-world": ("support", "_support", _support_drops_last_world),
-    "support-leaves-the-diagonal": ("support", "_support", _support_leaves_the_diagonal),
-    "support-forgets-joins": ("support", "_support", _support_forgets_joins),
-    "product-drops-a-pair": ("mul", "_product", _product_drops_a_pair),
-    "product-skips-last-world": ("mul", "_product", _product_skips_last_world),
+    "support-drops-last-world": ("support", "s", _support_drops_last_world),
+    "support-leaves-the-diagonal": ("support", "s", _support_leaves_the_diagonal),
+    "support-forgets-joins": ("support", "s", _support_forgets_joins),
+    "product-drops-a-pair": ("mul", "mul", _product_drops_a_pair),
+    "product-skips-last-world": ("mul", "mul", _product_skips_last_world),
 }
 
 
 @pytest.mark.parametrize("name", list(CORRUPTIONS))
 @pytest.mark.parametrize("n", [4, 5])
 def test_both_scans_name_the_same_witness_of_a_broken_law(monkeypatch, name, n):
-    scalar, batched, corrupt = CORRUPTIONS[name]
-    bad_scalar, bad_batched = corrupt(getattr(RelationQuantale, scalar),
-                                      getattr(quantales.quantale, batched), n)
+    scalar, lane_op, corrupt = CORRUPTIONS[name]
+    bad_scalar, bad_lanes = corrupt(getattr(RelationQuantale, scalar),
+                                    getattr(LaneOps, lane_op), n)
     monkeypatch.setattr(RelationQuantale, scalar, bad_scalar)
-    monkeypatch.setattr(quantales.quantale, batched, bad_batched)
+    monkeypatch.setattr(LaneOps, lane_op, bad_lanes)
     q = RelationQuantale(tuple(range(n)))
     alpha = _sample_point(n, 3)
     got = support_law_witnesses(q, alpha)
     assert got == oracles.support_checks_by_scalars(q, alpha)
     assert any(witness is not None for _, witness in got), got
+
+
+def _stacked(codes, n):
+    'Relation codes as one stack, by their rows, with relations.row.'
+    return Lanes(len(codes), tuple(
+        sum(rel.row(c, i, n) << t * n for t, c in enumerate(codes))
+        for i in range(n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_each_lane_operation_is_the_one_on_codes(n):
+    # every lane of a result is the relations function of that lane
+    rng = random.Random(70 + n)
+    codes = [0, rel.full(n), rel.diagonal(n),
+             *(rng.getrandbits(n * n) for _ in range(12)),
+             *(rng.getrandbits(n * n) & rng.getrandbits(n * n)
+               for _ in range(12))]
+    o = LaneOps(n, len(codes))
+    stack = _stacked(codes, n)
+    assert o.s(stack) == _stacked([rel.support(c, n) for c in codes], n)
+    for a in codes:
+        one = _stacked([a], n)
+        assert o.inv(one) == _stacked([rel.converse(a, n)], n)
+        assert o.s(one) == _stacked([rel.support(a, n)], n)
+        assert o.mul(one, stack) == _stacked(
+            [rel.compose(a, c, n) for c in codes], n)
+        assert o.join(one, stack) == _stacked([a | c for c in codes], n)
+        for op, holds in ((o.le, lambda b: not a & ~b), (o.eq, a.__eq__)):
+            passing = op(one, stack)
+            assert [passing >> t * n + n - 1 & 1 for t in range(len(codes))] \
+                == [int(holds(c)) for c in codes]
+            first = next((t for t, c in enumerate(codes) if not holds(c)), None)
+            assert o.first_failure(passing, len(codes)) == first
+    with pytest.raises(ValueError, match="one relation"):
+        o.mul(stack, stack)
+    with pytest.raises(ValueError, match="one relation"):
+        o.inv(stack)
 
 
 # --- axioms at 14 worlds --------------------------------------------------

@@ -12,9 +12,9 @@ import quantales.bimodal
 import quantales.lattice
 import quantales.nucleus
 import quantales.quantale
+from quantales.axioms import check_point_diamonds
 from quantales.bimodal import (
     check_conjugacy,
-    check_point_diamonds,
     conjugate_pairs,
     join_preserving_endomaps,
 )

@@ -46,6 +46,7 @@ from quantales.relations import (
 )
 
 from conftest import m3_lattice, n5_lattice
+import gen
 import oracles
 
 
@@ -545,6 +546,19 @@ class TestGroupoids:
         assert np.array_equal(q.inv_vector, rq2.inv_vector)
         assert q.unit == rq2.unit
         assert np.array_equal(q.support_vector, rq2.support_vector)
+
+    @pytest.mark.parametrize("make", [
+        lambda: pair_groupoid("a"), lambda: pair_groupoid("ab"),
+        lambda: pair_groupoid("abc"), gen.s3_groupoid, gen.pair2_z2_groupoid,
+    ], ids=["pair1", "pair2", "pair3", "s3", "pair2-z2"])
+    def test_blocked_tables_are_the_unions_of_composites(self, make):
+        G = make()
+        q = groupoid_quantale(G)
+        mul, inv, support = oracles.groupoid_tables_by_unions(G)
+        assert np.array_equal(q.mul_matrix, mul)
+        assert q.inv_vector.tolist() == inv
+        assert q.support_vector.tolist() == support
+        assert q.unit == sum(1 << e for e in G.identities)
 
     def test_identity_inference(self):
         G = pair_groupoid("abc")

@@ -720,6 +720,29 @@ def test_shared_grids_are_the_fresh_draws(flags, monkeypatch):
             assert np.array_equal(got, cases), name
 
 
+@pytest.mark.parametrize("L", [CH2, CH3, powerset_lattice("abc")],
+                         ids=["chain2", "chain3", "powerset3"])
+def test_default_grids_are_the_fresh_draws(L):
+    # with the default budgets and samples: each suite's grids are the
+    # draws of a fresh Random(0), even where the Lemma B triple grid is
+    # taken over from the support suite (141 samples on the powerset)
+    A = TensorAlgebra(L, depth=8)
+    grids = SampleGrids(A)
+    k = len(grids.samples)
+    rng = random.Random(0)
+    want = [_index_grid(k, 1, k, rng),
+            *(_index_grid(k, 2, 25000, rng) for _ in range(3)),
+            _index_grid(k, 3, 200000, rng)]
+    rng = random.Random(0)
+    want.append(grids.fitting(_index_grid(k, 3, 200000, rng), (1, 2, 1)))
+    want += [_index_grid(k, 2, 4000, rng) for _ in range(5)]
+    got = [grids.each, *grids.support_pairs, grids.support_triples,
+           grids.defining_triples, *grids.lemma_pairs]
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert np.array_equal(g, w), i
+
+
 def test_an_empty_sample_list_is_refused_before_any_law(monkeypatch):
     A = TensorAlgebra(CH2, depth=8)
     ident = identity(CH2)
