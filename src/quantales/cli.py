@@ -9,6 +9,12 @@ input could not be used at all.
 Each command imports the modules it runs: eval, valid and axioms on
 relation documents of more than 3 worlds, and sweep, load neither numpy
 nor the table modules; axioms runs quantales.axioms alone.
+
+No command calls BLAS, so main caps OpenBLAS at one thread before a
+command body can load numpy: a table verdict then runs on one thread,
+without the OpenBLAS workers that numpy starts and that spin waiting for
+work.  An OPENBLAS_NUM_THREADS the user has set wins; importing the
+library outside main leaves numpy's threads as they are.
 """
 
 from __future__ import annotations
@@ -242,6 +248,9 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    # OpenBLAS reads this only when numpy loads, so it is set before any
+    # command body imports a table module (see the module docstring)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)

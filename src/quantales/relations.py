@@ -55,13 +55,18 @@ def row(code: int, i: int, n: int) -> int:
     return code >> (i * n) & ((1 << n) - 1)
 
 
+_COLUMNS: dict[int, int] = {}   # n -> bit 0 of every row of n worlds
+
+
 def compose(a: int, b: int, n: int) -> int:
     """The relation a;b, column by column of a: for every world j that a
     reaches, column j of a (bit 0 of each row i with (i, j) in a) times
     row j of b puts that row at each such i, with no carries, since a row
     has n bits.  Each row of b is read at most once per call."""
     mask = (1 << n) - 1
-    column = ((1 << n * n) - 1) // mask if n else 0   # bit 0 of every row
+    column = _COLUMNS.get(n)
+    if column is None:     # a big-int division, most of a call at n = 200
+        column = _COLUMNS[n] = ((1 << n * n) - 1) // mask if n else 0
     used, rows = a, n           # fold a's rows onto its first: the columns
     while rows > 1:
         keep = rows - rows // 2

@@ -187,6 +187,25 @@ def test_compose_is_the_pair_set_composition(n):
             assert rel.compose(a, b, n) == _codes(q, want), (a, b)
 
 
+def test_compose_under_interleaved_world_counts():
+    'compose keeps one column constant per world count, never a stale one.'
+    rng = random.Random(57)
+
+    def draw(n):
+        # 1 pair in 8 at 40 and 64 worlds keeps the pair-set oracle quick
+        code = rng.getrandbits(n * n)
+        if n >= 40:
+            code &= rng.getrandbits(n * n) & rng.getrandbits(n * n)
+        return code
+
+    cases = [(n, draw(n), draw(n)) for n in [1, 2, 3, 4, 5, 6, 40, 64]
+             for _ in range(8 if n < 40 else 3)]
+    rng.shuffle(cases)
+    for n, a, b in cases:
+        want = oracles.rel_compose(rel.decode(a, n), rel.decode(b, n))
+        assert rel.compose(a, b, n) == rel.encode(want, n), (n, a, b)
+
+
 def _locale_outcome(q):
     'LocaleMasks of q and what check_locale_laws on its diagonals says.'
     masks = LocaleMasks(q)
