@@ -18,8 +18,9 @@ int, so each operation of the laws acts on every lane at once.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import partial
-from typing import NamedTuple, Sequence
 
 from .errors import InternalValidationFailed, SupportLocaleLawFails
 from .relations import (
@@ -57,10 +58,8 @@ _SUPPORT_LAWS = (
 _SAMPLE_ELEMENTS = 150
 
 
-class Lanes(NamedTuple):
-    'A stack of count relations, as its planes.'
-    count: int
-    planes: tuple
+# A stack of count relations, as its planes.
+Lanes = namedtuple("Lanes", "count planes")
 
 
 class LaneOps:

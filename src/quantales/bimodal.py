@@ -17,7 +17,7 @@ irreducibles alone.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 

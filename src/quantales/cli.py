@@ -49,9 +49,11 @@ from .semantics import PointedModel, evaluate, validity_test
 
 def _read(path):
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ModelFormatError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _evaluate(args):

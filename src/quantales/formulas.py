@@ -1,5 +1,8 @@
 """Formula and program syntax trees, modes, and the printer.
 
+Every node is an errors.Record: frozen, compared and hashed by its
+fields, and printed as `Atom(name='p')`.
+
 MODE_NODES lists the connectives each mode admits, and each mode fixes
 which of them are primitive: classical takes negation, disjunction and
 the diamond, with conjunction, implication and the box as abbreviations;
@@ -11,7 +14,8 @@ concrete syntax the parser accepts, with minimal parentheses.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+
+from .errors import Record
 
 
 class Mode(enum.Enum):
@@ -21,96 +25,76 @@ class Mode(enum.Enum):
     PDL = "pdl"
 
 
-class Formula:
+class Formula(Record):
     __slots__ = ()
 
 
-class Program:
+class Program(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Diamond(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class Box(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
 
 
 TEMPORAL_OPS = ("EX", "EF", "EG", "AX", "AF", "AG")
 
 
-@dataclass(frozen=True)
 class Temporal(Formula):
-    op: str
-    sub: Formula
+    __slots__ = _fields = ("op", "sub")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.op not in TEMPORAL_OPS:
             raise ValueError(f"unknown temporal operator {self.op!r}")
 
 
-@dataclass(frozen=True)
 class ProgDiamond(Formula):
-    prog: Program
-    sub: Formula
+    __slots__ = _fields = ("prog", "sub")
 
 
-@dataclass(frozen=True)
 class PAtom(Program):
-    name: str
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
 class PSeq(Program):
-    left: Program
-    right: Program
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class PChoice(Program):
-    left: Program
-    right: Program
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class PStar(Program):
-    sub: Program
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class PTest(Program):
-    formula: Formula
+    __slots__ = _fields = ("formula",)
 
 
 # The connectives each mode admits; the parser and the evaluator both read it.

@@ -9,8 +9,7 @@ validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .errors import (
     NotALattice,
     NotAPartialOrder,
     NotMeetClosed,
+    Record,
 )
 from .relations import _bits
 
@@ -250,17 +250,16 @@ def closure_failure(L: FiniteSupLattice, check: LawCheck) -> NotAClosureOperator
         f"not monotone on {a} <= {b[0]}" if b else f"not {check.law} at {a}")
 
 
-@dataclass(frozen=True)
-class ClosureOperator:
+class ClosureOperator(Record):
     """A monotone, increasing, idempotent endomap, stored as a value table.
 
     closure_law_check proves the laws once, at construction; a failure or
     a table of the wrong size raises NotAClosureOperator."""
 
-    lattice: FiniteSupLattice
-    table: tuple[int, ...]
+    __slots__ = _fields = ("lattice", "table")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         object.__setattr__(self, "table", tuple(self.table))
         if len(self.table) != self.lattice.n:
             raise NotAClosureOperator("table size does not match the carrier")
@@ -329,14 +328,13 @@ def closed_elements(L: FiniteSupLattice, j) -> FiniteSupLattice:
                             pos[L.meet_matrix[cut]], pos[L.bottom], pos[L.top])
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(Record):
     """An equivalence on the carrier closed under componentwise joins."""
 
-    lattice: FiniteSupLattice
-    pairs: frozenset[tuple[int, int]]
+    __slots__ = _fields = ("lattice", "pairs")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         object.__setattr__(self, "pairs", frozenset(self.pairs))
         L, th = self.lattice, self.pairs
         for a in range(L.n):

@@ -13,8 +13,7 @@ saturated relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .errors import (
     NotAClosureOperator,
     NotANucleus,
     QuantaleLawError,
+    Record,
 )
 from .lattice import (CLOSURE_LAWS, closed_elements, closed_positions,
                       closure_failure, closure_law_check,
@@ -177,17 +177,14 @@ def least_nucleus(q: Quantale, pairs: Iterable[tuple[int, int]]) -> Nucleus:
     return nuc
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(Record):
     """A quotient quantale with its projection.
 
     projection maps old elements to new indices (x goes to the class of
     j(x)); closed maps new indices back to the closed representatives.
     """
 
-    quantale: Quantale
-    projection: tuple[int, ...]
-    closed: tuple[int, ...]
+    __slots__ = _fields = ("quantale", "projection", "closed")
 
 
 def quotient(q: Quantale, nuc: Nucleus) -> Quotient:

@@ -17,11 +17,9 @@ ELEMENTS and generating LEQ pairs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
-from .errors import ModelFormatError, ParseError, UndeclaredWorld
+from .errors import ModelFormatError, ParseError, Record, UndeclaredWorld
 from .formulas import (
     And,
     Atom,
@@ -46,10 +44,8 @@ from .semantics import PointedModel
 
 # lattice and quantale, and with them numpy, are imported only where a
 # table is built, so reading and evaluating a relation document, and
-# document_quantale on one of more than 3 worlds, load neither
-if TYPE_CHECKING:
-    from .lattice import FiniteSupLattice
-    from .quantale import FiniteGroupoid
+# document_quantale on one of more than 3 worlds, load neither; the
+# annotations that name their classes are strings
 
 _ALIASES = {
     "◇": "<>", "□": "[]", "¬": "~",
@@ -62,14 +58,18 @@ _TOKEN_RE = re.compile(
     r"|[~()<>;*?◇□¬∧∨→]")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    line: int
-    col: int
+class _Tok(Record):
+    __slots__ = _fields = ("kind", "line", "col")
 
 
 _END = "end of input"
+
+# The deepest syntax tree the parser builds.  Each connective and each
+# parenthesized group is one level, and a flat chain counts in full:
+# `p /\ q /\ r` is the left-nested tree (p /\ q) /\ r, two levels
+# deep.  Evaluating, printing and comparing a formula recurse down its
+# tree, and at this depth they stay well inside Python's recursion limit.
+MAX_DEPTH = 100
 
 
 def _tokenize(text: str):
@@ -105,10 +105,18 @@ def _is_name(tok):
 
 
 class _Parser:
+    """Recursive descent over the tokens of one formula or program.
+
+    It counts the levels open around the cursor and the depth of each
+    node it builds (by id: the nodes live as long as the parse), and
+    fails at the token where the tree would nest deeper than MAX_DEPTH."""
+
     def __init__(self, toks, mode):
         self.toks = toks
         self.i = 0
         self.mode = mode
+        self.open = 0
+        self.depths = {}
 
     def peek(self):
         return self.toks[self.i]
@@ -128,56 +136,89 @@ class _Parser:
             self.fail(f"expected {kind!r}", {kind})
         return self.take()
 
+    # --- nesting ----------------------------------------------------------
+
+    def too_deep(self, tok):
+        raise ParseError(f"nested deeper than {MAX_DEPTH} levels at "
+                         f"{tok.kind!r}", tok.line, tok.col)
+
+    def below(self, tok, parse):
+        'What parse() reads one level below the operator or group at tok.'
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            self.too_deep(tok)
+        out = parse()
+        self.open -= 1
+        return out
+
+    def group(self, tok, parse):
+        'What parse() reads in the parentheses opened at tok, one level.'
+        out = self.below(tok, parse)
+        self.expect(")")
+        self.depths[id(out)] = self.depths.get(id(out), 0) + 1
+        return out
+
+    def node(self, tok, cls, *args):
+        'cls(*args), built at tok, one level above its deepest child.'
+        depth = 1 + max(self.depths.get(id(x), 0) for x in args)
+        if self.open + depth > MAX_DEPTH:
+            self.too_deep(tok)
+        out = cls(*args)
+        self.depths[id(out)] = depth
+        return out
+
     # --- formulas ---------------------------------------------------------
 
     def formula(self):
         left = self.disjunction()
         if self.peek().kind == "->":
-            self.take()
-            return Implies(left, self.formula())
+            tok = self.take()
+            return self.node(tok, Implies, left, self.below(tok, self.formula))
         return left
 
     def disjunction(self):
         out = self.conjunction()
         while self.peek().kind == "\\/":
-            self.take()
-            out = Or(out, self.conjunction())
+            tok = self.take()
+            out = self.node(tok, Or, out, self.conjunction())
         return out
 
     def conjunction(self):
         out = self.unary()
         while self.peek().kind == "/\\":
-            self.take()
-            out = And(out, self.unary())
+            tok = self.take()
+            out = self.node(tok, And, out, self.unary())
         return out
 
     def unary(self):
         tok = self.peek()
         if tok.kind == "~":
             self.take()
-            return Not(self.unary())
+            return self.node(tok, Not, self.below(tok, self.unary))
         if tok.kind == "<>":
             if Diamond not in MODE_NODES[self.mode]:
                 self.fail(f"'<>' is not a {self.mode.value} connective")
             self.take()
-            return Diamond(self.unary())
+            return self.node(tok, Diamond, self.below(tok, self.unary))
         if tok.kind == "[]":
             if Box not in MODE_NODES[self.mode]:
                 self.fail(f"'[]' is not a {self.mode.value} connective")
             self.take()
-            return Box(self.unary())
+            return self.node(tok, Box, self.below(tok, self.unary))
         if tok.kind in TEMPORAL_OPS:
             if Temporal not in MODE_NODES[self.mode]:
                 self.fail(f"temporal operator {tok.kind} needs ctl mode")
             self.take()
-            return Temporal(tok.kind, self.unary())
+            return self.node(tok, Temporal, tok.kind,
+                             self.below(tok, self.unary))
         if tok.kind == "<":
             if ProgDiamond not in MODE_NODES[self.mode]:
                 self.fail("program diamonds need pdl mode")
             self.take()
-            prog = self.program()
+            prog = self.below(tok, self.program)
             self.expect(">")
-            return ProgDiamond(prog, self.unary())
+            return self.node(tok, ProgDiamond, prog,
+                             self.below(tok, self.unary))
         return self.atomish()
 
     def atomish(self):
@@ -187,9 +228,7 @@ class _Parser:
             return Atom(tok.kind)
         if tok.kind == "(":
             self.take()
-            out = self.formula()
-            self.expect(")")
-            return out
+            return self.group(tok, self.formula)
         self.fail("expected a formula", {"atom", "'('"})
 
     # --- programs ---------------------------------------------------------
@@ -197,22 +236,21 @@ class _Parser:
     def program(self):
         out = self.sequence()
         while self.peek().kind == "u":
-            self.take()
-            out = PChoice(out, self.sequence())
+            tok = self.take()
+            out = self.node(tok, PChoice, out, self.sequence())
         return out
 
     def sequence(self):
         out = self.postfix()
         while self.peek().kind == ";":
-            self.take()
-            out = PSeq(out, self.postfix())
+            tok = self.take()
+            out = self.node(tok, PSeq, out, self.postfix())
         return out
 
     def postfix(self):
         out = self.primary()
         while self.peek().kind == "*":
-            self.take()
-            out = PStar(out)
+            out = self.node(self.take(), PStar, out)
         return out
 
     def primary(self):
@@ -220,20 +258,15 @@ class _Parser:
         if _is_name(tok) and tok.kind not in TEMPORAL_OPS:
             self.take()
             if self.peek().kind == "?":
-                self.take()
-                return PTest(Atom(tok.kind))
+                return self.node(self.take(), PTest, Atom(tok.kind))
             return PAtom(tok.kind)
         if tok.kind == "(":
             if self._group_is_test():
                 self.take()
-                f = self.formula()
-                self.expect(")")
-                self.expect("?")
-                return PTest(f)
+                f = self.group(tok, self.formula)
+                return self.node(self.expect("?"), PTest, f)
             self.take()
-            out = self.program()
-            self.expect(")")
-            return out
+            return self.group(tok, self.program)
         self.fail("expected a program", {"program atom", "'('"})
 
     def _group_is_test(self):
@@ -276,15 +309,16 @@ def parse_program(text: str) -> "Program":
 
 # --- model documents ------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupoidDoc:
-    objects: tuple
-    arrows: tuple      # (name, dom, cod) triples
-    inv: tuple         # (f, g) name pairs; unlisted arrows are self-inverse
-    comp: tuple        # (f, g, h) name triples meaning f g = h
+class GroupoidDoc(Record):
+    """The tables of a groupoid document, by name: objects; arrows as
+    (name, dom, cod) triples; inv as (f, g) name pairs, an unlisted arrow
+    being its own inverse; comp as (f, g, h) triples meaning f g = h.
+    It keeps a __dict__, where finite_groupoid is cached."""
+
+    _fields = ("objects", "arrows", "inv", "comp")
 
     @cached_property
-    def finite_groupoid(self) -> FiniteGroupoid:
+    def finite_groupoid(self) -> "FiniteGroupoid":
         'The FiniteGroupoid of these tables, validated once per document.'
         from .quantale import FiniteGroupoid
         oidx = {o: i for i, o in enumerate(self.objects)}
@@ -300,14 +334,15 @@ class GroupoidDoc:
         return FiniteGroupoid(self.objects, names, dom, cod, comp, inv)
 
 
-@dataclass(frozen=True)
-class ModelDocument:
-    mode: Mode
-    worlds: tuple
-    relations: dict    # name -> tuple of world-name pairs; point is "alpha"
-    valuations: dict   # atom -> tuple of world or object names
-    groupoid: GroupoidDoc | None = None
-    point: tuple | None = None    # groupoid documents: arrow names
+class ModelDocument(Record):
+    """A parsed model document: its mode and worlds; relations, each name
+    to a tuple of world-name pairs, the point being "alpha"; valuations,
+    each atom to a tuple of world or object names; and for a groupoid
+    document its GroupoidDoc and the arrow names of its point."""
+
+    __slots__ = _fields = ("mode", "worlds", "relations", "valuations",
+                           "groupoid", "point")
+    _defaults = {"groupoid": None, "point": None}
 
     @property
     def is_groupoid(self) -> bool:
@@ -549,7 +584,7 @@ def world_elements(doc: ModelDocument):
 
 # --- frame files ----------------------------------------------------------
 
-def parse_frame(text: str) -> FiniteSupLattice:
+def parse_frame(text: str) -> "FiniteSupLattice":
     """A finite lattice from ELEMENTS and generating LEQ pairs.
 
     The listed pairs are closed reflexively and transitively before the

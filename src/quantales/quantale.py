@@ -24,10 +24,9 @@ extends it to any mask).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .errors import (
     NotAssociative,
     NotDistributive,
     NotInvolutive,
+    Record,
     SupportLawFails,
     SupportLocaleLawFails,
     UnitLawFails,
@@ -501,12 +501,11 @@ def groupoid_quantale(G: FiniteGroupoid) -> Quantale:
 
 # --- the support locale ---------------------------------------------------
 
-@dataclass(frozen=True)
-class SupportLocale:
+class SupportLocale(Record):
     """The elements below the unit, as a frame labelled by those quantale
     elements.  Constructed and validated by supports_locale."""
 
-    lattice: FiniteSupLattice
+    __slots__ = _fields = ("lattice",)
 
     @property
     def q_elements(self) -> tuple[int, ...]:

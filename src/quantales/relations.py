@@ -19,11 +19,9 @@ a system's points up to renaming the worlds, which `sweep` walks.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator, Sequence
 
-from .errors import NoStableSupport
+from .errors import NoStableSupport, Record
 
 
 def _bits(mask: int):
@@ -273,12 +271,9 @@ class RelationQuantale:
 
 # --- point flags ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointFlags:
-    reflexive: bool
-    transitive: bool
-    symmetric: bool
-    total_support: bool
+class PointFlags(Record):
+    __slots__ = _fields = ("reflexive", "transitive", "symmetric",
+                           "total_support")
 
 
 def check_point_properties(q, alpha: int) -> PointFlags:

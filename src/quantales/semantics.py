@@ -36,12 +36,12 @@ returns the program's element through the quantale operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from functools import partial
 from operator import and_
-from typing import Mapping
+from types import MappingProxyType
 
-from .errors import NotComplemented, TimeEnds
+from .errors import NotComplemented, Record, TimeEnds
 from .formulas import (
     And,
     Atom,
@@ -66,23 +66,25 @@ from .formulas import (
 from .relations import LocaleMasks, diamond_image, require_support
 
 
-@dataclass
-class PointedModel:
+class PointedModel(Record):
     """A supported quantale, a point element, and atom valuations.
 
+    programs maps program letters to elements, none by default.
     world_atoms, when present, names the support atoms (one per world of a
     relation or groupoid model) so front ends can print value sets; the
-    evaluators never use it.
+    evaluators never use it.  Unlike other records a model is mutable and
+    unhashable; it is compared by these fields alone.
     """
 
-    quantale: object
-    alpha: int
-    valuation: Mapping[str, int]
-    mode: Mode
-    programs: Mapping[str, int] = field(default_factory=dict)
-    world_atoms: tuple = ()
+    _fields = ("quantale", "alpha", "valuation", "mode", "programs",
+               "world_atoms")
+    _defaults = {"programs": MappingProxyType({}), "world_atoms": ()}
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         require_support(self.quantale)
         self._locale = LocaleMasks(self.quantale)
         self._tables = {}

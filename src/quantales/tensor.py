@@ -30,15 +30,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from types import SimpleNamespace
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from .bimodal import check_modal_class
 from .errors import (AlgebraError, DepthExceeded, InternalValidationFailed,
-                     NotAFrame)
+                     NotAFrame, Record)
 from .lattice import FiniteSupLattice
 from .nucleus import Nucleus, quotient
 
@@ -50,8 +49,7 @@ def word_inv(w: str) -> str:
     return w[::-1].swapcase()
 
 
-@dataclass(frozen=True)
-class GradedElement:
+class GradedElement(Record):
     """A finite degree-indexed family of component elements.
 
     parts holds (word, down-set) pairs sorted by degree; absent words
@@ -59,7 +57,7 @@ class GradedElement:
     TensorAlgebra, never directly.
     """
 
-    parts: tuple
+    __slots__ = _fields = ("parts",)
 
     def component(self, word: str) -> frozenset:
         for w, comp in self.parts:
@@ -211,9 +209,9 @@ class TensorAlgebra:
         over the base: F_a(y) is the join, over the maximal tuples t of
         each component of a, say of degree w1...wk, of
         t0 /\\ <w1>(t1 /\\ ... <wk>(tk /\\ y)).  Built once per element and
-        pair."""
+        pair, and cached under the parts of a, which hash faster than a."""
         cache = self._transformers.setdefault((dia, bdia), {})
-        got = cache.get(a)
+        got = cache.get(a.parts)
         if got is None:
             L = self.lattice
             table = [L.bottom] * L.n
@@ -226,7 +224,7 @@ class TensorAlgebra:
                         for x, step in zip(slots[1:], steps):
                             cur = L.meet(x, step[cur])
                         table[y] = L.join(table[y], cur)
-            got = cache[a] = tuple(table)
+            got = cache[a.parts] = tuple(table)
         return got
 
     def pre_support(self, dia: Sequence[int], bdia: Sequence[int],
@@ -392,11 +390,9 @@ class SampleGrids:
 
 # --- reports --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LawResult:
-    name: str
-    ok: bool
-    witness: str = ""
+class LawResult(Record):
+    __slots__ = _fields = ("name", "ok", "witness")
+    _defaults = {"witness": ""}
 
     def __bool__(self):
         return self.ok
@@ -442,19 +438,14 @@ def show_element(algebra: TensorAlgebra, a: GradedElement) -> str:
     return " | ".join(bits)
 
 
-@dataclass(frozen=True)
-class _Factor:
+class _Factor(Record):
     """One factor of a product, for every case of a law's grid at once:
     case i reads row row[i] of table, a stack of transformer tables, and
     has degree degree[i] and is nonzero where live[i]; involute holds the
     involutes' tables, row for row.  A factor that is the same in every
     case has scalars there."""
 
-    table: np.ndarray
-    row: object
-    degree: object
-    live: object
-    involute: np.ndarray | None
+    __slots__ = _fields = ("table", "row", "degree", "live", "involute")
 
 
 class _Suite:
@@ -731,16 +722,13 @@ def check_tensor_grading(algebra: TensorAlgebra) -> list:
 
 # --- finite gradings ------------------------------------------------------
 
-@dataclass(frozen=True)
-class InvolutiveMonoid:
+class InvolutiveMonoid(Record):
     'A finite monoid with an involutive antiautomorphism, as tables.'
 
-    labels: tuple
-    mul: tuple
-    inv: tuple
-    unit: int
+    __slots__ = _fields = ("labels", "mul", "inv", "unit")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         n = len(self.labels)
         for a in range(n):
             if self.mul[self.unit][a] != a or self.mul[a][self.unit] != a:
@@ -771,18 +759,14 @@ def trivial_monoid() -> InvolutiveMonoid:
     return InvolutiveMonoid(("e",), ((0,),), (0,), 0)
 
 
-@dataclass(frozen=True)
-class GradingWitness:
+class GradingWitness(Record):
     'A finite quantale with a proposed degree family over a finite monoid.'
 
-    quantale: object
-    monoid: InvolutiveMonoid
-    family: tuple
+    __slots__ = _fields = ("quantale", "monoid", "family")
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    results: tuple
+class CheckReport(Record):
+    __slots__ = _fields = ("results",)
 
     @property
     def ok(self) -> bool:

@@ -9,7 +9,6 @@ the adjoint's precondition holds.  The evaluator as a whole is held to
 the recursive evaluator of oracles.py and to the Kripke oracles.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -66,8 +65,8 @@ def _subformulas(x):
     'Every formula node of a formula or program, tests included.'
     if isinstance(x, Formula):
         yield x
-    for name in dataclasses.fields(x):
-        child = getattr(x, name.name)
+    for name in x._fields:
+        child = getattr(x, name)
         if isinstance(child, (Formula, Program)):
             yield from _subformulas(child)
 

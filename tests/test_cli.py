@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import quantales
 import quantales.cli
 import quantales.quantale
 from quantales.cli import main
+from quantales.parsing import MAX_DEPTH
 
 EQUIV_MODEL = """
 MODE classical
@@ -280,6 +282,22 @@ def test_frontend_problems_exit_2(files, capsys):
     assert code == 2
 
 
+def test_a_model_that_is_not_utf8_exits_2(tmp_path, capsys):
+    model = tmp_path / "bad.model"
+    model.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "eval", str(model), "p")
+    assert (code, out) == (2, "")
+    assert err == f"ERROR: cannot read {model}: not UTF-8 text\n"
+
+
+def test_a_frame_that_is_not_utf8_exits_2(tmp_path, capsys):
+    frame = tmp_path / "bad.txt"
+    frame.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "tensor-verify", "--frame", str(frame))
+    assert (code, out) == (2, "")
+    assert err == f"ERROR: cannot read {frame}: not UTF-8 text\n"
+
+
 def test_semantic_problems_exit_1(files, capsys):
     dead_end = files("m.model", "MODE ctl\nWORLDS 0 1\n"
                                 "REL alpha (0,1)\nVAL p 1\n")
@@ -435,3 +453,73 @@ def test_every_traced_span_resolves():
         if not callable(owner):
             missing.append(name)
     assert layers.TRACED and missing == []
+
+
+# --- the nesting limit ----------------------------------------------------
+
+D = MAX_DEPTH
+PDL_MODEL = ("MODE pdl\nWORLDS 0 1\nREL alpha (0,1)\nREL a (0,1) (1,1)\n"
+             "VAL p 1\n")
+INT_MODEL = ("MODE intuitionistic\nWORLDS 0 1\nREL alpha (0,0) (0,1) (1,1)\n"
+             "VAL p 1\n")
+# each mode's model, and formulas MAX_DEPTH levels deep in its connectives
+AT_LIMIT = {
+    "classical": (EQUIV_MODEL, ["p /\\ " * D + "p", "[]" * D + "p",
+                                "p -> " * D + "q", "(" * D + "p" + ")" * D]),
+    "intuitionistic": (INT_MODEL, ["~" * D + "p", "[]" * D + "p",
+                                   "p -> " * D + "p", "p \\/ " * D + "p"]),
+    "ctl": (CTL_MODEL, ["AG " * D + "p", "AF " * D + "p",
+                        "p /\\ " * D + "p", "AX " * D + "p"]),
+    "pdl": (PDL_MODEL, ["<a>" * D + "p", "<a" + "*" * (D - 1) + ">p",
+                        "~" * D + "p", "p /\\ " * D + "p"]),
+}
+# a scheme MAX_DEPTH levels deep, valid on reflexive points
+DEEP_SCHEME = "[]" * (D - 1) + "p -> p"
+# runs main on each argument list of a JSON list, printing the exit codes
+EACH = """
+import json, sys
+from quantales.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_formulas_at_the_nesting_limit_run_in_every_mode(files, capsys):
+    runs = []
+    for mode, (text, formulas) in AT_LIMIT.items():
+        model = files(f"{mode}.model", text)
+        runs += [[command, model, f] for command in ("eval", "valid")
+                 for f in formulas]
+    runs.append(["sweep", "--worlds", "2", "--system", "T",
+                 "--scheme", DEEP_SCHEME])
+    codes, outs = [], []
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        assert err == "" and code in (0, 1), argv
+        codes.append(code)
+        outs.append(out)
+    assert codes[-1] == 0 and outs[-1].startswith("SWEEP PASS")
+    proc = subprocess.run([sys.executable, "-c", EACH, json.dumps(runs)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.stderr == ""
+    assert proc.stdout == "".join(outs) + json.dumps(codes) + "\n"
+
+
+@pytest.mark.parametrize("command, mode, formula", [
+    ("eval", "classical", "p /\\ " * 279 + "p"),
+    ("valid", "classical", "[]" * 280 + "p"),
+    ("eval", "ctl", "AG " * 280 + "p"),
+    ("eval", "classical", "~" * 1000 + "p"),
+], ids=["conjunction", "box", "ctl", "negation"])
+def test_formulas_past_the_nesting_limit_exit_2(files, capsys, command, mode,
+                                                 formula):
+    model = files("m.model", AT_LIMIT[mode][0])
+    code, out, err = run(capsys, command, model, formula)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ERROR: nested deeper than {D} levels")
+
+
+def test_a_sweep_scheme_past_the_nesting_limit_exits_2(capsys):
+    code, out, err = run(capsys, "sweep", "--worlds", "2", "--system", "T",
+                         "--scheme", "[]" * 2000 + "p -> p")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ERROR: nested deeper than {D} levels")

@@ -4,15 +4,20 @@
 of more than 3 worlds, and `sweep` work on relation codes alone: they
 run in a child interpreter where importing numpy fails, and print what
 an ordinary run prints.  Importing the command line loads none of the
-table modules.
+table modules, and these verdicts load neither `dataclasses` nor
+`inspect` nor `typing`, which no module of the package imports.
 """
 
+import ast
+import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import quantales
 from quantales.cli import main
 from test_cli import _child_env
 
@@ -111,3 +116,56 @@ def test_the_command_line_loads_no_table_module():
                           text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Started with -S, so that site preloads nothing: prints the watched
+# modules loaded after importing the command line and after each run of
+# the JSON list of argument lists it is given, as its last line, on stderr.
+WATCHED = ("dataclasses", "inspect", "typing")
+STAGES = f"""
+import json, sys
+loaded = lambda: sorted(set({WATCHED!r}) & set(sys.modules))
+stages = [["start", loaded()]]
+from quantales.cli import main
+stages.append(["import", loaded()])
+for argv in json.loads(sys.argv[1]):
+    stages.append([argv[0], main(argv), loaded()])
+print(json.dumps(stages), file=sys.stderr)
+"""
+
+
+def test_verdicts_load_no_dataclasses_inspect_or_typing(tmp_path):
+    model = tmp_path / "m.model"
+    model.write_text(DOCUMENTS["classical"])
+    big = tmp_path / "big.model"
+    big.write_text(_relation_document(6, 6))
+    runs = [["eval", str(model), "<>p -> []q"],
+            ["valid", str(model), "p \\/ ~p"],
+            ["sweep", *SWEEPS[0]],
+            ["axioms", str(big)]]
+    proc = subprocess.run([sys.executable, "-S", "-c", STAGES,
+                           json.dumps(runs)],
+                          capture_output=True, text=True, env=_child_env())
+    stages = json.loads(proc.stderr.splitlines()[-1])
+    assert stages == [["start", []], ["import", []], ["eval", 0, []],
+                      ["valid", 0, []], ["sweep", 0, []], ["axioms", 0, []]]
+    assert proc.stdout.count("CHECK") == 6 and "SWEEP PASS" in proc.stdout
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    # records derive from errors.Record, and annotations take their names
+    # from collections.abc: either module costs every verdict start-up time
+    sources = sorted(Path(quantales.__file__).parent.glob("*.py"))
+    assert sources
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] in ("dataclasses", "typing")]
+    assert found == []

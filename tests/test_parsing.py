@@ -17,6 +17,7 @@ from quantales.formulas import (
     ProgDiamond, PSeq, PStar, PTest, Temporal, prog_to_text, to_text,
 )
 from quantales.parsing import (
+    MAX_DEPTH,
     build,
     document_quantale,
     parse_formula,
@@ -106,6 +107,55 @@ def test_errors_carry_position_and_expectation():
     with pytest.raises(ParseError) as e:
         parse_formula("p /\\\n  (", Mode.CLASSICAL)
     assert e.value.line == 2
+
+
+# (mode, the text of a formula k levels deep, the token that crosses the
+# limit: its last occurrence at k = MAX_DEPTH + 1)
+DEEP = [
+    (Mode.CLASSICAL, lambda k: "p /\\ " * k + "p", "/\\"),
+    (Mode.CLASSICAL, lambda k: "p \\/ " * k + "p", "\\/"),
+    (Mode.CLASSICAL, lambda k: "p -> " * k + "p", "->"),
+    (Mode.CLASSICAL, lambda k: "(" * k + "p" + ")" * k, "("),
+    (Mode.CLASSICAL, lambda k: "~(" + "p /\\ " * (k - 2) + "p)", "/\\"),
+    (Mode.CLASSICAL, lambda k: "(" + "p /\\ " * (k - 2) + "p) -> q", "->"),
+    (Mode.CLASSICAL, lambda k: "[]" * k + "p", "[]"),
+    (Mode.INTUITIONISTIC, lambda k: "~" * k + "p", "~"),
+    (Mode.CTL, lambda k: "AG " * k + "p", "AG"),
+    (Mode.PDL, lambda k: "<a>" * k + "p", "<"),
+    (Mode.PDL, lambda k: "<a" + "*" * (k - 1) + ">p", "*"),
+    (Mode.PDL, lambda k: "<a" + " ; a" * (k - 1) + ">p", ";"),
+    (Mode.PDL, lambda k: "<" + "(" * (k - 2) + "p" + ")" * (k - 2) + "?>p",
+     "?"),
+]
+
+
+@pytest.mark.parametrize("mode, make, token", DEEP)
+def test_formulas_nest_up_to_the_limit(mode, make, token):
+    parse_formula(make(MAX_DEPTH), mode)
+    text = make(MAX_DEPTH + 1)
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} "
+                                         "levels") as e:
+        parse_formula(text, mode)
+    assert (e.value.line, e.value.col) == (1, text.rindex(token) + 1)
+
+
+def test_the_limit_is_named_where_it_is_crossed():
+    text = "p /\\\n" * (MAX_DEPTH + 5) + "p"
+    with pytest.raises(ParseError) as e:
+        parse_formula(text, Mode.CLASSICAL)
+    assert (e.value.line, e.value.col) == (MAX_DEPTH + 1, 3)
+    assert parse_program("a" + "*" * MAX_DEPTH) is not None
+    with pytest.raises(ParseError) as e:
+        parse_program("a" + "*" * (MAX_DEPTH + 1))
+    assert e.value.col == MAX_DEPTH + 2
+
+
+@pytest.mark.parametrize("text", ["~" * 10000 + "p", "p /\\ " * 10000 + "p",
+                                  "(" * 10000 + "p" + ")" * 10000,
+                                  "p -> " * 10000 + "p"])
+def test_very_deep_text_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_formula(text, Mode.CLASSICAL)
 
 
 def test_trailing_and_foreign_input_rejected():
