@@ -29,7 +29,7 @@ from .errors import (
     NotConjugate,
     NotJoinPreserving,
 )
-from .lattice import FiniteSupLattice, right_adjoint
+from .lattice import FiniteSupLattice, map_table, right_adjoint
 from .quantale import SupportLocale, irreducible_split, supports_locale
 from .relations import MODAL_SYSTEMS, diamond_image
 
@@ -38,8 +38,9 @@ def join_preservation_witness(L: FiniteSupLattice, table: Sequence[int]):
     """None, or the first pair of elements where f(a v b) != f(a) v f(b).
 
     On a distributive carrier the split lemma of irreducible_split accepts
-    in n tests; a failure there, or any other carrier, scans every pair."""
-    t = np.asarray(table, dtype=np.int64)
+    in n tests; a failure there, or any other carrier, scans every pair.
+    A table that does not map the carrier into itself raises ValueError."""
+    t = map_table(L, table)
     if t[L.bottom] != L.bottom:
         return (L.bottom, L.bottom)
     J = L.join_matrix
@@ -55,8 +56,7 @@ def join_preservation_witness(L: FiniteSupLattice, table: Sequence[int]):
 def _require_maps(L: FiniteSupLattice, *tables: Sequence[int]) -> None:
     'ValueError unless every table maps the carrier into itself.'
     for t in tables:
-        if len(t) != L.n or not all(0 <= v < L.n for v in t):
-            raise ValueError("map table does not map the carrier into itself")
+        map_table(L, t)
 
 
 def _require_join_preserving(L: FiniteSupLattice, dia, bdia) -> None:

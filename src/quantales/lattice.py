@@ -5,10 +5,18 @@ meets are stored once, at construction, as read-only numpy arrays; a
 sub-lattice, such as the closed elements of a closure, is cut from its
 parent's arrays by indexing.  Every object here is immutable after
 validation.
+
+Every stored table of element indices, here and in quantale, has the one
+index type INDEX, int16, so a carrier has at most CARRIER_CAP = 2^15
+elements; a larger one raises ValueError before any table is allocated.
+A table from a caller enters through index_table, which reads its
+entries at their own width and narrows them only once they are known to
+be elements of the carrier.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -26,11 +34,57 @@ from .errors import (
 from .relations import _bits
 
 
-def frozen(table, dtype=np.int64) -> np.ndarray:
+INDEX = np.int16
+CARRIER_CAP = int(np.iinfo(INDEX).max) + 1
+
+
+def carrier_size(n: int) -> int:
+    'n, or ValueError when INDEX cannot index a carrier of n elements.'
+    if n > CARRIER_CAP:
+        raise ValueError(f"a carrier of {n} elements exceeds the "
+                         f"{CARRIER_CAP} that {INDEX.__name__} tables index")
+    return n
+
+
+def frozen(table, dtype=INDEX) -> np.ndarray:
     'A read-only copy of table: the one stored form of every validated table.'
     out = np.array(table, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def index_table(table, n: int, message: str) -> np.ndarray:
+    """table as an INDEX array, once every entry is known to be an integer
+    in range(n); ValueError(message) otherwise.
+
+    The entries are read at their own width, so a float or an integer past
+    the range of INDEX is rejected before the narrowing could truncate or
+    wrap it.  A bool array, which numpy would read as a mask, is rejected
+    too, and an object array, of integers too wide for int64, is read one
+    entry at a time through operator.index."""
+    a = np.asarray(table)
+    if a.size == 0:
+        return a.astype(INDEX)
+    if a.dtype == object:
+        try:
+            values = [operator.index(v) for v in a.flat]
+        except TypeError:
+            raise ValueError(message) from None
+        if not all(0 <= v < n for v in values):
+            raise ValueError(message)
+        return np.array(values, dtype=INDEX).reshape(a.shape)
+    if a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= n:
+        raise ValueError(message)
+    return a.astype(INDEX, copy=False)
+
+
+def map_table(L: FiniteSupLattice, table) -> np.ndarray:
+    'index_table of an endomap of the carrier of L, of shape (L.n,).'
+    message = "table does not map the carrier into itself"
+    t = index_table(table, L.n, message)
+    if t.shape != (L.n,):
+        raise ValueError(message)
+    return t
 
 
 class FiniteSupLattice:
@@ -44,7 +98,7 @@ class FiniteSupLattice:
 
     def __init__(self, labels, leq, join, meet, bottom, top):
         self.labels = tuple(labels)
-        self.n = len(self.labels)
+        self.n = carrier_size(len(self.labels))
         self.leq_matrix = frozen(leq, bool)
         self.join_matrix = frozen(join)
         self.meet_matrix = frozen(meet)
@@ -140,7 +194,7 @@ def make_lattice(elements: Sequence, leq: Iterable[tuple]) -> FiniteSupLattice:
     NotAPartialOrder or NotALattice with a witness in the message.
     """
     labels = tuple(elements)
-    n = len(labels)
+    n = carrier_size(len(labels))
     if n == 0:
         raise NotALattice("empty carrier has no top or bottom")
     if len(set(labels)) != n:
@@ -198,10 +252,10 @@ def _extremum(labels, toward, bounds, a, b, kind):
 def powerset_lattice(items: Sequence) -> FiniteSupLattice:
     'Powerset of items under inclusion; element i is the subset coded by bits of i.'
     items = tuple(items)
-    n = 1 << len(items)
+    n = carrier_size(1 << len(items))
     labels = tuple(frozenset(items[b] for b in _bits(code)) for code in range(n))
-    a = np.arange(n)[:, None]
-    b = np.arange(n)
+    a = np.arange(n, dtype=INDEX)[:, None]
+    b = np.arange(n, dtype=INDEX)
     return FiniteSupLattice(labels, a & ~b == 0, a | b, a & b, 0, n - 1)
 
 
@@ -225,9 +279,7 @@ def closure_law_check(L: FiniteSupLattice, table: Sequence[int]) -> LawCheck:
     the first law failing there, increasing (a <= j a), idempotent, then
     monotone at the first b >= a with j a not <= j b.  A table that does
     not map the carrier into itself raises ValueError."""
-    t = np.asarray(table, dtype=np.int64)
-    if t.shape != (L.n,) or ((t < 0) | (t >= L.n)).any():
-        raise ValueError("table does not map the carrier into itself")
+    t = map_table(L, table)
     leq = L.leq_matrix
     increasing = leq[np.arange(L.n), t]
     idempotent = t[t] == t
@@ -260,10 +312,12 @@ class ClosureOperator(Record):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        object.__setattr__(self, "table", tuple(self.table))
-        if len(self.table) != self.lattice.n:
+        table = tuple(self.table)
+        if len(table) != self.lattice.n:
             raise NotAClosureOperator("table size does not match the carrier")
-        check = closure_law_check(self.lattice, self.table)
+        t = map_table(self.lattice, table)
+        object.__setattr__(self, "table", tuple(t.tolist()))
+        check = closure_law_check(self.lattice, t)
         if not check:
             raise closure_failure(self.lattice, check)
 
@@ -283,24 +337,22 @@ def meet_closed_closure_table(L: FiniteSupLattice, closed: Iterable[int]) -> tup
     """The table of closure_from_meet_closed, for a caller that proves the
     closure laws itself.  A member outside the carrier raises ValueError,
     and a set that is not meet-closed NotMeetClosed."""
-    S = sorted(set(closed))
-    if S and not (0 <= S[0] and S[-1] < L.n):
-        raise ValueError("closed set has a member outside the carrier")
+    S = index_table(sorted(set(closed)), L.n,
+                    "closed set has a member outside the carrier")
     present = np.zeros(L.n, dtype=bool)
     present[S] = True
     if not present[L.top]:
         raise NotMeetClosed("top (the empty meet) is missing")
-    S = np.array(S)
     escapes = ~present[L.meet_matrix[np.ix_(S, S)]]
     if escapes.any():
         a, b = S[np.argwhere(escapes)[0]].tolist()
         raise NotMeetClosed(
             f"meet of {L.labels[a]!r} and {L.labels[b]!r} escapes the set")
     # the members above x are meet-closed, so their meet is the least of
-    # them: the one with the fewest elements below it
-    above = L.leq_matrix[:, S]
-    size = np.where(above, above.sum(axis=0), L.n + 1)
-    return tuple(S[np.argmin(size, axis=1)].tolist())
+    # them, which has strictly fewer elements below it than any other:
+    # with S ordered by that count, it is the first member above x
+    S = S[np.argsort(np.count_nonzero(L.leq_matrix[:, S], axis=0))]
+    return tuple(S[np.argmax(L.leq_matrix[:, S], axis=1)].tolist())
 
 
 def closed_positions(table: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +360,7 @@ def closed_positions(table: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     sending every element x to the index in c of its closure."""
     t = np.asarray(table)
     c = np.flatnonzero(t == np.arange(len(t)))
-    index = np.zeros(len(t), dtype=np.int64)
+    index = np.zeros(len(t), dtype=INDEX)
     index[c] = np.arange(len(c))
     return c, index[t]
 

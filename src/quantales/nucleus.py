@@ -25,9 +25,9 @@ from .errors import (
     QuantaleLawError,
     Record,
 )
-from .lattice import (CLOSURE_LAWS, closed_elements, closed_positions,
-                      closure_failure, closure_law_check,
-                      meet_closed_closure_table)
+from .lattice import (CLOSURE_LAWS, INDEX, closed_elements, closed_positions,
+                      closure_failure, closure_law_check, index_table,
+                      map_table, meet_closed_closure_table)
 from .quantale import Quantale, _first, make_quantale
 
 
@@ -39,7 +39,7 @@ def is_nucleus(q: Quantale, table: Sequence[int]) -> LawCheck:
     s(j(x)) <= j(s(x)) when the quantale carries a support.  A table that
     does not map the carrier into itself raises ValueError.
     """
-    t = np.asarray(tuple(table), dtype=np.int64)
+    t = map_table(q.lattice, tuple(table))
     check = closure_law_check(q.lattice, t)
     if not check:
         return check
@@ -67,10 +67,12 @@ class Nucleus:
 
     def __init__(self, quantale: Quantale, table: Sequence[int]):
         self.quantale = quantale
-        self.table = tuple(table)
-        if len(self.table) != quantale.n:
+        table = tuple(table)
+        if len(table) != quantale.n:
             raise NotAClosureOperator("table size does not match the carrier")
-        check = is_nucleus(quantale, self.table)
+        t = map_table(quantale.lattice, table)
+        self.table = tuple(t.tolist())
+        check = is_nucleus(quantale, t)
         if check.law in CLOSURE_LAWS:
             raise closure_failure(quantale.lattice, check)
         if not check:
@@ -86,6 +88,17 @@ class Nucleus:
         return f"Nucleus(closed={len(self.closed())}/{self.quantale.n})"
 
 
+def _generating_pairs(q: Quantale, pairs: Iterable[tuple[int, int]]) -> list:
+    """pairs as a list of pairs of Python ints, through index_table;
+    ValueError unless each is a pair of elements of the carrier."""
+    pairs = [tuple(p) for p in pairs]
+    message = "generating pair outside the carrier"
+    t = index_table(pairs, q.n, message)
+    if pairs and t.shape != (len(pairs), 2):
+        raise ValueError(message)
+    return [tuple(p) for p in t.tolist()]
+
+
 def supported_closure(q: Quantale, pairs: Iterable[tuple[int, int]]) -> frozenset:
     """Saturate a generating relation under the closure rules.
 
@@ -94,7 +107,7 @@ def supported_closure(q: Quantale, pairs: Iterable[tuple[int, int]]) -> frozense
     The result is the least superset of pairs stable under all four.
     """
     seen = set()
-    work = [tuple(p) for p in pairs]
+    work = _generating_pairs(q, pairs)
     while work:
         y, z = work.pop()
         if (y, z) in seen:
@@ -132,8 +145,8 @@ def saturated_bounds(q: Quantale, pairs: Iterable[tuple[int, int]]) -> list[int]
     # on the left, then the involution and the support
     targets = np.vstack([q.mul_matrix, q.inv_vector]
                         + ([q.support_vector] if q.has_support else []))
-    bound = np.full(q.n, L.bottom, dtype=np.int64)
-    for y, z in pairs:
+    bound = np.full(q.n, L.bottom, dtype=INDEX)
+    for y, z in _generating_pairs(q, pairs):
         bound[z] = J[bound[z], y]
     queued = bound != L.bottom
     work = np.flatnonzero(queued).tolist()
@@ -161,9 +174,11 @@ def least_nucleus(q: Quantale, pairs: Iterable[tuple[int, int]]) -> Nucleus:
     whenever it lies above a right-hand side it lies above the matching
     left-hand side.  With the relation compressed to Y (saturated_bounds),
     x is closed iff Y(z) <= x for every z <= x.  j sends each element to
-    its least closed cover.
+    its least closed cover.  A pair that is not two elements of the
+    carrier raises ValueError, here and in saturated_bounds and
+    supported_closure.
     """
-    pairs = [tuple(p) for p in pairs]
+    pairs = _generating_pairs(q, pairs)
     L = q.lattice
     leq = L.leq_matrix
     # x is excluded by z when z <= x but Y(z) is not below x

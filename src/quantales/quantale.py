@@ -42,17 +42,18 @@ from .errors import (
     SupportLocaleLawFails,
     UnitLawFails,
 )
-from .lattice import FiniteSupLattice, frozen, powerset_lattice
+from .lattice import (INDEX, FiniteSupLattice, frozen, index_table,
+                      powerset_lattice)
 from .relations import LocaleMasks, require_support
 
 
 class Quantale:
     """Explicit multiplication/involution tables over a FiniteSupLattice.
 
-    The tables are read-only arrays, copied at construction: mul_matrix,
-    inv_vector and, when present, support_vector, which has passed all the
-    support axioms and the stability equation.  Use make_quantale (or
-    with_derived_support) to construct.
+    The tables are read-only arrays of lattice.INDEX, copied at
+    construction: mul_matrix, inv_vector and, when present, support_vector,
+    which has passed all the support axioms and the stability equation.
+    Use make_quantale (or with_derived_support) to construct.
     """
 
     def __init__(self, lattice, mul, inv, unit, support):
@@ -146,7 +147,8 @@ def make_quantale(lattice: FiniteSupLattice, mul: Sequence[Sequence[int]],
                   support: Sequence[int] | None = None) -> Quantale:
     """Validate every quantale law exactly and return the instance.
 
-    Checks, in order: that every table entry lies in the carrier, the
+    Checks, in order: that every table entry and the unit are integers in
+    the carrier (index_table, which reads them before narrowing), the
     preservation of the bottom, associativity, distribution over binary
     joins on both sides (enough, by finiteness, for all nonempty joins),
     unit laws, involution laws, and, when a support table is supplied, the
@@ -160,19 +162,18 @@ def make_quantale(lattice: FiniteSupLattice, mul: Sequence[Sequence[int]],
     its first witness.
     """
     n = lattice.n
-    M = np.asarray(mul, dtype=np.int64)
-    I = np.asarray(inv, dtype=np.int64)
-    S = None if support is None else np.asarray(support, dtype=np.int64)
+    M, I, S = (None if table is None else index_table(
+                   table, n, f"{name} table has an entry outside the carrier")
+               for name, table in (("multiplication", mul),
+                                   ("involution", inv), ("support", support)))
     if M.shape != (n, n) or I.shape != (n,):
         raise ValueError("table shapes do not match the carrier")
     if S is not None and S.shape != (n,):
         raise ValueError("support table shape does not match the carrier")
-    if not (0 <= unit < n):
+    unit = index_table(unit, n, "unit index out of range")
+    if unit.ndim:
         raise ValueError("unit index out of range")
-    for name, table in (("multiplication", M), ("involution", I),
-                        ("support", S)):
-        if table is not None and ((table < 0) | (table >= n)).any():
-            raise ValueError(f"{name} table has an entry outside the carrier")
+    unit = int(unit)
     J = lattice.join_matrix
     bot = lattice.bottom
     ar = np.arange(n)
@@ -232,11 +233,16 @@ def _irreducible_ranks(lattice, J):
     is injective since x is the join of J(x), embeds the carrier in the
     powerset of its irreducibles, that is iff the carrier is distributive
     (Birkhoff).  O(n^2), where is_frame is O(n^3).
+
+    The arithmetic stays in INDEX without overflow: c counts at most n - 1
+    irreducibles, and the identity is tested as c[x v y] - c[x] = c[y] -
+    c[x ^ y], whose sides lie in 0..n-1 since J(x) is inside J(x v y) and
+    J(x ^ y) inside J(y).
     """
-    irr = np.asarray(lattice.join_irreducibles(), dtype=np.int64)
+    irr = np.asarray(lattice.join_irreducibles(), dtype=INDEX)
     leq = lattice.leq_matrix
-    c = leq[irr].sum(axis=0)
-    if not (c[J] == c[:, None] + c[None, :] - c[lattice.meet_matrix]).all():
+    c = leq[irr].sum(axis=0, dtype=INDEX)
+    if not (c[J] - c[:, None] == c - c[lattice.meet_matrix]).all():
         return None
     return irr, leq, c
 
@@ -271,7 +277,7 @@ def irreducible_split(lattice):
         return None
     irr, leq, c = ranks
     bot = lattice.bottom
-    jx = np.full(lattice.n, bot, dtype=np.int64)
+    jx = np.full(lattice.n, bot, dtype=INDEX)
     rx = jx.copy()
     # visiting irreducibles by increasing c leaves jx at the last, largest
     # one below x and joins every earlier one into rx
@@ -476,7 +482,7 @@ def groupoid_quantale(G: FiniteGroupoid) -> Quantale:
     m = len(G.arrows)
     lattice = powerset_lattice(G.arrows)
     n = lattice.n
-    single = np.zeros((m, m), dtype=np.int64)   # {g} {h}
+    single = np.zeros((m, m), dtype=INDEX)   # {g} {h}
     for (g, h), k in G.comp.items():
         single[g, h] = 1 << k
     # Split each element on its highest arrow h: the elements from 2^h to
@@ -484,10 +490,10 @@ def groupoid_quantale(G: FiniteGroupoid) -> Quantale:
     # {g} b for every b, and mul[a] joins half[g] over the arrows g of a;
     # inv and support join each arrow's inverse and the identity at its
     # domain.
-    half = np.zeros((m, n), dtype=np.int64)
-    mul = np.zeros((n, n), dtype=np.int64)
-    inv = np.zeros(n, dtype=np.int64)
-    support = np.zeros(n, dtype=np.int64)
+    half = np.zeros((m, n), dtype=INDEX)
+    mul = np.zeros((n, n), dtype=INDEX)
+    inv = np.zeros(n, dtype=INDEX)
+    support = np.zeros(n, dtype=INDEX)
     for h in range(m):
         low, high = slice(0, 1 << h), slice(1 << h, 2 << h)
         half[:, high] = half[:, low] | single[:, h, None]

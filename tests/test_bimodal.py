@@ -10,6 +10,7 @@ from quantales.bimodal import (
     check_modal_class,
     conjugate_pairs,
     diamonds_from_point,
+    join_preservation_witness,
     join_preserving_endomaps,
 )
 from quantales.errors import LawCheck, NotConjugate, NotJoinPreserving
@@ -193,8 +194,8 @@ class TestCorollaryShapedInequalities:
 
 class TestMalformedMapTables:
     # on the 3-chain: a short table, an entry n and an entry -1, which
-    # would otherwise index from the end
-    BAD = [(0, 1), (0, 1, 3), (0, -1, 2)]
+    # would otherwise index from the end, and entries that are not integers
+    BAD = [(0, 1), (0, 1, 3), (0, -1, 2), (0.0, 1.0, 2.0), (0, 1.5, 2)]
     ENTRY_POINTS = {
         "check_conjugacy": check_conjugacy,
         "box_adjoints": box_adjoints,
@@ -212,3 +213,11 @@ class TestMalformedMapTables:
             call(L, bad, ident)
         with pytest.raises(ValueError):
             call(L, ident, bad)
+
+
+@pytest.mark.parametrize("table", [[0, 5], [0, -1], [0, 0.5], [0.0, 1.0],
+                                   [0, 65537], [0, 2**70], [0]])
+def test_join_preservation_witness_rejects_tables_off_the_carrier(table):
+    # -1 would otherwise index from the end, giving the witness (0, 1)
+    with pytest.raises(ValueError, match="into itself"):
+        join_preservation_witness(chain_lattice(2), table)

@@ -1,7 +1,9 @@
 """Lattice construction, closures, congruences, residuals."""
 
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from quantales.errors import (
@@ -13,6 +15,8 @@ from quantales.errors import (
     NotMeetClosed,
 )
 from quantales.lattice import (
+    CARRIER_CAP,
+    INDEX,
     ClosureOperator,
     Congruence,
     FiniteSupLattice,
@@ -20,8 +24,10 @@ from quantales.lattice import (
     closed_elements,
     closure_from_congruence,
     closure_from_meet_closed,
+    closure_law_check,
     congruence_from_closure,
     diamond_lattice,
+    index_table,
     make_lattice,
     meet_closed_closure_table,
     powerset_lattice,
@@ -170,12 +176,57 @@ class TestClosure:
         assert_tables_realize_bounds(C)
 
 
-    @pytest.mark.parametrize("closed", [[-1, 2], [2, 5], [3], [0, 1, 2, 3]])
+    @pytest.mark.parametrize("closed", [[-1, 2], [2, 5], [3], [0, 1, 2, 3],
+                                        [0.0, 2.0], [2, 65538], [True, False]])
     def test_closed_members_outside_the_carrier_rejected(self, closed):
         L = chain_lattice(3)
         for build in (closure_from_meet_closed, meet_closed_closure_table):
             with pytest.raises(ValueError, match="outside the carrier"):
                 build(L, closed)
+
+
+class TestCallerTables:
+    # entries a narrowing to int16 would otherwise truncate or wrap: -65535
+    # and 65537 become 1, 65536 becomes 0, and 2**70 does not fit int64
+    @pytest.mark.parametrize("table", [
+        [0.9, 1], [0.0, 1.0], [0, -65535], [0, 65537], [0, 65536], [0, 2**70],
+        [False, True], ["0", "1"], [0, None]])
+    def test_closure_tables_must_be_carrier_integers(self, table):
+        L = chain_lattice(2)
+        with pytest.raises(ValueError, match="into itself"):
+            closure_law_check(L, table)
+        with pytest.raises(ValueError, match="into itself"):
+            ClosureOperator(L, table)
+
+    @pytest.mark.parametrize("table", [
+        [1, 1], (1, 1), np.array([1, 1], dtype=np.uint8),
+        np.array([1, 1], dtype=np.int64), np.array([1, 1], dtype=object),
+        [np.int64(1), 1]])
+    def test_integers_of_any_width_are_accepted(self, table):
+        L = chain_lattice(2)
+        assert closure_law_check(L, table).ok
+        assert ClosureOperator(L, table).table == (1, 1)
+        t = index_table(table, L.n, "unused")
+        assert t.dtype == INDEX and t.tolist() == [1, 1]
+
+
+class TestCarrierCap:
+    def test_a_powerset_past_the_cap_raises_before_allocating(self):
+        # 2^16 elements, whose tables would have 2^32 cells each
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds"):
+                powerset_lattice(range(16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_other_constructors_past_the_cap(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            make_lattice(range(CARRIER_CAP + 1), [])
+        with pytest.raises(ValueError, match="exceeds"):
+            FiniteSupLattice(range(CARRIER_CAP + 1), None, None, None, 0, 0)
 
 
 def _outcome(f, *args):
@@ -237,6 +288,16 @@ class TestStoredTables:
         for table in (L.leq_matrix, L.join_matrix, L.meet_matrix):
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = table[1, 1]
+
+    def test_tables_are_read_only_arrays_of_the_index_type(self,
+                                                           small_lattices):
+        P = powerset_lattice("abc")
+        cut = closed_elements(P, closure_from_meet_closed(P, [0, 1, 3, 7]))
+        for L in (*small_lattices, P, cut):
+            assert L.leq_matrix.dtype == bool
+            assert L.join_matrix.dtype == L.meet_matrix.dtype == INDEX
+            for table in (L.leq_matrix, L.join_matrix, L.meet_matrix):
+                assert not table.flags.writeable
 
     def test_constructor_copies_its_input(self):
         L = diamond_lattice()

@@ -20,6 +20,7 @@ from quantales.errors import (
     UnitLawFails,
 )
 from quantales.lattice import (
+    INDEX,
     chain_lattice,
     closed_elements,
     closure_from_meet_closed,
@@ -170,8 +171,10 @@ class TestMakeQuantaleValidation:
                           support=list(range(L.n)))
         assert q.has_support
 
+    # 1.0 and 1.7 would truncate to 1, and 65537 and -65535 wrap to 1 in
+    # int16, giving the tables of the 2-chain quantale
     @pytest.mark.parametrize("part", ["mul", "inv", "support"])
-    @pytest.mark.parametrize("value", [-1, 2])
+    @pytest.mark.parametrize("value", [-1, 2, 1.0, 1.7, 65537, -65535, 2**70])
     def test_entries_off_the_carrier_are_rejected(self, part, value):
         L = powerset_lattice("x")
         tables = {"mul": [[0, 0], [0, 1]], "inv": [0, 1], "support": [0, 1]}
@@ -183,6 +186,17 @@ class TestMakeQuantaleValidation:
         with pytest.raises(ValueError, match="outside the carrier"):
             make_quantale(L, tables["mul"], tables["inv"], 1,
                           support=tables["support"])
+
+    @pytest.mark.parametrize("unit", [True, np.bool_(True), 1.0, 2**70, "1",
+                                      -1, 2, [1]])
+    def test_the_unit_must_be_a_carrier_integer(self, unit):
+        with pytest.raises(ValueError, match="unit index"):
+            make_quantale(chain_lattice(2), [[0, 0], [0, 1]], [0, 1], unit)
+
+    @pytest.mark.parametrize("unit", [1, np.int64(1), np.int16(1), np.uint8(1)])
+    def test_integer_units_of_any_type_are_accepted(self, unit):
+        q = make_quantale(chain_lattice(2), [[0, 0], [0, 1]], [0, 1], unit)
+        assert q.unit == 1 and type(q.unit) is int
 
 
 def _outcome(build):
@@ -500,6 +514,14 @@ class TestDeriveSupport:
 
 
 class TestStoredTables:
+    def test_tables_are_read_only_arrays_of_the_index_type(self, rq2, rq3):
+        quo = quotient(rq2, least_nucleus(rq2, [(rq2.unit, 1 << 1)]))
+        s3 = groupoid_quantale(gen.s3_groupoid())
+        for q in (rq2, rq3, s3, quo.quantale):
+            for table in (q.mul_matrix, q.inv_vector, q.support_vector,
+                          q.lattice.join_matrix, q.lattice.meet_matrix):
+                assert table.dtype == INDEX and not table.flags.writeable
+
     def test_tables_are_read_only(self, rq2):
         for table in (rq2.mul_matrix, rq2.inv_vector, rq2.support_vector):
             with pytest.raises(ValueError, match="read-only"):
