@@ -3,7 +3,8 @@
 Subpackage map: errors (the exception types, LawCheck, and Record, the
 base of every value type), relations (relation codes, the lazy
 RelationQuantale, diamond tables, modal systems, point flags and
-classes of points, all without numpy), lattice (finite complete
+classes of points, all without numpy), groupoids (finite groupoids
+and the lazy GroupoidQuantale, without numpy), lattice (finite complete
 lattices, closures, congruences), quantale (table-backed relation and
 groupoid quantales, supports), axioms (the checks `axioms` reports:
 the support laws, the locale below the unit and a point's conjugacy,

@@ -2,11 +2,17 @@
 
 The five support laws are written once, in _SUPPORT_LAWS:
 quantale.make_quantale proves them on a table's index arrays, and
-support_law_witnesses scans them on a seeded sample of a
-RelationQuantale, as lanes of relation codes.  check_locale_laws makes
-the elements below the unit a locale, and check_point_diamonds decides
-the conjugacy of a point's two diamonds on it, through
-conjugacy_witness_on_irreducibles, from the masks of
+support_law_witnesses scans them on a RelationQuantale or a
+GroupoidQuantale, as lanes of relation codes: over every element and
+pair when the carrier has at most 512 elements, else over a seeded
+sample.  A groupoid's elements enter the lanes through the right regular
+representation phi, which is injective and preserves joins, products,
+converses, supports and the unit; so a <= b iff phi(a) <= phi(b), and
+each law holds at an element or pair exactly when it holds at its image
+(the lemma and its proof are in the groupoids docstring).
+check_locale_laws makes the elements below the unit a locale, and
+check_point_diamonds decides the conjugacy of a point's two diamonds on
+it, through conjugacy_witness_on_irreducibles, from the masks of
 relations.LocaleMasks.
 
 Lanes.  A stack of m relations on n worlds is n ints, its planes: plane
@@ -53,9 +59,10 @@ _SUPPORT_LAWS = (
 )
 
 
-# --- the sampled support laws --------------------------------------------
+# --- the support laws on lanes --------------------------------------------
 
-_SAMPLE_ELEMENTS = 150
+_EXHAUSTIVE_ELEMENTS = 512   # every element and pair of a carrier this size
+_SAMPLE_ELEMENTS = 150       # else a sample of this many
 
 
 # A stack of count relations, as its planes.
@@ -164,33 +171,53 @@ def _stack(relations: Sequence[Lanes], n: int) -> Lanes:
     return Lanes(len(relations), tuple(planes))
 
 
+def _lane_relations(q):
+    """The world count of q's lanes, the bit width of its codes, and the
+    map from an element to the relation code its lanes hold: the element
+    itself for a RelationQuantale, its right regular representation for a
+    GroupoidQuantale; None for a table Quantale."""
+    if isinstance(q, RelationQuantale):
+        return q.nw, q.nw * q.nw, None
+    regular = getattr(q, "regular", None)
+    return None if regular is None else (q.m, q.m, regular)
+
+
 def support_law_witnesses(q, alpha):
     """Each support law with its first failing witness, or None, in the
     order `axioms` reports them.
 
     make_quantale proved all five over every element and pair of a table
-    Quantale, so there every witness is None.  A RelationQuantale runs them
-    on a seeded sample: the bottom, the unit, the top and alpha, then codes
-    from Random(0) up to 150 elements, or every element at 1 or 2 worlds,
-    ascending, and all their pairs.  Every compared value is read off a
-    product, converse or support computed on lanes (LaneOps).  A law on
+    Quantale, so there every witness is None.  A RelationQuantale or a
+    GroupoidQuantale runs them on every element, ascending, when its
+    carrier has at most 512 elements (relations on 1 to 3 worlds,
+    groupoids of up to 9 arrows), and else on a seeded sample: the
+    bottom, the unit, the top and alpha, then codes from Random(0) up to
+    150 elements, ascending; and on all pairs of them.  Every compared
+    value is read off a product, converse or support computed on lanes
+    (LaneOps) of relation codes: a groupoid's elements as their regular
+    representations, which decide each law as the elements do.  A law on
     elements runs element by element; a law on pairs runs each first
-    element, in sample order, against the one stack of the whole sample,
-    and the lowest failing lane is the second element.  So the witness is
-    the first in itertools.product order of the sample.  A Quantale
-    without a support raises NoStableSupport."""
-    if not isinstance(q, RelationQuantale):
+    element, in order, against the one stack of them all, and the lowest
+    failing lane is the second element.  So the witness, named by element
+    codes, is the first in itertools.product order.  A Quantale without a
+    support raises NoStableSupport."""
+    relations = _lane_relations(q)
+    if relations is None:
         require_support(q)
         return [(name, None) for name, *_ in _SUPPORT_LAWS]
-    n = q.nw
-    rng = random.Random(0)
-    elems = {q.bottom, q.unit, q.top, alpha}
-    while len(elems) < min(_SAMPLE_ELEMENTS, 2 ** (n * n)):
-        elems.add(rng.getrandbits(n * n))
-    elems = sorted(elems)
+    n, width, image = relations
+    if 1 << width <= _EXHAUSTIVE_ELEMENTS:
+        elems = range(1 << width)
+    else:
+        rng = random.Random(0)
+        elems = {q.bottom, q.unit, q.top, alpha}
+        while len(elems) < _SAMPLE_ELEMENTS:
+            elems.add(rng.getrandbits(width))
+        elems = sorted(elems)
     m = len(elems)
     o = LaneOps(n, m)
-    A = [Lanes(1, tuple(row(a, i, n) for i in range(n))) for a in elems]
+    codes = elems if image is None else map(image, elems)
+    A = [Lanes(1, tuple(row(c, i, n) for i in range(n))) for c in codes]
     S = [o.s(a) for a in A]
     sample = (_stack(A, n), _stack(S, n))
     results = []

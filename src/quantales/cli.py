@@ -6,9 +6,10 @@ PASS|FAIL`, `FLAG <property> YES|NO`, `INFO ...`.  Exit status 0 means
 no FAIL/INVALID line was printed, 1 means at least one, 2 means the
 input could not be used at all.
 
-Each command imports the modules it runs: eval, valid and axioms on
-relation documents of more than 3 worlds, and sweep, load neither numpy
-nor the table modules; axioms runs quantales.axioms alone.
+Each command imports the modules it runs: eval, valid, axioms and sweep
+load neither numpy nor the table modules, as they run on the lazy
+quantales of parsing.document_quantale; axioms adds quantales.axioms, a
+groupoid document quantales.groupoids, and only quotient builds a table.
 
 No command calls BLAS, so main caps OpenBLAS at one thread before a
 command body can load numpy: a table verdict then runs on one thread,
@@ -30,6 +31,7 @@ from .formulas import Mode, atoms_of
 from .parsing import (
     build,
     document_quantale,
+    document_table,
     parse_formula,
     parse_frame,
     parse_model,
@@ -117,10 +119,7 @@ def _cmd_axioms(args):
 
 def _cmd_quotient(args):
     from .nucleus import least_nucleus, quotient
-    alpha, q = document_quantale(parse_model(_read(args.model)))
-    if isinstance(q, RelationQuantale):
-        raise ModelFormatError(
-            "quotient needs the table-backed quantale; limited to 3 worlds")
+    alpha, q = document_table(parse_model(_read(args.model)))
     # least_nucleus raises unless the nucleus and its pairs check out
     nuc = least_nucleus(q, system_pairs(q, alpha, args.system))
     print("CHECK nucleus PASS")

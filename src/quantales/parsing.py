@@ -43,9 +43,9 @@ from .relations import RelationQuantale, encode, pair_bit
 from .semantics import PointedModel
 
 # lattice and quantale, and with them numpy, are imported only where a
-# table is built, so reading and evaluating a relation document, and
-# document_quantale on one of more than 3 worlds, load neither; the
-# annotations that name their classes are strings
+# table is built, by document_table for `quotient` and by parse_frame, and
+# groupoids only for a groupoid document; the annotations that name their
+# classes are strings
 
 _ALIASES = {
     "◇": "<>", "□": "[]", "¬": "~",
@@ -320,7 +320,7 @@ class GroupoidDoc(Record):
     @cached_property
     def finite_groupoid(self) -> "FiniteGroupoid":
         'The FiniteGroupoid of these tables, validated once per document.'
-        from .quantale import FiniteGroupoid
+        from .groupoids import FiniteGroupoid
         oidx = {o: i for i, o in enumerate(self.objects)}
         aidx = {name: i for i, (name, _, _) in enumerate(self.arrows)}
         dom = [oidx[d] for _, d, _ in self.arrows]
@@ -526,37 +526,47 @@ def _relation_codes(doc: ModelDocument):
 _MAX_GROUPOID_ARROWS = 9
 
 
-def document_quantale(doc: ModelDocument):
-    """The point element and the quantale of a model document.
+def _groupoid_point(doc: ModelDocument):
+    'The validated groupoid of a document, under the arrow cap, and its point.'
+    if len(doc.groupoid.arrows) > _MAX_GROUPOID_ARROWS:
+        raise ModelFormatError(
+            f"groupoid documents are limited to {_MAX_GROUPOID_ARROWS} arrows")
+    G = doc.groupoid.finite_groupoid
+    aidx = {name: i for i, name in enumerate(G.arrows)}
+    return G, sum(1 << aidx[name] for name in set(doc.point))
 
-    The quantale is the validated table when one fits: every
-    groupoid document (limited to 9 arrows, a 512-element carrier) and
-    relation documents up to 3 worlds.  Larger relation documents get the
-    lazy RelationQuantale; its codes agree with the table's indices.
-    """
+
+def document_quantale(doc: ModelDocument):
+    """The point element and the lazy quantale of a model document,
+    without numpy: a RelationQuantale at any world count, or the
+    GroupoidQuantale of a groupoid document (limited to 9 arrows).  Their
+    codes agree with the indices of document_table's table."""
     if doc.is_groupoid:
-        if len(doc.groupoid.arrows) > _MAX_GROUPOID_ARROWS:
-            raise ModelFormatError(
-                f"groupoid documents are limited to {_MAX_GROUPOID_ARROWS} arrows")
+        from .groupoids import GroupoidQuantale
+        G, alpha = _groupoid_point(doc)
+        return alpha, GroupoidQuantale(G)
+    return _relation_codes(doc)[0]["alpha"], RelationQuantale(doc.worlds)
+
+
+def document_table(doc: ModelDocument):
+    """The point element and the validated table quantale of a model
+    document, which `quotient` divides: groupoid_quantale for a groupoid
+    document, relation_quantale for a relation document of up to 3
+    worlds.  A larger relation document raises ModelFormatError."""
+    if doc.is_groupoid:
+        G, alpha = _groupoid_point(doc)
         from .quantale import groupoid_quantale
-        G = doc.groupoid.finite_groupoid
-        aidx = {name: i for i, name in enumerate(G.arrows)}
-        alpha = sum(1 << aidx[name] for name in set(doc.point))
         return alpha, groupoid_quantale(G)
-    alpha = _relation_codes(doc)[0]["alpha"]
-    if len(doc.worlds) <= 3:
-        from .quantale import relation_quantale
-        return alpha, relation_quantale(doc.worlds)
-    return alpha, RelationQuantale(doc.worlds)
+    if len(doc.worlds) > 3:
+        raise ModelFormatError(
+            "quotient needs the table-backed quantale; limited to 3 worlds")
+    from .quantale import relation_quantale
+    return _relation_codes(doc)[0]["alpha"], relation_quantale(doc.worlds)
 
 
 def build(doc: ModelDocument) -> PointedModel:
-    """A pointed model from a parsed document.
-
-    Relation documents run over the lazy bitmask quantale at any world
-    count, so evaluation never builds a table; groupoid documents over
-    the table of document_quantale.
-    """
+    """A pointed model from a parsed document, over the lazy quantale of
+    document_quantale, so evaluation never builds a table."""
     if doc.is_groupoid:
         alpha, q = document_quantale(doc)
         atom_of = dict(world_elements(doc))

@@ -5,14 +5,15 @@ distributive carrier, which every powerset quantale has, associativity
 and distributivity are decided on the join-irreducibles in O(n^2); any
 other carrier, and any table that fails, goes through the exhaustive loop
 over all triples, which names the first failure.  RelationQuantale, in
-relations, is the lazy counterpart for world sets too large to tabulate,
-computing the same operations on bitmask codes directly, without numpy.
-The five support laws, axioms._SUPPORT_LAWS, are written once:
-make_quantale proves them here on a table's index arrays, and
-axioms.support_law_witnesses scans them on a seeded sample of a
-RelationQuantale, without numpy.
+relations, and GroupoidQuantale, in groupoids, are the lazy
+counterparts, computing the same operations on bitmask codes directly,
+without numpy; every command on a model document but `quotient` runs
+on them.  The five support laws, axioms._SUPPORT_LAWS, are written
+once: make_quantale proves them here on a table's index arrays, and
+axioms.support_law_witnesses scans them on lanes of a lazy quantale's
+relation codes, without numpy.
 
-Both kinds share one view of the support locale as bitmasks over its
+All kinds share one view of the support locale as bitmasks over its
 join-irreducibles, support_irreducibles: locale_mask and locale_element
 convert an element below the unit to and from the mask of the
 irreducibles below it, and relations.LocaleMasks holds the masks of the
@@ -32,7 +33,6 @@ import numpy as np
 
 from .axioms import _SUPPORT_LAWS, check_locale_laws
 from .errors import (
-    InvalidGroupoid,
     NoStableSupport,
     NotAssociative,
     NotDistributive,
@@ -42,6 +42,8 @@ from .errors import (
     SupportLocaleLawFails,
     UnitLawFails,
 )
+# the groupoids live, without numpy, in groupoids; re-exported here
+from .groupoids import FiniteGroupoid, group_groupoid, pair_groupoid
 from .lattice import (INDEX, FiniteSupLattice, frozen, index_table,
                       powerset_lattice)
 from .relations import LocaleMasks, require_support
@@ -377,107 +379,14 @@ def relation_quantale(worlds: Sequence) -> Quantale:
     return groupoid_quantale(pair_groupoid(worlds))
 
 
-# --- groupoids ------------------------------------------------------------
-
-class FiniteGroupoid:
-    """Arrows with partial composition, all invertible.
-
-    Composition is diagrammatic: compose(g, h) is defined exactly when
-    cod(g) = dom(h).  Identities are inferred and validated, one per object.
-    """
-
-    def __init__(self, objects: Sequence, arrows: Sequence,
-                 dom: Sequence[int], cod: Sequence[int],
-                 comp: dict[tuple[int, int], int], inv: Sequence[int]):
-        self.objects = tuple(objects)
-        self.arrows = tuple(arrows)
-        self.dom = tuple(dom)
-        self.cod = tuple(cod)
-        self.comp = dict(comp)
-        self.inv = tuple(inv)
-        self._validate()
-
-    def _validate(self):
-        m = len(self.arrows)
-        no = len(self.objects)
-        if len(self.dom) != m or len(self.cod) != m or len(self.inv) != m:
-            raise InvalidGroupoid("arrow table sizes disagree")
-        for g in range(m):
-            if not (0 <= self.dom[g] < no and 0 <= self.cod[g] < no):
-                raise InvalidGroupoid(f"arrow {self.arrows[g]!r} has a bad endpoint")
-        for g in range(m):
-            for h in range(m):
-                defined = (g, h) in self.comp
-                if defined != (self.cod[g] == self.dom[h]):
-                    raise InvalidGroupoid(
-                        f"composability of {self.arrows[g]!r}, {self.arrows[h]!r} "
-                        "does not match endpoints")
-                if defined:
-                    k = self.comp[g, h]
-                    if self.dom[k] != self.dom[g] or self.cod[k] != self.cod[h]:
-                        raise InvalidGroupoid(
-                            f"composite of {self.arrows[g]!r}, {self.arrows[h]!r} "
-                            "has wrong endpoints")
-        for g in range(m):
-            for h in range(m):
-                for k in range(m):
-                    if (g, h) in self.comp and (h, k) in self.comp:
-                        if self.comp[self.comp[g, h], k] != self.comp[g, self.comp[h, k]]:
-                            raise InvalidGroupoid(
-                                f"associativity fails at {(g, h, k)}")
-        self.identities = []
-        for x in range(no):
-            cands = [e for e in range(m)
-                     if self.dom[e] == self.cod[e] == x
-                     and all(self.comp[g, e] == g for g in range(m) if self.cod[g] == x)
-                     and all(self.comp[e, h] == h for h in range(m) if self.dom[h] == x)]
-            if len(cands) != 1:
-                raise InvalidGroupoid(
-                    f"object {self.objects[x]!r} has {len(cands)} identities")
-            self.identities.append(cands[0])
-        self.identities = tuple(self.identities)
-        for g in range(m):
-            gi = self.inv[g]
-            if self.dom[gi] != self.cod[g] or self.cod[gi] != self.dom[g]:
-                raise InvalidGroupoid(f"inverse of {self.arrows[g]!r} has wrong endpoints")
-            if self.inv[gi] != g:
-                raise InvalidGroupoid(f"inverse not involutive at {self.arrows[g]!r}")
-            if self.comp[g, gi] != self.identities[self.dom[g]]:
-                raise InvalidGroupoid(f"g g- != id_dom at {self.arrows[g]!r}")
-            if self.comp[gi, g] != self.identities[self.cod[g]]:
-                raise InvalidGroupoid(f"g- g != id_cod at {self.arrows[g]!r}")
-
-
-def pair_groupoid(worlds: Sequence) -> FiniteGroupoid:
-    'Arrows are world pairs (x, y): x -> y; composition matches relations.'
-    worlds = tuple(worlds)
-    k = len(worlds)
-    arrows = [(worlds[i], worlds[j]) for i in range(k) for j in range(k)]
-    idx = {a: t for t, a in enumerate(arrows)}
-    dom = [i for i in range(k) for _ in range(k)]
-    cod = [j for _ in range(k) for j in range(k)]
-    comp = {}
-    for g, (x, y) in enumerate(arrows):
-        for h, (y2, z) in enumerate(arrows):
-            if y == y2:
-                comp[g, h] = idx[(x, z)]
-    inv = [idx[(y, x)] for (x, y) in arrows]
-    return FiniteGroupoid(worlds, arrows, dom, cod, comp, inv)
-
-
-def group_groupoid(labels: Sequence, mul: Sequence[Sequence[int]],
-                   inv: Sequence[int], unit: int) -> FiniteGroupoid:
-    'A group seen as a one-object groupoid.'
-    m = len(labels)
-    comp = {(g, h): mul[g][h] for g in range(m) for h in range(m)}
-    return FiniteGroupoid(["*"], labels, [0] * m, [0] * m, comp, inv)
-
+# --- groupoids ---------------------------------------------------------
 
 def groupoid_quantale(G: FiniteGroupoid) -> Quantale:
     """Powerset of arrows: X Y collects the defined composites.
 
     The unit is the set of identities and the support of X is the set of
-    identities at domains of members of X.
+    identities at domains of members of X.  The validated table of
+    groupoids.GroupoidQuantale, with the same element codes.
     """
     m = len(G.arrows)
     lattice = powerset_lattice(G.arrows)

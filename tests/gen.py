@@ -9,10 +9,9 @@ from quantales.formulas import (
     And, Atom, Box, Diamond, Implies, Mode, Not, Or, PAtom, PChoice,
     ProgDiamond, PSeq, PStar, PTest, Temporal,
 )
+from quantales.groupoids import FiniteGroupoid, group_groupoid, pair_groupoid
 from quantales.lattice import chain_lattice
-from quantales.quantale import (
-    FiniteGroupoid, group_groupoid, groupoid_quantale, make_quantale,
-)
+from quantales.quantale import groupoid_quantale, make_quantale
 
 
 def random_edges(rng: random.Random, worlds, density=0.45):
@@ -135,6 +134,66 @@ def pair2_z2_groupoid():
 
 def pair2_z2_quantale():
     return groupoid_quantale(pair2_z2_groupoid())
+
+
+def random_groupoid(rng: random.Random, max_arrows=9):
+    """A seeded groupoid of at most max_arrows arrows: a disjoint union of
+    components, each the pair groupoid on k objects times a cyclic group
+    Z_h, with its objects and arrows in shuffled order, so that the
+    identities fall anywhere among the arrows."""
+    components = []
+    budget = rng.randint(1, max_arrows)
+    while budget:
+        k = rng.choice([k for k in (1, 2, 3) if k * k <= budget])
+        h = rng.randint(1, budget // (k * k))
+        components.append((k, h))
+        budget -= k * k * h
+    objects = [(c, i) for c, (k, _) in enumerate(components) for i in range(k)]
+    arrows = [(c, i, j, t) for c, (k, h) in enumerate(components)
+              for i in range(k) for j in range(k) for t in range(h)]
+    rng.shuffle(objects)
+    rng.shuffle(arrows)
+    oidx = {o: x for x, o in enumerate(objects)}
+    aidx = {a: g for g, a in enumerate(arrows)}
+    dom = [oidx[c, i] for c, i, _, _ in arrows]
+    cod = [oidx[c, j] for c, _, j, _ in arrows]
+    comp = {(aidx[c, i, j, t], aidx[c, j, l, u]):
+            aidx[c, i, l, (t + u) % components[c][1]]
+            for c, i, j, t in arrows for c2, j2, l, u in arrows
+            if (c2, j2) == (c, j)}
+    inv = [aidx[c, j, i, -t % components[c][1]] for c, i, j, t in arrows]
+    return FiniteGroupoid(objects, arrows, dom, cod, comp, inv)
+
+
+# The groupoid fixtures, by name: S3, pair(2)+Z2, the pair groupoids on
+# 1 to 3 objects (2, 16 and 512 elements) and six seeded groupoids.
+GROUPOIDS = {
+    "s3": s3_groupoid,
+    "pair2+z2": pair2_z2_groupoid,
+    **{f"pair{k}": (lambda k=k: pair_groupoid(range(k))) for k in (1, 2, 3)},
+    **{f"seed{seed}": (lambda seed=seed: random_groupoid(random.Random(seed)))
+       for seed in range(6)},
+}
+
+
+def groupoid_document(G: FiniteGroupoid, mode: str, point, valuation):
+    """A groupoid document of G: objects x0, x1, ... and arrows a0, a1,
+    ... in G's order, the arrows of the bitmask point, and valuation, each
+    atom to a set of object indices."""
+    names = [f"a{g}" for g in range(len(G.arrows))]
+    lines = [f"MODE {mode}",
+             "OBJECTS " + " ".join(f"x{x}" for x in range(len(G.objects)))]
+    lines += [f"ARROWS {names[g]} x{G.dom[g]} x{G.cod[g]}"
+              for g in range(len(names))]
+    lines += [f"COMP {names[g]} {names[h]} {names[k]}"
+              for (g, h), k in sorted(G.comp.items())]
+    lines += [f"INV {names[g]} {names[h]}" for g, h in enumerate(G.inv)
+              if g < h]
+    lines.append("POINT " + " ".join(names[g] for g in range(len(names))
+                                     if point >> g & 1))
+    lines += [f"VAL {atom} " + " ".join(f"x{x}" for x in sorted(members))
+              for atom, members in valuation.items()]
+    return "\n".join(lines) + "\n"
 
 
 def goedel_chain(k):

@@ -301,9 +301,9 @@ def join_preservation_witness_by_pairs(L, t):
                  if t[L.join(a, b)] != L.join(t[a], t[b])), None)
 
 
-# --- the sampled support laws of `axioms`, one scalar call at a time ---
+# --- the support laws of `axioms`, one scalar call at a time ---
 # The reference for axioms.support_law_witnesses, which scans the same
-# sample on lanes of relation codes.
+# elements on lanes of relation codes.
 
 SUPPORT_LAWS = (
     ("support-join", 2, lambda q, s, a, b: s(q.join(a, b)) != q.join(s(a), s(b))),
@@ -314,21 +314,31 @@ SUPPORT_LAWS = (
 )
 
 
-def support_checks_by_scalars(q, alpha):
+def support_checks_by_scalars(q, alpha, through=None):
     """Each support law with its first failing witness, or None, over the
-    seeded sample of `axioms` on a RelationQuantale: the bottom, the unit,
+    elements `axioms` scans on a RelationQuantale or a GroupoidQuantale:
+    every element when there are at most 512, else the bottom, the unit,
     the top and the point, then random codes from Random(0) up to 150
-    elements, or every element at 1 or 2 worlds, ascending, and every pair
-    of them in itertools.product order."""
-    rng = random.Random(0)
-    elems = {q.bottom, q.unit, q.top, alpha}
-    while len(elems) < min(150, 2 ** (q.nw * q.nw)):
-        elems.add(rng.getrandbits(q.nw * q.nw))
-    elems = sorted(elems)
-    tuples = {1: [(a,) for a in elems],
-              2: list(itertools.product(elems, repeat=2))}
-    s = q.support
-    return [(name, next((p for p in tuples[arity] if bad(q, s, *p)), None))
+    elements; ascending, and every pair of them in itertools.product
+    order.  through, a pair (r, image), decides each law in r at the
+    images of the elements, as the lanes of a groupoid do with its
+    regular representation, and still names the elements of q."""
+    width = q.nw * q.nw if hasattr(q, "nw") else q.m
+    if 2 ** width <= 512:
+        elems = list(range(2 ** width))
+    else:
+        rng = random.Random(0)
+        elems = {q.bottom, q.unit, q.top, alpha}
+        while len(elems) < 150:
+            elems.add(rng.getrandbits(width))
+        elems = sorted(elems)
+    r, image = through or (q, lambda a: a)
+    of = {image(a): a for a in elems}
+    tuples = {1: [(image(a),) for a in elems],
+              2: list(itertools.product(map(image, elems), repeat=2))}
+    s = r.support
+    return [(name, next((tuple(of[x] for x in p) for p in tuples[arity]
+                         if bad(r, s, *p)), None))
             for name, arity, bad in SUPPORT_LAWS]
 
 

@@ -351,14 +351,16 @@ def test_every_command_enforces_the_arrow_limit(files, capsys, monkeypatch,
 
 @pytest.mark.parametrize("command", [["axioms"], ["quotient", "--system", "S5"]])
 def test_groupoid_quantale_is_built_once(files, capsys, monkeypatch, command):
-    # every table builder in quantales.quantale ends in make_quantale
+    # every table builder in quantales.quantale ends in make_quantale;
+    # quotient builds the document's table once, and axioms, which runs on
+    # the lazy GroupoidQuantale, builds none
     calls = []
     real = quantales.quantale.make_quantale
     monkeypatch.setattr(quantales.quantale, "make_quantale",
                         lambda *a, **k: calls.append(a) or real(*a, **k))
     code, _, _ = run(capsys, command[0], files("m.model", Z2_MODEL),
                      *command[1:])
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and len(calls) == (command[0] == "quotient")
 
 
 @pytest.mark.parametrize("command", [["eval", "<>p"], ["valid", "p"]])

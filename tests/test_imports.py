@@ -1,11 +1,12 @@
 """Each command imports only the modules it runs.
 
-`eval` and `valid` on relation documents, `axioms` on relation documents
-of more than 3 worlds, and `sweep` work on relation codes alone: they
-run in a child interpreter where importing numpy fails, and print what
-an ordinary run prints.  Importing the command line loads none of the
-table modules, and these verdicts load neither `dataclasses` nor
-`inspect` nor `typing`, which no module of the package imports.
+`eval`, `valid` and `axioms` on relation and groupoid documents, and
+`sweep`, work on bitmask codes alone: they run in a child interpreter
+where importing numpy fails, and print what an ordinary run prints.
+Importing the command line loads none of the table modules, a relation
+document loads no groupoid module, and these verdicts load neither
+`dataclasses` nor `inspect` nor `typing`, which no module of the
+package imports.
 """
 
 import ast
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import gen
 import quantales
 from quantales.cli import main
 from test_cli import _child_env
@@ -92,7 +94,7 @@ def _relation_document(n, seed):
             + " ".join(f"({u},{v})" for u, v in pairs) + "\nVAL p w0\n")
 
 
-@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 def test_axioms_on_relation_documents_runs_without_numpy(tmp_path, capsys, n):
     model = tmp_path / "m.model"
     model.write_text(_relation_document(n, n))
@@ -100,6 +102,83 @@ def test_axioms_on_relation_documents_runs_without_numpy(tmp_path, capsys, n):
     want = _in_process(capsys, argv)
     assert want[0] == 0 and want[1].count("CHECK") == 6
     assert _without_numpy(argv) == want
+
+
+def _groupoid_documents(mode):
+    """Groupoid documents in mode: S3, the pair groupoid on two objects
+    beside Z2, and the 9-arrow pair groupoid on three objects, each with
+    a seeded point of total support and atoms p and q."""
+    out = {}
+    for name in ("s3", "pair2+z2", "pair3"):
+        G = gen.GROUPOIDS[name]()
+        rng = random.Random(name)
+        m, objects = len(G.arrows), range(len(G.objects))
+        point = rng.getrandbits(m)
+        for x in objects:     # an arrow out of every object, for ctl
+            point |= 1 << rng.choice([g for g in range(m) if G.dom[g] == x])
+        val = {atom: {x for x in objects if rng.random() < 0.5}
+               for atom in "pq"}
+        out[name] = gen.groupoid_document(G, mode, point, val)
+    return out
+
+
+@pytest.mark.parametrize("command", ["eval", "valid"])
+@pytest.mark.parametrize("mode", list(DOCUMENTS))
+def test_groupoid_documents_are_read_without_numpy(tmp_path, capsys, mode,
+                                                   command):
+    for name, text in _groupoid_documents(mode).items():
+        model = tmp_path / f"{name}.model"
+        model.write_text(text)
+        for formula in FORMULAS[mode]:
+            argv = [command, str(model), formula]
+            want = _in_process(capsys, argv)
+            assert want[2] == "", (name, formula)
+            assert _without_numpy(argv) == want, (name, formula)
+
+
+def test_axioms_on_groupoid_documents_runs_without_numpy(tmp_path, capsys):
+    for name, text in _groupoid_documents("classical").items():
+        model = tmp_path / f"{name}.model"
+        model.write_text(text)
+        argv = ["axioms", str(model)]
+        want = _in_process(capsys, argv)
+        assert want[1].count("CHECK") == 6, name
+        assert _without_numpy(argv) == want, name
+
+
+# prints, after each run of the JSON list of argument lists it is given,
+# the command, its exit code and which of the table modules and
+# quantales.groupoids are loaded, as its last line, on stderr
+LOADED = f"""
+import json, sys
+from quantales.cli import main
+watched = {TABLE_MODULES + ("quantales.groupoids",)!r}
+runs = []
+for argv in json.loads(sys.argv[1]):
+    runs.append([argv[0], main(argv), sorted(set(watched) & set(sys.modules))])
+print(json.dumps(runs), file=sys.stderr)
+"""
+
+
+def test_lazy_verdicts_load_no_table_module(tmp_path):
+    # relation documents first: they load no groupoid module either
+    runs = []
+    for n in (1, 3, 4):
+        model = tmp_path / f"rel{n}.model"
+        model.write_text(_relation_document(n, n))
+        runs += [["eval", str(model), "<>p"], ["valid", str(model), "p"],
+                 ["axioms", str(model)]]
+    model = tmp_path / "s3.model"
+    model.write_text(_groupoid_documents("classical")["s3"])
+    runs += [["eval", str(model), "<>p"], ["axioms", str(model)]]
+    proc = subprocess.run([sys.executable, "-c", LOADED, json.dumps(runs)],
+                          capture_output=True, text=True, env=_child_env())
+    loaded = [(command, modules) for command, code, modules
+              in json.loads(proc.stderr.splitlines()[-1]) if code != 2]
+    groupoids = ["quantales.groupoids"]
+    assert loaded == [(command, []) for command in ("eval", "valid",
+                                                    "axioms") * 3] + \
+        [("eval", groupoids), ("axioms", groupoids)]
 
 
 @pytest.mark.parametrize("argv", SWEEPS, ids=["pass", "fail"])
@@ -110,8 +189,9 @@ def test_sweep_runs_without_numpy(capsys, argv):
 
 
 def test_the_command_line_loads_no_table_module():
+    watched = TABLE_MODULES + ("quantales.axioms", "quantales.groupoids")
     probe = ("import sys, quantales.cli\n"
-             f"print(sorted(set({TABLE_MODULES!r}) & set(sys.modules)))")
+             f"print(sorted(set({watched!r}) & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr

@@ -20,12 +20,14 @@ from quantales.parsing import (
     MAX_DEPTH,
     build,
     document_quantale,
+    document_table,
     parse_formula,
     parse_frame,
     parse_model,
     parse_program,
     world_elements,
 )
+from quantales.groupoids import GroupoidQuantale
 from quantales.quantale import Quantale
 from quantales.relations import RelationQuantale, encode
 from quantales.semantics import evaluate
@@ -322,17 +324,26 @@ def test_groupoid_documents_have_an_arrow_cap():
         build(parse_model("\n".join(lines)))
 
 
-def test_document_quantale_is_a_table_when_one_fits():
-    for worlds, table in (("a b c", True), ("a b c d", False)):
+def test_document_quantale_is_lazy_and_document_table_builds_the_table():
+    for worlds in ("a", "a b c", "a b c d"):
         doc = parse_model(f"MODE classical\nWORLDS {worlds}\n"
-                          "REL alpha (a,b) (b,a)\n")
+                          "REL alpha (a,a)\n")
         alpha, q = document_quantale(doc)
-        assert isinstance(q, Quantale) == table
-        assert isinstance(q, RelationQuantale) != table
-        assert alpha == build(doc).alpha
+        assert isinstance(q, RelationQuantale)
+        assert alpha == build(doc).alpha == 1
+        if len(doc.worlds) > 3:
+            with pytest.raises(ModelFormatError, match="limited to 3 worlds"):
+                document_table(doc)
+        else:
+            table_alpha, table = document_table(doc)
+            assert table_alpha == alpha and isinstance(table, Quantale)
     doc = parse_model(Z2_DOC)
     alpha, q = document_quantale(doc)
-    assert q.n == 4 and alpha == build(doc).alpha == 1 << 1
+    assert isinstance(q, GroupoidQuantale)
+    table_alpha, table = document_table(doc)
+    assert isinstance(table, Quantale)
+    assert q.n == table.n == 4
+    assert alpha == table_alpha == build(doc).alpha == 1 << 1
 
 
 def test_document_quantale_has_the_arrow_cap():

@@ -26,7 +26,7 @@ from quantales.axioms import (
     support_law_witnesses,
 )
 from conftest import grid_lattice, m3_lattice, n5_lattice
-from gen import goedel_chain, pair2_z2_quantale, s3_quantale
+from gen import GROUPOIDS, goedel_chain, pair2_z2_quantale, s3_quantale
 from quantales import relations as rel
 from quantales.bimodal import (
     _conjugacy_inequalities,
@@ -41,8 +41,14 @@ from quantales.errors import (
     SupportLocaleLawFails,
 )
 from quantales.formulas import Mode
+from quantales.groupoids import GroupoidQuantale
 from quantales.lattice import chain_lattice, diamond_lattice, powerset_lattice
-from quantales.quantale import make_quantale, relation_quantale, supports_locale
+from quantales.quantale import (
+    groupoid_quantale,
+    make_quantale,
+    relation_quantale,
+    supports_locale,
+)
 from quantales.relations import LocaleMasks, RelationQuantale
 from quantales.semantics import PointedModel
 
@@ -359,6 +365,42 @@ def test_the_scan_takes_every_element_at_one_and_two_worlds():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "scanned\n", "")
 
 
+def _lane_shapes(monkeypatch):
+    'Record (worlds, lanes) of every LaneOps made from now on.'
+    shapes = []
+    real = LaneOps.__init__
+
+    def init(self, n, m):
+        shapes.append((n, m))
+        real(self, n, m)
+    monkeypatch.setattr(LaneOps, "__init__", init)
+    return shapes
+
+
+@pytest.mark.parametrize("n, lanes", [(1, 2), (2, 16), (3, 512), (4, 150)])
+def test_the_scan_takes_every_element_up_to_512(monkeypatch, n, lanes):
+    shapes = _lane_shapes(monkeypatch)
+    support_law_witnesses(RelationQuantale(tuple(range(n))), 1)
+    assert shapes == [(n, lanes)]
+
+
+@pytest.mark.parametrize("name", list(GROUPOIDS))
+def test_a_groupoid_scan_is_the_scalar_reference(monkeypatch, name):
+    G = GROUPOIDS[name]()
+    q = GroupoidQuantale(G)
+    alpha = random.Random(name).getrandbits(q.m)
+    shapes = _lane_shapes(monkeypatch)
+    got = support_law_witnesses(q, alpha)
+    # every element, on lanes of relations on the arrows
+    assert shapes == [(q.m, q.n)]
+    assert got == [(law, None) for law in LAW_NAMES]
+    table = groupoid_quantale(G)
+    assert got == oracles.support_checks_by_scalars(
+        q, alpha, through=(table, lambda a: a))
+    if q.n <= 64:
+        assert got == oracles.support_checks_by_scalars(q, alpha)
+
+
 def _ones(n, count):
     'Bit 0 of each of count fields of n bits.'
     return sum(1 << t * n for t in range(count))
@@ -445,7 +487,7 @@ CORRUPTIONS = {
 
 
 @pytest.mark.parametrize("name", list(CORRUPTIONS))
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_both_scans_name_the_same_witness_of_a_broken_law(monkeypatch, name, n):
     scalar, lane_op, corrupt = CORRUPTIONS[name]
     bad_scalar, bad_lanes = corrupt(getattr(RelationQuantale, scalar),
@@ -456,6 +498,26 @@ def test_both_scans_name_the_same_witness_of_a_broken_law(monkeypatch, name, n):
     alpha = _sample_point(n, 3)
     got = support_law_witnesses(q, alpha)
     assert got == oracles.support_checks_by_scalars(q, alpha)
+    assert any(witness is not None for _, witness in got), got
+
+
+@pytest.mark.parametrize("name", list(CORRUPTIONS))
+@pytest.mark.parametrize("groupoid", ["s3", "pair2+z2"])
+def test_both_scans_name_the_same_witness_of_a_broken_law_on_a_groupoid(
+        monkeypatch, name, groupoid):
+    # the lanes hold the regular representations, relations on the
+    # arrows, so the scalar reference breaks the relation quantale on the
+    # arrows in the same way and decides each law at those images
+    q = GroupoidQuantale(GROUPOIDS[groupoid]())
+    scalar, lane_op, corrupt = CORRUPTIONS[name]
+    bad_scalar, bad_lanes = corrupt(getattr(RelationQuantale, scalar),
+                                    getattr(LaneOps, lane_op), q.m)
+    monkeypatch.setattr(RelationQuantale, scalar, bad_scalar)
+    monkeypatch.setattr(LaneOps, lane_op, bad_lanes)
+    alpha = random.Random(3).getrandbits(q.m)
+    got = support_law_witnesses(q, alpha)
+    assert got == oracles.support_checks_by_scalars(
+        q, alpha, through=(RelationQuantale(tuple(range(q.m))), q.regular))
     assert any(witness is not None for _, witness in got), got
 
 

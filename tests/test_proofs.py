@@ -8,11 +8,11 @@ import itertools
 
 import pytest
 
+import quantales.axioms
 import quantales.bimodal
 import quantales.lattice
 import quantales.nucleus
 import quantales.quantale
-from quantales.axioms import check_point_diamonds
 from quantales.bimodal import (
     check_conjugacy,
     conjugate_pairs,
@@ -28,8 +28,14 @@ from quantales.lattice import (
     diamond_lattice,
     powerset_lattice,
 )
-from quantales.nucleus import Nucleus, is_nucleus, least_nucleus, nucleus_join
-from quantales.parsing import document_quantale, parse_model
+from quantales.nucleus import (
+    Nucleus,
+    is_nucleus,
+    least_nucleus,
+    nucleus_join,
+    quotient,
+)
+from quantales.parsing import document_table, parse_model
 from quantales.quantale import (
     Quantale,
     make_quantale,
@@ -173,22 +179,38 @@ def test_closure_from_meet_closed_checks_once(closure_checks):
 
 # --- support laws ---------------------------------------------------------
 
-def test_axioms_proves_the_support_laws_once(tmp_path, capsys, monkeypatch):
+def test_quotient_proves_the_support_laws_once_per_table(tmp_path, capsys,
+                                                        monkeypatch):
     model = tmp_path / "m.model"
     model.write_text(THREE_WORLDS)
+    tables = counting(monkeypatch, [quantales.quantale, quantales.nucleus],
+                      "make_quantale")
     proofs = counting(monkeypatch, [quantales.quantale], "_check_support")
     supports = counting(monkeypatch, [Quantale], "support")
-    assert main(["axioms", str(model)]) == 0
+    assert main(["quotient", str(model), "--system", "T"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 6
-    assert len(proofs) == 1
+    assert out.count("PASS") == 2
+    # the document's table and the quotient's, each proved once, when built
+    assert len(tables) == len(proofs) == 2
+    assert [p[0] for p in proofs] == [t[0] for t in tables]
     cli_supports = len(supports)
-    # every support the CLI takes is for the conjugacy check and the flags
+    # every support the CLI takes is for the nucleus, quotient and flags
     supports.clear()
-    alpha, q = document_quantale(parse_model(THREE_WORLDS))
-    check_point_diamonds(q, alpha)
-    check_point_properties(q, alpha)
+    alpha, q = document_table(parse_model(THREE_WORLDS))
+    quot = quotient(q, least_nucleus(q, system_pairs(q, alpha, "T")))
+    check_point_properties(quot.quantale, quot.projection[alpha])
     assert cli_supports == len(supports)
+
+
+def test_axioms_scans_the_support_laws_once_without_a_table(tmp_path, capsys,
+                                                           monkeypatch):
+    model = tmp_path / "m.model"
+    model.write_text(THREE_WORLDS)
+    tables = counting(monkeypatch, [quantales.quantale], "make_quantale")
+    scans = counting(monkeypatch, [quantales.axioms], "support_law_witnesses")
+    assert main(["axioms", str(model)]) == 0
+    assert capsys.readouterr().out.count("PASS") == 6
+    assert tables == [] and len(scans) == 1
 
 
 def test_a_broken_support_table_prints_no_check_line(tmp_path, capsys,
@@ -203,7 +225,7 @@ def test_a_broken_support_table_prints_no_check_line(tmp_path, capsys,
     monkeypatch.setattr(quantales.quantale, "relation_quantale", corrupted)
     model = tmp_path / "m.model"
     model.write_text(TWO_WORLDS)
-    assert main(["axioms", str(model)]) == 1
+    assert main(["quotient", str(model), "--system", "T"]) == 1
     out, err = capsys.readouterr()
     assert "CHECK" not in out
     assert err.startswith("ERROR:")
