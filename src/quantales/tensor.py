@@ -22,7 +22,8 @@ report plain `LAW <name> PASS|FAIL` lines.  The samples and every index
 grid depend on the frame alone, so SampleGrids builds them once per
 frame for all of its diamond pairs; within a pair, samples that read
 the same in every word of a law are interchangeable, and each law is
-decided once per class of them.
+decided once per class of them.  A grid that takes every tuple is kept
+as its shape and decided on tuples of classes alone.
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ class TensorAlgebra:
             tuple(p for p in range(m) if lattice.leq(self.irr[p], x))
             for x in range(lattice.n))
         self._max_cache = {}
+        self._pair = None
         self._transformers = {}
         self.bottom = GradedElement(())
         self.unit = self.embed(lattice.top)
@@ -209,8 +211,12 @@ class TensorAlgebra:
         over the base: F_a(y) is the join, over the maximal tuples t of
         each component of a, say of degree w1...wk, of
         t0 /\\ <w1>(t1 /\\ ... <wk>(tk /\\ y)).  Built once per element and
-        pair, and cached under the parts of a, which hash faster than a."""
-        cache = self._transformers.setdefault((dia, bdia), {})
+        pair, and cached under the parts of a, which hash faster than a.
+        Only the tables of the pair last served are kept: a caller checks
+        one pair at a time, so a new pair drops the old one's tables."""
+        if (dia, bdia) != self._pair:
+            self._pair, self._transformers = (dia, bdia), {}
+        cache = self._transformers
         got = cache.get(a.parts)
         if got is None:
             L = self.lattice
@@ -291,15 +297,27 @@ def _grid(domains, budget: int, rng: random.Random):
             yield tuple(rng.choice(d) for d in domains)
 
 
+class FullGrid(Record):
+    """Every tuple of arity sample indices below k, in np.indices order,
+    which is lexicographic; when weights is set, only the tuples whose
+    product fits the depth, each sample taken weight times and
+    extra_degree letters more (see SampleGrids.fitting).  It is never
+    listed: _Suite.law decides it on tuples of sample classes."""
+
+    __slots__ = _fields = ("k", "arity", "weights", "extra_degree")
+    _defaults = {"weights": None, "extra_degree": 0}
+
+
 def _index_grid(k: int, arity: int, budget: int, rng: random.Random):
-    """The _grid over arity copies of range(k), as an array with one row
-    of sample indices per case, in the same order and with the same
-    draws."""
+    """The _grid over arity copies of range(k): a FullGrid when it takes
+    every tuple, else the drawn rows of sample indices, one per case, with
+    the same draws in the same order, in the narrowest unsigned type that
+    holds k - 1."""
     if k ** arity <= budget:
-        return np.indices((k,) * arity).reshape(arity, -1).T
+        return FullGrid(k, arity)
     draws = itertools.chain.from_iterable(
         _grid((range(k),) * arity, budget, rng))
-    return np.fromiter(draws, dtype=np.int64,
+    return np.fromiter(draws, dtype=np.min_scalar_type(k - 1),
                        count=budget * arity).reshape(budget, arity)
 
 
@@ -348,7 +366,8 @@ class SampleGrids:
     Those laws all draw the same shape, so a grid is fixed by its
     position in that order; all five are drawn here, and a diamond
     pair's T, K4 and S5 flags choose how many it takes, never what is in
-    them.
+    them.  A grid within its budget is a FullGrid, its shape and depth
+    filter alone; only drawn grids are arrays.
     """
 
     def __init__(self, algebra: TensorAlgebra, samples=None):
@@ -380,12 +399,29 @@ class SampleGrids:
         self.lemma_pairs = tuple(_index_grid(k, 2, _LEMMA_B_PAIRS, rng)
                                  for _ in range(5))
 
-    def fitting(self, cases, weights, extra_degree=0) -> np.ndarray:
-        """The rows of cases whose product fits the depth, with each
-        sample taken weight times and extra_degree letters more."""
-        need = extra_degree + sum(w * self.degrees[rows]
-                                  for w, rows in zip(weights, cases.T))
-        return cases[need <= self.algebra.depth]
+    def fitting(self, cases, weights, extra_degree=0):
+        """The cases whose product fits the depth, with each sample taken
+        weight times and extra_degree letters more: a FullGrid that
+        records the filter, or the fitting rows of a drawn grid."""
+        if isinstance(cases, FullGrid):
+            return FullGrid(cases.k, cases.arity, weights, extra_degree)
+        return cases[self.fits(cases, weights, extra_degree)]
+
+    def fits(self, rows, weights, extra_degree=0) -> np.ndarray:
+        'Which rows of sample indices pass the depth filter of fitting.'
+        need = extra_degree + sum(w * self.degrees[col]
+                                  for w, col in zip(weights, rows.T))
+        return need <= self.algebra.depth
+
+    def empty(self, cases) -> bool:
+        """Whether a grid has no case.  Degrees are nonnegative, so some
+        tuple of a FullGrid fits iff the tuple that repeats a sample of
+        least degree does."""
+        if not isinstance(cases, FullGrid):
+            return not len(cases)
+        lightest = np.full((1, cases.arity), np.argmin(self.degrees))
+        return (cases.weights is not None and not
+                self.fits(lightest, cases.weights, cases.extra_degree)[0])
 
 
 # --- reports --------------------------------------------------------------
@@ -459,15 +495,15 @@ class _Suite:
     through those four values, so samples that agree on all four are
     interchangeable: every case gets the same verdict, and the same
     overflow mark, as the case of its classes' representatives.  law()
-    runs holds with this object as o, on whole index arrays, over the
-    grid of all class tuples when it is smaller than the law's grid and
-    over the cases themselves otherwise; either way every case has its
-    verdict.  ss is a right fold of table lookups over every case, and it
-    marks the cases whose product would raise DepthExceeded.  At the
-    first case in grid order that fails or overflows, law() runs holds
-    again on that case's graded elements, through support_of_product:
-    that raises DepthExceeded there exactly as the element-wise scan did,
-    and anywhere else it must agree that the law fails.
+    runs holds with this object as o, on whole index arrays, over tuples
+    of classes or over the cases themselves, so that every case has its
+    verdict; a grid that takes every tuple is never listed.  ss is a
+    right fold of table lookups over every case, and it marks the cases
+    whose product would raise DepthExceeded.  At the first case in grid
+    order that fails or overflows, law() runs holds again on that case's
+    graded elements, through support_of_product: that raises
+    DepthExceeded there exactly as the element-wise scan did, and
+    anywhere else it must agree that the law fails.
     """
 
     def __init__(self, algebra: TensorAlgebra, dia, bdia, samples):
@@ -543,25 +579,50 @@ class _Suite:
                            for rows in cases.T))
         return ~ok | self.over
 
-    def law(self, name: str, cases: np.ndarray, holds, describe) -> LawResult:
-        'One law over the rows of cases, sample indices, in order.'
-        shape = (len(self.reps),) * cases.shape[1]
-        if math.prod(shape) < len(cases):
-            tuples = np.indices(shape).reshape(len(shape), -1).T
-            bad = self._bad(self.reps[tuples], holds)
-            if bad.any():   # else every case is good
-                bad = bad[np.ravel_multi_index(tuple(self.classes[cases].T),
-                                               shape)]
-        else:
-            bad = self._bad(cases, holds)
-        if not bad.any():
+    def law(self, name: str, cases, holds, describe) -> LawResult:
+        """One law over a grid of cases, sample indices, in order.
+
+        A FullGrid is decided on every tuple of classes that fits its depth
+        filter, and never listed: each representative is the least sample
+        of its class, and fitting reads only degrees, which a class
+        shares, so the first case that fails or overflows is the least
+        such tuple of representatives.  A drawn grid is decided on all
+        class tuples when there are fewer of them than rows, each row
+        reading its classes' verdict, and row by row otherwise.
+        """
+        first = self._first_bad(cases, holds)
+        if first is None:
             return LawResult(name, True)
-        case = [self.samples[i] for i in cases[int(np.argmax(bad))]]
+        case = [self.samples[i] for i in first]
         if holds(self.elements, *case):
             raise InternalValidationFailed(
                 f"law {name}: table and element folds disagree at "
                 f"{describe(*case)}")
         return LawResult(name, False, describe(*case))
+
+    def _first_bad(self, cases, holds):
+        'The first case in grid order that fails or overflows, or None.'
+        if isinstance(cases, FullGrid):
+            rows = self._class_tuples(cases.arity)
+            if cases.weights is not None:
+                rows = rows[self.grids.fits(rows, cases.weights,
+                                            cases.extra_degree)]
+            bad = rows[self._bad(rows, holds)]
+            return bad[np.lexsort(bad.T[::-1])[0]] if len(bad) else None
+        shape = (len(self.reps),) * cases.shape[1]
+        if math.prod(shape) < len(cases):
+            bad = self._bad(self._class_tuples(cases.shape[1]), holds)
+            if bad.any():   # else every case is good
+                bad = bad[np.ravel_multi_index(tuple(self.classes[cases].T),
+                                               shape)]
+        else:
+            bad = self._bad(cases, holds)
+        return cases[int(np.argmax(bad))] if bad.any() else None
+
+    def _class_tuples(self, arity: int) -> np.ndarray:
+        'Every tuple of class representatives, in np.indices order.'
+        shape = (len(self.reps),) * arity
+        return self.reps[np.indices(shape).reshape(arity, -1).T]
 
     def show(self, a: GradedElement) -> str:
         return show_element(self.algebra, a)
@@ -644,7 +705,7 @@ def check_lemmaB_inequalities(algebra: TensorAlgebra, dia: Sequence[int],
     grids = suite.grids
 
     def eligible(cases):
-        if not len(cases):
+        if grids.empty(cases):
             raise DepthExceeded(
                 f"no sample instance fits within depth {algebra.depth}")
         return cases

@@ -197,12 +197,34 @@ def support_by_combinations(algebra, dia, bdia, elems):
 # of interchangeable samples; patched in as _Suite.law, this runs every case
 # of the law's grid on its own samples' tables.
 
+def grid_rows(grids, cases):
+    """The rows of sample indices of a law grid: a drawn grid as it is, a
+    tensor.FullGrid listed in np.indices order and kept to the tuples that
+    pass its depth filter."""
+    import numpy as np
+
+    if isinstance(cases, np.ndarray):
+        return cases
+    rows = np.indices((cases.k,) * cases.arity).reshape(cases.arity, -1).T
+    if cases.weights is None:
+        return rows
+    return fit_rows(grids, rows, cases.weights, cases.extra_degree)
+
+
+def fit_rows(grids, rows, weights, extra_degree=0):
+    'The rows whose product fits the depth, each sample taken weight times.'
+    need = extra_degree + sum(w * grids.degrees[col]
+                              for w, col in zip(weights, rows.T))
+    return rows[need <= grids.algebra.depth]
+
+
 def laws_by_cases(suite, name, cases, holds, describe):
     'One law over the rows of cases, sample indices, in order.'
     import numpy as np
 
     from quantales.errors import InternalValidationFailed
     from quantales.tensor import LawResult, _Factor
+    cases = grid_rows(suite.grids, cases)
     suite.over = np.zeros(len(cases), dtype=bool)
     ok = holds(suite, *(_Factor(suite.tables, rows, suite.degrees[rows],
                                 suite.live[rows], suite.inv_tables)

@@ -10,6 +10,7 @@ the down-set components are required to be order-isomorphic to that.
 import itertools
 import math
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +24,7 @@ from quantales.bimodal import (
     conjugate_pairs,
     diamonds_from_point,
 )
+from quantales.cli import main
 from quantales.errors import DepthExceeded, NotAFrame
 from quantales.lattice import (
     chain_lattice,
@@ -39,6 +41,8 @@ from quantales.quantale import (
 )
 from quantales.relations import RelationQuantale, encode
 from quantales.tensor import (
+    FullGrid,
+    GradedElement,
     GradingWitness,
     InvolutiveMonoid,
     LawResult,
@@ -46,7 +50,6 @@ from quantales.tensor import (
     TensorAlgebra,
     _first_failure,
     _grid,
-    _index_grid,
     check_graded_nucleus,
     check_grading,
     check_lemmaB_inequalities,
@@ -78,6 +81,8 @@ A_P2 = TensorAlgebra(P2, depth=4)
 
 
 from oracles import (
+    fit_rows,
+    grid_rows,
     irr_below,
     join_reversing_maps,
     laws_by_cases,
@@ -442,6 +447,30 @@ def test_scalar_transformers_are_meet_rows():
                 L.meet(x, y) for y in range(L.n))
 
 
+def test_transformer_tables_are_kept_for_the_last_pair_only():
+    # both suites of a pair share its tables, and the next pair drops
+    # them: what is held is the second pair's, as a fresh algebra builds
+    A = TensorAlgebra(CH3, depth=8)
+    grids = SampleGrids(A)
+    (dia1, bdia1), (dia2, bdia2) = list(conjugate_pairs(CH3))[:2]
+    for dia, bdia in ((dia1, bdia1), (dia2, bdia2)):
+        check_presupport_laws(A, dia, bdia, grids)
+        shared = dict(A._transformers)
+        check_lemmaB_inequalities(A, dia, bdia, grids)
+        assert all(A._transformers[parts] is table
+                   for parts, table in shared.items())
+    used = (grids.samples + grids.involutes
+            + [A.embed(x) for x in range(CH3.n)]
+            + [A.alpha_bar("a"), A.alpha_bar("A")])
+    assert A._pair == (dia2, bdia2)
+    assert set(A._transformers) == {e.parts for e in used}
+    fresh = TensorAlgebra(CH3, depth=8)
+    for parts, table in A._transformers.items():
+        assert table == fresh.transformer(dia2, bdia2, GradedElement(parts))
+    assert any(table != fresh.transformer(dia1, bdia1, GradedElement(parts))
+               for parts, table in A._transformers.items())
+
+
 def outcome(f, *args):
     'The value of f(*args), or the DepthExceeded message it raises.'
     try:
@@ -653,19 +682,66 @@ def test_class_decided_laws_are_the_per_case_scan(frame, budgets,
 
 @pytest.mark.parametrize("depth", [3, 6, 7])
 @pytest.mark.parametrize("L,pair", [(P2, P2_NON_CONJUGATE),
+                                    (P2, P2_SWAPPING),
                                     (CH3, CH3_NON_CONJUGATE),
                                     (CH3, (identity(CH3),) * 2)],
-                         ids=["powerset2", "chain3", "chain3-identity"])
+                         ids=["powerset2", "powerset2-swapping", "chain3",
+                              "chain3-identity"])
 def test_class_decided_laws_at_shallow_depths_are_the_per_case_scan(
         L, pair, depth, monkeypatch):
     # below depth 8 some product overflows: the first case that fails or
-    # overflows decides, with the same witness or DepthExceeded message
+    # overflows decides, with the same witness or DepthExceeded message;
+    # the Lemma B suite on its own drops the triples and pairs whose
+    # sides overflow, and decides the cases that are left
     A = TensorAlgebra(L, depth=depth)
     grids = SampleGrids(A)
-    got = both_suites(A, *pair, grids)
-    assert isinstance(got, str) or not all(got)
+    assert len(grid_rows(grids, grids.defining_triples)) < len(
+        grids.samples) ** 3
+    got = [both_suites(A, *pair, grids),
+           outcome(check_lemmaB_inequalities, A, *pair, grids)]
+    assert isinstance(got[0], str) or not all(got[0])
+    assert isinstance(got[1], list)
     monkeypatch.setattr(quantales.tensor._Suite, "law", laws_by_cases)
-    assert got == both_suites(A, *pair, grids)
+    assert got == [both_suites(A, *pair, grids),
+                   outcome(check_lemmaB_inequalities, A, *pair, grids)]
+
+
+@pytest.mark.parametrize("pair", [(identity(P2),) * 2, P2_SWAPPING],
+                         ids=["identity", "swapping"])
+def test_a_lemmaB_grid_where_nothing_fits_raises_as_the_scan(pair,
+                                                             monkeypatch):
+    # every sample has degree 1 or 2, so no defining-pair triple fits
+    # depth 3: the grid is empty before any law runs, on a full grid and
+    # on a drawn one
+    A = TensorAlgebra(P2, depth=3)
+    samples = [A.alpha_bar(w) for w in ("a", "A", "aA", "aa")]
+    want = "raises no sample instance fits within depth 3"
+    for budget in (64, 63):
+        monkeypatch.setattr(quantales.tensor, "_TRIPLES", budget)
+        grids = SampleGrids(A, samples)
+        assert isinstance(grids.defining_triples, FullGrid) == (budget == 64)
+        assert outcome(check_lemmaB_inequalities, A, *pair, grids) == want
+        with monkeypatch.context() as m:
+            m.setattr(quantales.tensor._Suite, "law", laws_by_cases)
+            assert outcome(check_lemmaB_inequalities, A, *pair,
+                           grids) == want
+
+
+def index_rows(k, arity, budget, rng):
+    'The tuples the _grid over arity copies of range(k) takes, as rows.'
+    rows = list(_grid((range(k),) * arity, budget, rng))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), arity)
+
+
+def assert_grid_lists(grids, got, want, full, label):
+    # a grid that takes every tuple is a FullGrid and holds no array; a
+    # drawn one is an array of the narrowest type for its sample indices
+    assert isinstance(got, FullGrid) == full, label
+    if full:
+        assert not any(isinstance(v, np.ndarray) for v in got._values())
+    else:
+        assert got.dtype == np.min_scalar_type(len(grids.samples) - 1)
+    assert np.array_equal(grid_rows(grids, got), want), label
 
 
 @pytest.mark.parametrize("flags", list(itertools.product((False, True),
@@ -687,28 +763,24 @@ def test_shared_grids_are_the_fresh_draws(flags, monkeypatch):
         used.append((name, cases)) or LawResult(name, True))
     A = TensorAlgebra(CH3, depth=5)
     grids = SampleGrids(A)
-    k, degree = len(grids.samples), grids.degrees
-
-    def fits(cases, weights, extra=0):
-        need = extra + sum(w * degree[c] for w, c in zip(weights, cases.T))
-        return cases[need <= A.depth]
+    k = len(grids.samples)
 
     rng = random.Random(0)
-    each = _index_grid(k, 1, k, rng)
-    pairs = [_index_grid(k, 2, 40, rng) for _ in range(3)]
+    each = index_rows(k, 1, k, rng)
+    pairs = [index_rows(k, 2, 40, rng) for _ in range(3)]
     want = [("support-below-unit", each), ("support-idempotent", each),
             ("support-product", pairs[0]), ("stability", pairs[1]),
             ("conjugacy-a", each), ("conjugacy-b", pairs[2]),
-            ("conjugacy-c", _index_grid(k, 3, 300, rng))]
+            ("conjugacy-c", index_rows(k, 3, 300, rng))]
     rng = random.Random(0)
-    want.append(("defining-pair", fits(_index_grid(k, 3, 300, rng),
-                                       (1, 2, 1))))
+    want.append(("defining-pair", fit_rows(grids, index_rows(k, 3, 300, rng),
+                                           (1, 2, 1))))
     for name, cls, extra in (("t-alpha", "T", 1), ("t-alpha-inv", "T", 1),
                              ("k4-alpha", "K4", 2), ("k4-alpha-inv", "K4", 2),
                              ("s5-exchange", "S5", 1)):
         if flag[cls]:
-            want.append((name, fits(_index_grid(k, 2, 30, rng), (1, 1),
-                                    extra)))
+            want.append((name, fit_rows(grids, index_rows(k, 2, 30, rng),
+                                        (1, 1), extra)))
     assert all(len(cases) < k ** cases.shape[1]     # all of them drawn
                for _, cases in want if cases is not each)
     for dia, bdia in list(conjugate_pairs(CH3))[:2]:
@@ -717,7 +789,7 @@ def test_shared_grids_are_the_fresh_draws(flags, monkeypatch):
         check_lemmaB_inequalities(A, dia, bdia, grids)
         assert [name for name, _ in used] == [name for name, _ in want]
         for (name, got), (_, cases) in zip(used, want):
-            assert np.array_equal(got, cases), name
+            assert_grid_lists(grids, got, cases, cases is each, name)
 
 
 @pytest.mark.parametrize("L", [CH2, CH3, powerset_lattice("abc")],
@@ -729,18 +801,39 @@ def test_default_grids_are_the_fresh_draws(L):
     A = TensorAlgebra(L, depth=8)
     grids = SampleGrids(A)
     k = len(grids.samples)
+    budgets = [(1, k), *[(2, 25000)] * 3, (3, 200000)]
     rng = random.Random(0)
-    want = [_index_grid(k, 1, k, rng),
-            *(_index_grid(k, 2, 25000, rng) for _ in range(3)),
-            _index_grid(k, 3, 200000, rng)]
+    want = [index_rows(k, arity, budget, rng) for arity, budget in budgets]
     rng = random.Random(0)
-    want.append(grids.fitting(_index_grid(k, 3, 200000, rng), (1, 2, 1)))
-    want += [_index_grid(k, 2, 4000, rng) for _ in range(5)]
+    want.append(fit_rows(grids, index_rows(k, 3, 200000, rng), (1, 2, 1)))
+    budgets.append((3, 200000))
+    want += [index_rows(k, 2, 4000, rng) for _ in range(5)]
+    budgets += [(2, 4000)] * 5
     got = [grids.each, *grids.support_pairs, grids.support_triples,
            grids.defining_triples, *grids.lemma_pairs]
     assert len(got) == len(want)
-    for i, (g, w) in enumerate(zip(got, want)):
-        assert np.array_equal(g, w), i
+    for i, (g, w, (arity, budget)) in enumerate(zip(got, want, budgets)):
+        assert_grid_lists(grids, g, w, k ** arity <= budget, i)
+
+
+@pytest.mark.parametrize("text", [
+    "ELEMENTS 0 1 2\nLEQ (0,1) (1,2)\n",
+    "ELEMENTS 0 a b 1\nLEQ (0,a) (0,b) (a,1) (b,1)\n"],
+    ids=["chain3", "diamond"])
+def test_tensor_verify_lists_no_full_grid(text, tmp_path, capsys):
+    # every grid of these frames takes every tuple, and none is listed:
+    # the heap peak stays far below the 2.5 MB of one 3-chain triple grid
+    frame = tmp_path / "frame.txt"
+    frame.write_text(text)
+    tracemalloc.start()
+    try:
+        rc = main(["tensor-verify", "--frame", str(frame)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert peak < 2e6
 
 
 def test_an_empty_sample_list_is_refused_before_any_law(monkeypatch):
