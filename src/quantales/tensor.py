@@ -17,13 +17,13 @@ element a acts on the base as one join-preserving map, its support
 transformer F_a (a cached table), and the pre-support of a product
 a1 ... am is F_a1(... F_am(top)).  The law suites below exercise the
 support laws, the modal-system inequalities and the grading axioms on
-finite sample grids, as table lookups over whole grids of cases, and
-report plain `LAW <name> PASS|FAIL` lines.  The samples and every index
-grid depend on the frame alone, so SampleGrids builds them once per
-frame for all of its diamond pairs; within a pair, samples that read
-the same in every word of a law are interchangeable, and each law is
-decided once per class of them.  A grid that takes every tuple is kept
-as its shape and decided on tuples of classes alone.
+finite sample grids, as table lookups over whole arrays of cases, and
+report plain `LAW <name> PASS|FAIL` lines.  The support and Lemma B
+laws take every tuple of a finite sample list, none drawn.  The samples
+depend on the frame alone, so SampleGrids builds them once per frame for
+all of its diamond pairs; within a pair, samples that read the same in
+every word of a law are interchangeable, and each law is decided once
+per tuple of classes of them, so no grid of samples is ever listed.
 """
 
 from __future__ import annotations
@@ -277,11 +277,10 @@ class TensorAlgebra:
 
 # --- sample grids ---------------------------------------------------------
 
-# The seed and the budgets of the law checks' one sampling rule, _grid.
+# The seed of the module's two seeded choices: default_samples joins
+# _JOINS drawn pairs, and check_graded_nucleus draws _FAMILIES families
+# through _grid when there are more than that.
 _SEED = 0
-_PRESUPPORT_PAIRS = 25000
-_LEMMA_B_PAIRS = 4000
-_TRIPLES = 200000
 _FAMILIES = 4096
 _JOINS = 6
 
@@ -298,27 +297,14 @@ def _grid(domains, budget: int, rng: random.Random):
 
 
 class FullGrid(Record):
-    """Every tuple of arity sample indices below k, in np.indices order,
-    which is lexicographic; when weights is set, only the tuples whose
-    product fits the depth, each sample taken weight times and
-    extra_degree letters more (see SampleGrids.fitting).  It is never
-    listed: _Suite.law decides it on tuples of sample classes."""
+    """Every tuple of arity sample indices, in np.indices order, which is
+    lexicographic; when weights is set, only the tuples whose product
+    fits the depth, each sample taken weight times and extra_degree
+    letters more (see SampleGrids.fits).  It is never listed: _Suite.law
+    decides it on tuples of sample classes."""
 
-    __slots__ = _fields = ("k", "arity", "weights", "extra_degree")
+    __slots__ = _fields = ("arity", "weights", "extra_degree")
     _defaults = {"weights": None, "extra_degree": 0}
-
-
-def _index_grid(k: int, arity: int, budget: int, rng: random.Random):
-    """The _grid over arity copies of range(k): a FullGrid when it takes
-    every tuple, else the drawn rows of sample indices, one per case, with
-    the same draws in the same order, in the narrowest unsigned type that
-    holds k - 1."""
-    if k ** arity <= budget:
-        return FullGrid(k, arity)
-    draws = itertools.chain.from_iterable(
-        _grid((range(k),) * arity, budget, rng))
-    return np.fromiter(draws, dtype=np.min_scalar_type(k - 1),
-                       count=budget * arity).reshape(budget, arity)
 
 
 def pure_samples(algebra: TensorAlgebra, max_degree: int = 2) -> list:
@@ -354,20 +340,12 @@ def default_samples(algebra: TensorAlgebra) -> list:
 
 
 class SampleGrids:
-    """The samples of one frame's law suites and every index grid they
-    run on, built once and shared by all of the frame's diamond pairs.
-
-    None of it depends on the pair: the samples are default_samples
-    unless given, and each suite's grids are the draws its laws make, in
-    their order, from a fresh Random(_SEED) per suite.  The support suite
-    takes every sample once, then three pair grids and a triple grid;
-    the Lemma B suite takes its triple grid, kept to the triples whose
-    sides fit the depth, then one pair grid per modal-class law it runs.
-    Those laws all draw the same shape, so a grid is fixed by its
-    position in that order; all five are drawn here, and a diamond
-    pair's T, K4 and S5 flags choose how many it takes, never what is in
-    them.  A grid within its budget is a FullGrid, its shape and depth
-    filter alone; only drawn grids are arrays.
+    """The samples of one frame's law suites, with what the laws read of
+    each sample besides its tables: its involute, its degree and whether
+    it is nonzero.  None of it depends on the diamond pair, so it is
+    built once and shared by all of the frame's pairs.  The samples are
+    default_samples unless given.  Every law runs on a FullGrid, all
+    tuples of samples of its arity, so no grid is held here.
     """
 
     def __init__(self, algebra: TensorAlgebra, samples=None):
@@ -377,51 +355,26 @@ class SampleGrids:
         if not self.samples:
             raise ValueError("the sample list is empty: every law would "
                              "pass vacuously")
-        k = len(self.samples)
         self.involutes = [algebra.inv(e) for e in self.samples]
         self.degrees = np.array([algebra.degree(e) for e in self.samples],
                                 dtype=np.int64)
         self.live = np.array([not e.is_bottom for e in self.samples],
                              dtype=bool)
-        rng = random.Random(_SEED)
-        self.each = _index_grid(k, 1, k, rng)
-        self.support_pairs = tuple(_index_grid(k, 2, _PRESUPPORT_PAIRS, rng)
-                                   for _ in range(3))
-        self.support_triples = _index_grid(k, 3, _TRIPLES, rng)
-        # When the pair grids drew nothing, the support suite's triple grid
-        # was the first draw of its Random(_SEED), as the Lemma B suite's
-        # is, and rng now stands where a fresh one would after that draw.
-        triples = self.support_triples
-        if k * k > _PRESUPPORT_PAIRS:
-            rng = random.Random(_SEED)
-            triples = _index_grid(k, 3, _TRIPLES, rng)
-        self.defining_triples = self.fitting(triples, (1, 2, 1))
-        self.lemma_pairs = tuple(_index_grid(k, 2, _LEMMA_B_PAIRS, rng)
-                                 for _ in range(5))
-
-    def fitting(self, cases, weights, extra_degree=0):
-        """The cases whose product fits the depth, with each sample taken
-        weight times and extra_degree letters more: a FullGrid that
-        records the filter, or the fitting rows of a drawn grid."""
-        if isinstance(cases, FullGrid):
-            return FullGrid(cases.k, cases.arity, weights, extra_degree)
-        return cases[self.fits(cases, weights, extra_degree)]
 
     def fits(self, rows, weights, extra_degree=0) -> np.ndarray:
-        'Which rows of sample indices pass the depth filter of fitting.'
+        """Which rows of sample indices have a product that fits the depth,
+        each sample taken weight times and extra_degree letters more."""
         need = extra_degree + sum(w * self.degrees[col]
                                   for w, col in zip(weights, rows.T))
         return need <= self.algebra.depth
 
-    def empty(self, cases) -> bool:
-        """Whether a grid has no case.  Degrees are nonnegative, so some
-        tuple of a FullGrid fits iff the tuple that repeats a sample of
-        least degree does."""
-        if not isinstance(cases, FullGrid):
-            return not len(cases)
-        lightest = np.full((1, cases.arity), np.argmin(self.degrees))
-        return (cases.weights is not None and not
-                self.fits(lightest, cases.weights, cases.extra_degree)[0])
+    def empty(self, grid: FullGrid) -> bool:
+        """Whether no tuple of a grid fits.  Degrees are nonnegative, so
+        some tuple fits iff the tuple that repeats a sample of least
+        degree does."""
+        lightest = np.full((1, grid.arity), np.argmin(self.degrees))
+        return (grid.weights is not None and not
+                self.fits(lightest, grid.weights, grid.extra_degree)[0])
 
 
 # --- reports --------------------------------------------------------------
@@ -495,11 +448,10 @@ class _Suite:
     through those four values, so samples that agree on all four are
     interchangeable: every case gets the same verdict, and the same
     overflow mark, as the case of its classes' representatives.  law()
-    runs holds with this object as o, on whole index arrays, over tuples
-    of classes or over the cases themselves, so that every case has its
-    verdict; a grid that takes every tuple is never listed.  ss is a
-    right fold of table lookups over every case, and it marks the cases
-    whose product would raise DepthExceeded.  At the first case in grid
+    runs holds with this object as o, on whole index arrays over tuples
+    of classes, so that every case has its verdict while no grid is ever
+    listed.  ss is a right fold of table lookups over every case, and it
+    marks the cases whose product would raise DepthExceeded.  At the first case in grid
     order that fails or overflows, law() runs holds again on that case's
     graded elements, through support_of_product: that raises
     DepthExceeded there exactly as the element-wise scan did, and
@@ -528,9 +480,9 @@ class _Suite:
         self.live = grids.live
         keys = np.column_stack((self.tables, self.inv_tables, self.degrees,
                                 self.live))
-        _, self.reps, classes = np.unique(
-            keys, axis=0, return_index=True, return_inverse=True)
-        self.classes = classes.ravel()
+        # each class by its least sample, classes in the order of those
+        _, reps = np.unique(keys, axis=0, return_index=True)
+        self.reps = np.sort(reps)
         self.over = np.zeros(0, dtype=bool)
         ss = lambda *es: algebra.support_of_product(dia, bdia, es)
         self.elements = SimpleNamespace(
@@ -579,45 +531,29 @@ class _Suite:
                            for rows in cases.T))
         return ~ok | self.over
 
-    def law(self, name: str, cases, holds, describe) -> LawResult:
-        """One law over a grid of cases, sample indices, in order.
+    def law(self, name: str, grid: FullGrid, holds, describe) -> LawResult:
+        """One law over every case of a grid, tuples of sample indices.
 
-        A FullGrid is decided on every tuple of classes that fits its depth
-        filter, and never listed: each representative is the least sample
-        of its class, and fitting reads only degrees, which a class
-        shares, so the first case that fails or overflows is the least
-        such tuple of representatives.  A drawn grid is decided on all
-        class tuples when there are fewer of them than rows, each row
-        reading its classes' verdict, and row by row otherwise.
+        It is decided on every tuple of classes that fits the grid's depth
+        filter, and never listed: fitting reads only degrees, which a
+        class shares, and each representative is the least sample of its
+        class, with the classes in the order of their representatives.
+        So the first such tuple that fails or overflows, in np.indices
+        order, is the first case of the grid that does.
         """
-        first = self._first_bad(cases, holds)
-        if first is None:
+        rows = self._class_tuples(grid.arity)
+        if grid.weights is not None:
+            rows = rows[self.grids.fits(rows, grid.weights,
+                                        grid.extra_degree)]
+        bad = self._bad(rows, holds)
+        if not bad.any():
             return LawResult(name, True)
-        case = [self.samples[i] for i in first]
+        case = [self.samples[i] for i in rows[int(np.argmax(bad))]]
         if holds(self.elements, *case):
             raise InternalValidationFailed(
                 f"law {name}: table and element folds disagree at "
                 f"{describe(*case)}")
         return LawResult(name, False, describe(*case))
-
-    def _first_bad(self, cases, holds):
-        'The first case in grid order that fails or overflows, or None.'
-        if isinstance(cases, FullGrid):
-            rows = self._class_tuples(cases.arity)
-            if cases.weights is not None:
-                rows = rows[self.grids.fits(rows, cases.weights,
-                                            cases.extra_degree)]
-            bad = rows[self._bad(rows, holds)]
-            return bad[np.lexsort(bad.T[::-1])[0]] if len(bad) else None
-        shape = (len(self.reps),) * cases.shape[1]
-        if math.prod(shape) < len(cases):
-            bad = self._bad(self._class_tuples(cases.shape[1]), holds)
-            if bad.any():   # else every case is good
-                bad = bad[np.ravel_multi_index(tuple(self.classes[cases].T),
-                                               shape)]
-        else:
-            bad = self._bad(cases, holds)
-        return cases[int(np.argmax(bad))] if bad.any() else None
 
     def _class_tuples(self, arity: int) -> np.ndarray:
         'Every tuple of class representatives, in np.indices order.'
@@ -638,14 +574,11 @@ def check_presupport_laws(algebra: TensorAlgebra, dia: Sequence[int],
     The first five laws hold for any join-preserving diamonds; the three
     conjugacy laws are theorems only when the pair is conjugate, so on an
     engineered non-conjugate pair they may fail while the rest still
-    pass.  Laws over one sample check every sample; the pair laws check
-    every pair up to _PRESUPPORT_PAIRS = 25,000 pairs and conjugacy-c
-    every triple up to _TRIPLES = 200,000 (all of them on the 3-chain and
-    the diamond), above which they check that many draws from one
-    Random(_SEED = 0).  samples is a list of graded elements, None for
-    default_samples, or the frame's SampleGrids, which a caller checking
-    several diamond pairs builds once and passes to every call; an empty
-    list raises ValueError.  Every law reads the samples' transformer
+    pass.  Laws over one sample check every sample, the pair laws every
+    pair and conjugacy-c every triple: nothing is drawn.  samples is a
+    list of graded elements, None for default_samples, or the frame's
+    SampleGrids, which a caller checking several diamond pairs builds
+    once and passes to every call; an empty list raises ValueError.  Every law reads the samples' transformer
     tables and is decided once per class of interchangeable samples (see
     _Suite).  Products of samples can exceed the configured depth, in
     which case DepthExceeded propagates; callers wanting the default grid
@@ -654,27 +587,25 @@ def check_presupport_laws(algebra: TensorAlgebra, dia: Sequence[int],
     suite = _Suite(algebra, dia, bdia, samples)
     law, show, pair = suite.law, suite.show, suite.pair
     top = algebra.lattice.top
-    each = suite.grids.each
-    product_pairs, stability_pairs, conjugacy_pairs = suite.grids.support_pairs
     return [
         _first_failure("unit-support", [()],
                        lambda: suite.elements.ss(algebra.unit) == top,
                        lambda: "unit"),
-        law("support-below-unit", each,
+        law("support-below-unit", FullGrid(1),
             lambda o, a: o.leq(o.ss(a), top), show),
-        law("support-idempotent", each,
+        law("support-idempotent", FullGrid(1),
             lambda o, a: o.ss(o.sig(a)) == o.ss(a), show),
-        law("support-product", product_pairs,
+        law("support-product", FullGrid(2),
             lambda o, a, b: o.ss(o.sig(a), b) == o.meet(o.ss(a), o.ss(b)),
             pair),
-        law("stability", stability_pairs,
+        law("stability", FullGrid(2),
             lambda o, a, b: o.ss(a, b) == o.ss(a, o.sig(b)), pair),
-        law("conjugacy-a", each,
+        law("conjugacy-a", FullGrid(1),
             lambda o, a: o.leq(o.ss(a), o.ss(a, o.inv(a))), show),
-        law("conjugacy-b", conjugacy_pairs,
+        law("conjugacy-b", FullGrid(2),
             lambda o, a, b: o.leq(o.ss(o.sig(a), b), o.ss(a, o.inv(a), b)),
             pair),
-        law("conjugacy-c", suite.grids.support_triples,
+        law("conjugacy-c", FullGrid(3),
             lambda o, c, a, b: o.leq(o.ss(c, o.sig(a), b),
                                      o.ss(c, a, o.inv(a), b)),
             lambda c, a, b: f"c={show(c)} a={show(a)} b={show(b)}"),
@@ -688,30 +619,27 @@ def check_lemmaB_inequalities(algebra: TensorAlgebra, dia: Sequence[int],
     The defining-pair family holds for conjugate diamonds; the T, K4 and
     S5 families are included only when the diamond pair satisfies the
     corresponding modal-class axioms, since that is their hypothesis.
-    defining-pair checks every triple of samples up to _TRIPLES = 200,000
-    (all of them on the 3-chain and the diamond) and the pair laws every
-    pair up to _LEMMA_B_PAIRS = 4,000, above which they check that many
-    draws from one Random(_SEED = 0).  samples is as for
-    check_presupport_laws: a list, None, or the frame's SampleGrids,
-    built once for all of its pairs.  Every law reads the samples'
-    transformer tables and is decided once per class of interchangeable
-    samples (see _Suite).  Sample combinations whose sides would overflow
-    the configured depth are dropped from a law's grid; if nothing fits,
-    DepthExceeded.
+    defining-pair checks every triple of samples and the pair laws every
+    pair, none drawn.  samples is as for check_presupport_laws: a list,
+    None, or the frame's SampleGrids, built once for all of its pairs.
+    Every law reads the samples' transformer tables and is decided once
+    per class of interchangeable samples (see _Suite).  Sample
+    combinations whose sides would overflow the configured depth are
+    dropped from a law's grid; if nothing fits, DepthExceeded.
     """
     L = algebra.lattice
     suite = _Suite(algebra, dia, bdia, samples)
     law, show, pair = suite.law, suite.show, suite.pair
     grids = suite.grids
 
-    def eligible(cases):
-        if grids.empty(cases):
+    def eligible(grid):
+        if grids.empty(grid):
             raise DepthExceeded(
                 f"no sample instance fits within depth {algebra.depth}")
-        return cases
+        return grid
 
     results = [law(
-        "defining-pair", eligible(grids.defining_triples),
+        "defining-pair", eligible(FullGrid(3, (1, 2, 1))),
         lambda o, a, t, b: o.leq(o.ss(a, o.sig(t), b),
                                  o.ss(a, t, o.inv(t), b)),
         lambda a, t, b: f"a={show(a)} t={show(t)} b={show(b)}")]
@@ -727,11 +655,9 @@ def check_lemmaB_inequalities(algebra: TensorAlgebra, dia: Sequence[int],
     abar = algebra.alpha_bar("a")
     abar_inv = algebra.alpha_bar("A")
 
-    lemma_pairs = iter(grids.lemma_pairs)
-
     def pairlaw(name, extra_degree, holds):
-        cases = grids.fitting(next(lemma_pairs), (1, 1), extra_degree)
-        results.append(law(name, eligible(cases), holds, pair))
+        grid = FullGrid(2, (1, 1), extra_degree)
+        results.append(law(name, eligible(grid), holds, pair))
 
     if t_class:
         for name, mid in (("t-alpha", abar), ("t-alpha-inv", abar_inv)):

@@ -197,18 +197,17 @@ def support_by_combinations(algebra, dia, bdia, elems):
 # of interchangeable samples; patched in as _Suite.law, this runs every case
 # of the law's grid on its own samples' tables.
 
-def grid_rows(grids, cases):
-    """The rows of sample indices of a law grid: a drawn grid as it is, a
-    tensor.FullGrid listed in np.indices order and kept to the tuples that
-    pass its depth filter."""
+def grid_rows(grids, grid):
+    """The rows of sample indices of a tensor.FullGrid: every tuple of
+    grids' samples of its arity, in np.indices order, kept to the tuples
+    that pass its depth filter."""
     import numpy as np
 
-    if isinstance(cases, np.ndarray):
-        return cases
-    rows = np.indices((cases.k,) * cases.arity).reshape(cases.arity, -1).T
-    if cases.weights is None:
+    shape = (len(grids.samples),) * grid.arity
+    rows = np.indices(shape).reshape(grid.arity, -1).T
+    if grid.weights is None:
         return rows
-    return fit_rows(grids, rows, cases.weights, cases.extra_degree)
+    return fit_rows(grids, rows, grid.weights, grid.extra_degree)
 
 
 def fit_rows(grids, rows, weights, extra_degree=0):

@@ -81,7 +81,6 @@ A_P2 = TensorAlgebra(P2, depth=4)
 
 
 from oracles import (
-    fit_rows,
     grid_rows,
     irr_below,
     join_reversing_maps,
@@ -570,14 +569,13 @@ def test_non_conjugate_pair_fails_only_the_conjugacy_laws():
 
 
 def scalar_triple_laws(A, dia, bdia, samples):
-    """conjugacy-c and defining-pair as the element-wise scans over _grid
-    that the array scans replaced, one support_of_product call per side."""
+    """conjugacy-c and defining-pair as element-wise scans over every
+    triple of samples, one support_of_product call per side."""
     L = A.lattice
     ss = lambda *es: A.support_of_product(dia, bdia, es)
     sig = lambda a: A.embed(ss(a))
     show = lambda a: show_element(A, a)
-    triples = lambda: _grid((samples,) * 3, quantales.tensor._TRIPLES,
-                            random.Random(0))
+    triples = lambda: itertools.product(samples, repeat=3)
     fits = [(a, t, b) for a, t, b in triples()
             if A.degree(a) + 2 * A.degree(t) + A.degree(b) <= A.depth]
     return [
@@ -611,23 +609,9 @@ CH3_NON_CONJUGATE = ((0, 1, 1), (0, 1, 2))
 def test_array_triple_scan_gives_the_scalar_verdicts(L, pair):
     A = TensorAlgebra(L, depth=8)
     samples = default_samples(A)
-    assert len(samples) ** 3 <= quantales.tensor._TRIPLES   # exhaustive
     assert not check_conjugacy(L, *pair).ok
     got = array_triple_laws(A, *pair)
     assert not any(got)
-    assert got == scalar_triple_laws(A, *pair, samples)
-
-
-@pytest.mark.parametrize("L,pair", [(P2, P2_NON_CONJUGATE),
-                                    (CH3, CH3_NON_CONJUGATE),
-                                    (CH3, (identity(CH3),) * 2)],
-                         ids=["powerset2", "chain3", "chain3-identity"])
-def test_array_triple_scan_on_a_sampled_grid(L, pair, monkeypatch):
-    monkeypatch.setattr(quantales.tensor, "_TRIPLES", 300)
-    A = TensorAlgebra(L, depth=8)
-    samples = default_samples(A)
-    assert len(samples) ** 3 > 300
-    got = array_triple_laws(A, *pair)
     assert got == scalar_triple_laws(A, *pair, samples)
 
 
@@ -655,20 +639,12 @@ P2_SWAPPING = ((0, 0, 1, 1), (0, 2, 1, 3))
 LAW_FRAMES = {"chain2": (CH2, []), "chain3": (CH3, [CH3_NON_CONJUGATE]),
               "diamond": (diamond_lattice(), []),
               "powerset2": (P2, [P2_NON_CONJUGATE, P2_SWAPPING])}
-SMALL_BUDGETS = {"_PRESUPPORT_PAIRS": 40, "_TRIPLES": 300,
-                 "_LEMMA_B_PAIRS": 30}
 
 
-@pytest.mark.parametrize("budgets", ["default", "small"])
 @pytest.mark.parametrize("frame", LAW_FRAMES)
-def test_class_decided_laws_are_the_per_case_scan(frame, budgets,
-                                                  monkeypatch):
-    # on every conjugate pair and the engineered non-conjugate ones, with
-    # exhaustive grids and with drawn ones: the same names, verdicts and
-    # witnesses as the scan over every case
-    if budgets == "small":
-        for name, value in SMALL_BUDGETS.items():
-            monkeypatch.setattr(quantales.tensor, name, value)
+def test_class_decided_laws_are_the_per_case_scan(frame, monkeypatch):
+    # on every conjugate pair and the engineered non-conjugate ones: the
+    # same names, verdicts and witnesses as the scan over every case
     L, extra = LAW_FRAMES[frame]
     A = TensorAlgebra(L, depth=8)
     grids = SampleGrids(A)
@@ -695,7 +671,7 @@ def test_class_decided_laws_at_shallow_depths_are_the_per_case_scan(
     # sides overflow, and decides the cases that are left
     A = TensorAlgebra(L, depth=depth)
     grids = SampleGrids(A)
-    assert len(grid_rows(grids, grids.defining_triples)) < len(
+    assert len(grid_rows(grids, FullGrid(3, (1, 2, 1)))) < len(
         grids.samples) ** 3
     got = [both_suites(A, *pair, grids),
            outcome(check_lemmaB_inequalities, A, *pair, grids)]
@@ -706,114 +682,116 @@ def test_class_decided_laws_at_shallow_depths_are_the_per_case_scan(
                    outcome(check_lemmaB_inequalities, A, *pair, grids)]
 
 
+P3 = powerset_lattice("abc")
+
+
+def atom_map(images):
+    'The join-preserving map on P3 that sends atom i to the code images[i].'
+    return tuple(P3.join_all(images[i] for i in range(3) if x >> i & 1)
+                 for x in range(P3.n))
+
+
+# the diamonds of the equivalence {a, b} {c}, conjugate and in T, K4 and
+# S5; and P2_SWAPPING on three atoms: a to bottom, b to a, c to b, and
+# the swap of a and b
+P3_EQUIVALENCE = (atom_map((3, 3, 4)),) * 2
+P3_SWAPPING = (atom_map((0, 1, 2)), atom_map((2, 1, 4)))
+
+
+@pytest.mark.parametrize("depth", [8, 6])
+@pytest.mark.parametrize("pair", [P3_EQUIVALENCE, P3_SWAPPING],
+                         ids=["equivalence", "swapping"])
+def test_class_decided_laws_on_the_3_atom_powerset_are_the_per_case_scan(
+        pair, depth, monkeypatch):
+    # 141 samples, so 19,881 pairs and 2.8 M triples, every one decided:
+    # the same verdicts, witnesses and DepthExceeded messages as the scan
+    # over every case, at depth 8 and at depth 6, where a product overflows
+    A = TensorAlgebra(P3, depth=depth)
+    grids = SampleGrids(A)
+    got = [both_suites(A, *pair, grids),
+           outcome(check_lemmaB_inequalities, A, *pair, grids)]
+    assert isinstance(got[1], list)
+    if pair is P3_SWAPPING:
+        assert not check_conjugacy(P3, *pair).ok
+        assert not all(got[0])
+    else:
+        assert len(got[1]) == 7 and all(got[1])
+    monkeypatch.setattr(quantales.tensor._Suite, "law", laws_by_cases)
+    assert got == [both_suites(A, *pair, grids),
+                   outcome(check_lemmaB_inequalities, A, *pair, grids)]
+
+
 @pytest.mark.parametrize("pair", [(identity(P2),) * 2, P2_SWAPPING],
                          ids=["identity", "swapping"])
 def test_a_lemmaB_grid_where_nothing_fits_raises_as_the_scan(pair,
                                                              monkeypatch):
     # every sample has degree 1 or 2, so no defining-pair triple fits
-    # depth 3: the grid is empty before any law runs, on a full grid and
-    # on a drawn one
+    # depth 3: the grid is empty before any law runs
     A = TensorAlgebra(P2, depth=3)
-    samples = [A.alpha_bar(w) for w in ("a", "A", "aA", "aa")]
+    grids = SampleGrids(A, [A.alpha_bar(w) for w in ("a", "A", "aA", "aa")])
     want = "raises no sample instance fits within depth 3"
-    for budget in (64, 63):
-        monkeypatch.setattr(quantales.tensor, "_TRIPLES", budget)
-        grids = SampleGrids(A, samples)
-        assert isinstance(grids.defining_triples, FullGrid) == (budget == 64)
-        assert outcome(check_lemmaB_inequalities, A, *pair, grids) == want
-        with monkeypatch.context() as m:
-            m.setattr(quantales.tensor._Suite, "law", laws_by_cases)
-            assert outcome(check_lemmaB_inequalities, A, *pair,
-                           grids) == want
-
-
-def index_rows(k, arity, budget, rng):
-    'The tuples the _grid over arity copies of range(k) takes, as rows.'
-    rows = list(_grid((range(k),) * arity, budget, rng))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), arity)
-
-
-def assert_grid_lists(grids, got, want, full, label):
-    # a grid that takes every tuple is a FullGrid and holds no array; a
-    # drawn one is an array of the narrowest type for its sample indices
-    assert isinstance(got, FullGrid) == full, label
-    if full:
-        assert not any(isinstance(v, np.ndarray) for v in got._values())
-    else:
-        assert got.dtype == np.min_scalar_type(len(grids.samples) - 1)
-    assert np.array_equal(grid_rows(grids, got), want), label
-
-
-@pytest.mark.parametrize("flags", list(itertools.product((False, True),
-                                                         repeat=3)),
-                         ids=lambda f: "".join("TKS"[i] if on else "-"
-                                               for i, on in enumerate(f)))
-def test_shared_grids_are_the_fresh_draws(flags, monkeypatch):
-    # each law of each pair reads the grid that the scan with a fresh
-    # Random(0) per suite drew for it, whichever laws the flags include
-    for name, value in SMALL_BUDGETS.items():
-        monkeypatch.setattr(quantales.tensor, name, value)
-    flag = dict(zip(("T", "K4", "S5"), flags))
-    monkeypatch.setattr(quantales.tensor, "check_modal_class",
-                        lambda L, dia, bdia, cls: SimpleNamespace(ok=flag[cls]))
-    used = []
-    monkeypatch.setattr(
-        quantales.tensor._Suite, "law",
-        lambda self, name, cases, holds, describe:
-        used.append((name, cases)) or LawResult(name, True))
-    A = TensorAlgebra(CH3, depth=5)
-    grids = SampleGrids(A)
-    k = len(grids.samples)
-
-    rng = random.Random(0)
-    each = index_rows(k, 1, k, rng)
-    pairs = [index_rows(k, 2, 40, rng) for _ in range(3)]
-    want = [("support-below-unit", each), ("support-idempotent", each),
-            ("support-product", pairs[0]), ("stability", pairs[1]),
-            ("conjugacy-a", each), ("conjugacy-b", pairs[2]),
-            ("conjugacy-c", index_rows(k, 3, 300, rng))]
-    rng = random.Random(0)
-    want.append(("defining-pair", fit_rows(grids, index_rows(k, 3, 300, rng),
-                                           (1, 2, 1))))
-    for name, cls, extra in (("t-alpha", "T", 1), ("t-alpha-inv", "T", 1),
-                             ("k4-alpha", "K4", 2), ("k4-alpha-inv", "K4", 2),
-                             ("s5-exchange", "S5", 1)):
-        if flag[cls]:
-            want.append((name, fit_rows(grids, index_rows(k, 2, 30, rng),
-                                        (1, 1), extra)))
-    assert all(len(cases) < k ** cases.shape[1]     # all of them drawn
-               for _, cases in want if cases is not each)
-    for dia, bdia in list(conjugate_pairs(CH3))[:2]:
-        used.clear()
-        check_presupport_laws(A, dia, bdia, grids)
-        check_lemmaB_inequalities(A, dia, bdia, grids)
-        assert [name for name, _ in used] == [name for name, _ in want]
-        for (name, got), (_, cases) in zip(used, want):
-            assert_grid_lists(grids, got, cases, cases is each, name)
+    assert outcome(check_lemmaB_inequalities, A, *pair, grids) == want
+    monkeypatch.setattr(quantales.tensor._Suite, "law", laws_by_cases)
+    assert outcome(check_lemmaB_inequalities, A, *pair, grids) == want
 
 
 @pytest.mark.parametrize("L", [CH2, CH3, powerset_lattice("abc")],
                          ids=["chain2", "chain3", "powerset3"])
-def test_default_grids_are_the_fresh_draws(L):
-    # with the default budgets and samples: each suite's grids are the
-    # draws of a fresh Random(0), even where the Lemma B triple grid is
-    # taken over from the support suite (141 samples on the powerset)
+def test_every_law_takes_every_tuple_of_its_arity(L, monkeypatch):
+    # whichever laws the T, K4 and S5 flags include, each reads a FullGrid
+    # of the arity and depth filter written with it, and holds no array
     A = TensorAlgebra(L, depth=8)
     grids = SampleGrids(A)
+    each, pairs = FullGrid(1), FullGrid(2)
+    support = [("support-below-unit", each), ("support-idempotent", each),
+               ("support-product", pairs), ("stability", pairs),
+               ("conjugacy-a", each), ("conjugacy-b", pairs),
+               ("conjugacy-c", FullGrid(3)),
+               ("defining-pair", FullGrid(3, (1, 2, 1)))]
+    used = []
+    monkeypatch.setattr(
+        quantales.tensor._Suite, "law",
+        lambda self, name, grid, holds, describe:
+        used.append((name, grid)) or LawResult(name, True))
+    ident = identity(L)
+    for flags in itertools.product((False, True), repeat=3):
+        flag = dict(zip(("T", "K4", "S5"), flags))
+        monkeypatch.setattr(
+            quantales.tensor, "check_modal_class",
+            lambda L, dia, bdia, cls: SimpleNamespace(ok=flag[cls]))
+        want = support + [
+            (name, FullGrid(2, (1, 1), extra))
+            for name, cls, extra in (
+                ("t-alpha", "T", 1), ("t-alpha-inv", "T", 1),
+                ("k4-alpha", "K4", 2), ("k4-alpha-inv", "K4", 2),
+                ("s5-exchange", "S5", 1))
+            if flag[cls]]
+        used.clear()
+        check_presupport_laws(A, ident, ident, grids)
+        check_lemmaB_inequalities(A, ident, ident, grids)
+        assert [name for name, _ in used] == [name for name, _ in want]
+        for (name, got), (_, grid) in zip(used, want):
+            assert isinstance(got, FullGrid), name
+            assert (got.arity, got.weights, got.extra_degree) == (
+                grid.arity, grid.weights, grid.extra_degree), name
+
+
+def test_sample_grids_hold_no_grid():
+    # the 3-atom powerset's 141 samples take 2.8 M triples; only the
+    # samples and one entry per sample are held, and building them peaks
+    # at 0.1-0.2 MB traced
+    A = TensorAlgebra(powerset_lattice("abc"), 8)
+    tracemalloc.start()
+    try:
+        grids = SampleGrids(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     k = len(grids.samples)
-    budgets = [(1, k), *[(2, 25000)] * 3, (3, 200000)]
-    rng = random.Random(0)
-    want = [index_rows(k, arity, budget, rng) for arity, budget in budgets]
-    rng = random.Random(0)
-    want.append(fit_rows(grids, index_rows(k, 3, 200000, rng), (1, 2, 1)))
-    budgets.append((3, 200000))
-    want += [index_rows(k, 2, 4000, rng) for _ in range(5)]
-    budgets += [(2, 4000)] * 5
-    got = [grids.each, *grids.support_pairs, grids.support_triples,
-           grids.defining_triples, *grids.lemma_pairs]
-    assert len(got) == len(want)
-    for i, (g, w, (arity, budget)) in enumerate(zip(got, want, budgets)):
-        assert_grid_lists(grids, g, w, k ** arity <= budget, i)
+    assert k == 141
+    arrays = [v for v in vars(grids).values() if isinstance(v, np.ndarray)]
+    assert arrays and all(v.shape == (k,) for v in arrays)
+    assert peak < 5e5
 
 
 @pytest.mark.parametrize("text", [
@@ -1022,7 +1000,7 @@ def test_pre_support_is_join_preserving(a, b):
     assert ss(A_CH3.join(a, b)) == CH3.join(ss(a), ss(b))
 
 
-# --- the sampling rule of the law checks ----------------------------------
+# --- the sampling rule of check_graded_nucleus -----------------------------
 
 def test_grid_is_the_whole_product_when_it_fits_the_budget():
     domains = (range(3), "xy", range(2))
@@ -1042,7 +1020,7 @@ def test_grid_draws_exactly_the_budget_and_only_when_iterated():
 
 
 def test_grid_samples_index_tuples_as_randrange():
-    # 47 samples on the 3-chain: the triple laws sample 4,000 of 47^3
+    # 4,000 draws of index triples below 47
     ref = random.Random(0)
     expected = [tuple(ref.randrange(47) for _ in range(3))
                 for _ in range(4000)]
