@@ -47,10 +47,24 @@ def carrier_size(n: int) -> int:
 
 
 def frozen(table, dtype=INDEX) -> np.ndarray:
-    'A read-only copy of table: the one stored form of every validated table.'
+    """table as a read-only array of dtype: the one stored form of every
+    validated table.  An array of dtype that is already read-only and owns
+    its data, as sealed leaves a builder's fresh table, is kept as it is;
+    anything else, a caller's writeable array included, is copied, so a
+    later write to the caller's array cannot reach the stored table."""
+    if (isinstance(table, np.ndarray) and table.dtype == dtype
+            and table.flags.owndata and not table.flags.writeable):
+        return table
     out = np.array(table, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def sealed(table: np.ndarray) -> np.ndarray:
+    """table, made read-only in place, for a builder handing over a fresh
+    array that no other array views: frozen then keeps it uncopied."""
+    table.flags.writeable = False
+    return table
 
 
 def index_table(table, n: int, message: str) -> np.ndarray:
@@ -90,7 +104,8 @@ def map_table(L: FiniteSupLattice, table) -> np.ndarray:
 class FiniteSupLattice:
     """A finite lattice, hence complete: all joins and meets exist.
 
-    The order, join and meet are read-only arrays, copied at construction;
+    The order, join and meet are read-only arrays, stored through frozen:
+    a sealed fresh array is kept, anything else is copied once;
     the scalar methods read the same arrays and return Python values.  Do
     not call the constructor directly; use make_lattice or one of the
     shape helpers, which validate the order and realize the tables.
@@ -256,7 +271,8 @@ def powerset_lattice(items: Sequence) -> FiniteSupLattice:
     labels = tuple(frozenset(items[b] for b in _bits(code)) for code in range(n))
     a = np.arange(n, dtype=INDEX)[:, None]
     b = np.arange(n, dtype=INDEX)
-    return FiniteSupLattice(labels, a & ~b == 0, a | b, a & b, 0, n - 1)
+    return FiniteSupLattice(labels, sealed(a & ~b == 0), sealed(a | b),
+                            sealed(a & b), 0, n - 1)
 
 
 def chain_lattice(n: int) -> FiniteSupLattice:
@@ -376,8 +392,10 @@ def closed_elements(L: FiniteSupLattice, j) -> FiniteSupLattice:
     c, pos = closed_positions(j.table)
     cut = np.ix_(c, c)
     return FiniteSupLattice([L.labels[x] for x in c.tolist()],
-                            L.leq_matrix[cut], pos[L.join_matrix[cut]],
-                            pos[L.meet_matrix[cut]], pos[L.bottom], pos[L.top])
+                            sealed(L.leq_matrix[cut]),
+                            sealed(pos[L.join_matrix[cut]]),
+                            sealed(pos[L.meet_matrix[cut]]),
+                            pos[L.bottom], pos[L.top])
 
 
 class Congruence(Record):

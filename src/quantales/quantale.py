@@ -1,6 +1,8 @@
 """Unital involutive quantales on finite lattices, with optional supports.
 
-Table-backed quantales validate every law exactly at construction.  On a
+Table-backed quantales are proved exactly when they are made:
+make_quantale checks every law of the tables it is handed, and
+nucleus.quotient proves a quotient through its projection.  On a
 distributive carrier, which every powerset quantale has, associativity
 and distributivity are decided on the join-irreducibles in O(n^2); any
 other carrier, and any table that fails, goes through the exhaustive loop
@@ -45,17 +47,24 @@ from .errors import (
 # the groupoids live, without numpy, in groupoids; re-exported here
 from .groupoids import FiniteGroupoid, group_groupoid, pair_groupoid
 from .lattice import (INDEX, FiniteSupLattice, frozen, index_table,
-                      powerset_lattice)
+                      powerset_lattice, sealed)
 from .relations import LocaleMasks, require_support
 
 
 class Quantale:
     """Explicit multiplication/involution tables over a FiniteSupLattice.
 
-    The tables are read-only arrays of lattice.INDEX, copied at
-    construction: mul_matrix, inv_vector and, when present, support_vector,
-    which has passed all the support axioms and the stability equation.
-    Use make_quantale (or with_derived_support) to construct.
+    The tables are read-only arrays of lattice.INDEX, stored through
+    lattice.frozen, which keeps a sealed fresh array and copies anything
+    else: mul_matrix, inv_vector and, when present, support_vector, which
+    has passed all the support axioms and the stability equation.
+
+    The constructor proves nothing, so only the code that proves the laws
+    constructs one: make_quantale, which proves every law of the tables it
+    is handed; with_derived_support, which proves the support it adds to
+    a quantale make_quantale proved; and nucleus.quotient, whose check that
+    the projection is an onto homomorphism carries every law of the parent
+    to the quotient (the lemma is in its docstring).
     """
 
     def __init__(self, lattice, mul, inv, unit, support):
@@ -361,7 +370,8 @@ def derive_support(q: Quantale) -> tuple[int, ...]:
 
 def with_derived_support(q: Quantale) -> Quantale:
     """q with the support of derive_support, which has just proved the
-    support laws against q's validated tables; nothing is proved again."""
+    support laws against q's validated tables; nothing is proved again,
+    and q's read-only tables are shared, not copied."""
     return Quantale(q.lattice, q.mul_matrix, q.inv_vector, q.unit,
                     derive_support(q))
 
@@ -411,7 +421,8 @@ def groupoid_quantale(G: FiniteGroupoid) -> Quantale:
     for g in range(m):
         mul[1 << g:2 << g] = mul[:1 << g] | half[g]
     unit = sum(1 << e for e in G.identities)
-    return make_quantale(lattice, mul, inv, unit, support=support)
+    return make_quantale(lattice, sealed(mul), sealed(inv), unit,
+                         support=sealed(support))
 
 
 # --- the support locale ---------------------------------------------------

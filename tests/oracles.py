@@ -75,6 +75,24 @@ def closed_lattice_by_pairs(L, table):
             pos[L.bottom], pos[L.top])
 
 
+def projection_by_closures(table):
+    """The projection onto the quotient by a closure table: x goes to the
+    position of table[x] among the closed elements, in ascending order."""
+    closed = [x for x in range(len(table)) if table[x] == x]
+    return tuple(closed.index(c) for c in table)
+
+
+def quotient_tables_by_closures(q, table):
+    """The quotient's multiplication, involution and support tables and
+    its unit, element by element: each operation on closed elements, then
+    the closure, as a position among the closed elements."""
+    closed = [x for x in range(q.n) if table[x] == x]
+    pos = projection_by_closures(table)
+    return ([[pos[q.mul(a, b)] for b in closed] for a in closed],
+            [pos[q.inv(a)] for a in closed],
+            [pos[q.support(a)] for a in closed], pos[q.unit])
+
+
 def meet_closed_table_by_meets(L, closed):
     """The closure of a meet-closed set: x goes to the meet of every member
     above it.  A set missing the top, or with two members whose meet

@@ -367,7 +367,7 @@ def test_c06_least_nuclei_across_the_corpus():
         for tbl in honoring:
             assert all(L.leq(t[x], tbl[x]) for x in range(q.n))
 
-        quot = quotient(q, nuc)        # revalidates every law internally
+        quot = quotient(q, nuc)        # proves every law through its projection
         new = quot.quantale
         for a in range(new.n):
             for b in range(new.n):

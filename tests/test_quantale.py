@@ -537,6 +537,24 @@ class TestStoredTables:
         assert np.array_equal(q.inv_vector, rq2.inv_vector)
         assert np.array_equal(q.support_vector, rq2.support_vector)
 
+    def test_make_quantale_copies_a_read_only_view(self, rq2):
+        mul = np.array(rq2.mul_matrix)
+        view = mul[:]
+        view.flags.writeable = False
+        q = make_quantale(rq2.lattice, view, rq2.inv_vector, rq2.unit,
+                          support=rq2.support_vector)
+        mul[...] = 0
+        assert np.array_equal(q.mul_matrix, rq2.mul_matrix)
+        assert q.inv_vector is rq2.inv_vector
+
+    def test_with_derived_support_shares_the_tables(self, rq2):
+        bare = make_quantale(rq2.lattice, rq2.mul_matrix, rq2.inv_vector,
+                             rq2.unit)
+        q = with_derived_support(bare)
+        assert np.shares_memory(q.mul_matrix, bare.mul_matrix)
+        assert np.shares_memory(q.inv_vector, bare.inv_vector)
+        assert q.lattice is bare.lattice
+
     def test_scalars_are_python_values(self, rq2):
         quo = quotient(rq2, least_nucleus(rq2, [(rq2.unit, 1 << 1)]))
         bare = make_quantale(rq2.lattice, rq2.mul_matrix, rq2.inv_vector,
